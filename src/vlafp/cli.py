@@ -8,7 +8,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -132,13 +131,6 @@ def write_run_manifest(out_path: str | Path, subcommand: str, args) -> None:
     Path(str(out_path) + ".manifest.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- subcommands ------------------------------------------------------------
 
 
@@ -162,14 +154,12 @@ def cmd_synth(args) -> int:
 def cmd_segment(args) -> int:
     corpus, files = load_corpus(args.audio, args.rate)
     cfg = seg_config_from_args(args)
-
-    def run(item):
-        aid, w = item
-        if cfg is None:
-            return segment_fixed(w, args.window, args.hop, audio_id=aid)
-        return segment(w, cfg, audio_id=aid)
-
-    per_audio = _pmap(run, corpus, args.threads)
+    per_audio = [
+        segment_fixed(w, args.window, args.hop, audio_id=aid)
+        if cfg is None
+        else segment(w, cfg, audio_id=aid)
+        for aid, w in corpus
+    ]
     segments = [s for segs in per_audio for s in segs]
     theta = cfg.theta if cfg is not None else 0.0
     write_manifest(args.out, segments, args.method, theta)
@@ -220,20 +210,7 @@ def cmd_fingerprint(args) -> int:
     params, model_cfg = load_checkpoint(args.ckpt)
     mel_cfg = MelConfig(n_mels=model_cfg.f_bins)
     seg_cfg = seg_config_from_args(args)
-
-    def run(item):
-        aid, w = item
-        segs = (
-            segment_fixed(w, args.window, args.hop, audio_id=aid)
-            if seg_cfg is None
-            else segment(w, seg_cfg, audio_id=aid)
-        )
-        return fingerprint_segments(w, segs, mel_cfg, params, model_cfg)
-
-    index = FingerprintIndex(model_cfg.d, metadata="fingerprints")
-    for entries in _pmap(run, corpus, args.threads):
-        for e in entries:
-            index.insert(e)
+    index = build_index(corpus, seg_cfg, mel_cfg, params, model_cfg, args.window, args.hop)
     index.save(args.out)
     write_run_manifest(args.out, "fingerprint", args)
     print(f"{len(index)} fingerprints -> {args.out}")
@@ -241,18 +218,11 @@ def cmd_fingerprint(args) -> int:
 
 
 def cmd_index_build(args) -> int:
-    merged: FingerprintIndex | None = None
-    for path in args.fingerprints:
-        part = FingerprintIndex.load(path)
-        if merged is None:
-            merged = part
-        else:
-            if part.dim != merged.dim:
-                raise ValueError(f"dim mismatch: {part.dim} != {merged.dim}")
-            for i in range(len(part)):
-                merged.insert(part.entry(i))
-    if merged is None:
-        raise ValueError("no fingerprint files given")
+    parts = [FingerprintIndex.load(path) for path in args.fingerprints]
+    for path, part in zip(args.fingerprints, parts):
+        if part.dim != parts[0].dim:
+            raise ValueError(f"{path}: dim {part.dim} != {parts[0].dim} of {args.fingerprints[0]}")
+    merged = FingerprintIndex.from_records(np.concatenate([part.records for part in parts]))
     merged.save(args.out)
     write_run_manifest(args.out, "index-build", args)
     print(f"index with {len(merged)} entries -> {args.out}")
@@ -266,9 +236,8 @@ def cmd_index_query(args) -> int:
     writer.writerow(
         ["query_ord", "rank", "audio_id", "segment_ord", "start_time", "duration", "score"]
     )
-    for qi in range(len(queries)):
-        entry = queries.entry(qi)
-        for rank, (hit, score) in enumerate(index.search_top_k(entry.vector, args.k)):
+    for qi, query in enumerate(queries.records["vector"]):
+        for rank, (hit, score) in enumerate(index.search_top_k(query, args.k)):
             writer.writerow(
                 [qi, rank, hit.audio_id, hit.segment_ord, f"{hit.start_time:.3f}",
                  f"{hit.duration:.3f}", f"{score:.6f}"]
@@ -284,13 +253,15 @@ def cmd_eval_cbr(args) -> int:
     rng = np.random.default_rng(args.seed)
     aug_cfg = make_aug_config(args, args.rate)
 
-    commercial = dict(corpus)[args.commercial_id]
+    if not 0 <= args.commercial_id < len(corpus):
+        raise ValueError(f"--commercial-id {args.commercial_id} is not a corpus id 0..{len(corpus) - 1}")
+    commercial = corpus[args.commercial_id][1]
     others = [w for aid, w in corpus if aid != args.commercial_id]
     sim = simulate_broadcast(commercial, others, aug_cfg, rng, n_others=args.others)
 
     commercial_index = build_index(
         [(args.commercial_id, commercial)], seg_cfg, mel_cfg, params, model_cfg,
-        args.window, args.hop, metadata="cbr-commercial",
+        args.window, args.hop,
     )
     broadcast_segs = (
         segment(sim.stream, seg_cfg, audio_id=-1)
@@ -335,7 +306,7 @@ def cmd_eval_dtr(args) -> int:
     targets = corpus[:n_targets]
     database = corpus if args.dummies is None else corpus[: n_targets + args.dummies]
     index = build_index(
-        database, None, mel_cfg, params, model_cfg, args.window, args.hop, metadata="dtr-db"
+        database, None, mel_cfg, params, model_cfg, args.window, args.hop
     )
     durations = [float(d) for d in args.durations.split(",")]
     queries = make_dtr_queries(
@@ -379,8 +350,7 @@ def cmd_inspect(args) -> int:
     if magic == b"VLIX":
         index = FingerprintIndex.load(path)
         print(f"fingerprint index: dim={index.dim} entries={len(index)} bytes={path.stat().st_size}")
-        audio_ids = {index.entry(i).audio_id for i in range(len(index))}
-        print(f"distinct audio ids: {len(audio_ids)}")
+        print(f"distinct audio ids: {len(np.unique(index.records['audio_id']))}")
     elif magic == b"VLFP":
         params, cfg = load_checkpoint(path)
         n_values = sum(v.size for v in params.values())
@@ -401,7 +371,6 @@ def cmd_inspect(args) -> int:
 
 def _add_common(p, rate=True):
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (1 = deterministic mode)")
     p.add_argument("--config", default=None, help="key=value config file; flags win")
     if rate:
         p.add_argument("--rate", type=int, default=8000, help="expected sample rate")

@@ -1,11 +1,13 @@
 """Exact inner-product fingerprint index with binary persistence.
 
-Brute-force blocked dot products only; results are bit-reproducible and
-identical to a linear scan by contract.
+Brute-force dot products only; results are bit-reproducible and identical
+to a linear scan by contract. In memory the entries are one structured
+array of the on-disk `.vlix` record, written and read in one call.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,8 +17,14 @@ import numpy as np
 INDEX_MAGIC = b"VLIX"
 INDEX_VERSION = 1
 UNIT_NORM_TOL = 1e-4
-HEADER_BYTES = 4 + 4 + 4 + 8
-ENTRY_FIXED_BYTES = 8 + 4 + 4 + 4  # audio_id u64, segment_ord u32, start f32, dur f32
+_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, entry count
+HEADER_BYTES = _HEADER.size
+
+
+def record_dtype(dim: int) -> np.dtype:
+    """One `.vlix` entry: packed little-endian, 20 + 4*dim bytes, no padding."""
+    fields = [("audio_id", "<u8"), ("segment_ord", "<u4"), ("start_time", "<f4"), ("duration", "<f4")]
+    return np.dtype(fields + [("vector", "<f4", (dim,))])
 
 
 @dataclass(frozen=True)
@@ -28,60 +36,87 @@ class IndexEntry:
     duration: float
 
 
-class FingerprintIndex:
-    """Append-only store of unit vectors with provenance and exact top-k search."""
+def _check_vectors(vectors: np.ndarray) -> None:
+    """Every row must be unit L2 within UNIT_NORM_TOL; a NaN or inf norm fails too."""
+    norms = np.linalg.norm(vectors, axis=1)
+    bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"entry {i}: vector norm {norms[i]:.6f} not unit within {UNIT_NORM_TOL}")
 
-    def __init__(self, dim: int, metadata: str = ""):
+
+class FingerprintIndex:
+    """Append-only store of unit vectors with provenance and exact top-k search.
+
+    The entries are one array of `record_dtype(dim)`, filled to `len(self)`
+    and grown by doubling, so `insert` is amortised O(1).
+    """
+
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self.metadata = metadata
-        self._vectors: list[np.ndarray] = []
-        self._audio_ids: list[int] = []
-        self._segment_ords: list[int] = []
-        self._starts: list[float] = []
-        self._durations: list[float] = []
-        self._matrix: np.ndarray | None = None
+        self._buf = np.empty(0, record_dtype(dim))
+        self._n = 0
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return self._n
+
+    @property
+    def records(self) -> np.ndarray:
+        """The entries as a `record_dtype(dim)` array; a view, not to be written."""
+        return self._buf[: self._n]
 
     def insert(self, entry: IndexEntry) -> None:
-        vec = np.asarray(entry.vector, dtype=np.float32)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"vector dim {vec.shape} != index dim ({self.dim},)")
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"vector norm {norm:.6f} not unit within {UNIT_NORM_TOL}")
-        self._vectors.append(vec)
-        self._audio_ids.append(int(entry.audio_id))
-        self._segment_ords.append(int(entry.segment_ord))
-        self._starts.append(float(entry.start_time))
-        self._durations.append(float(entry.duration))
-        self._matrix = None
+        self._append([entry])
 
     @classmethod
-    def build(cls, entries: list[IndexEntry], metadata: str = "") -> "FingerprintIndex":
+    def build(cls, entries: list[IndexEntry]) -> "FingerprintIndex":
         if not entries:
             raise ValueError("cannot build an index from zero entries")
-        index = cls(int(np.asarray(entries[0].vector).shape[0]), metadata)
-        for e in entries:
-            index.insert(e)
+        index = cls(int(np.asarray(entries[0].vector).shape[0]))
+        index._append(entries)
         return index
 
-    def entry(self, i: int) -> IndexEntry:
-        return IndexEntry(
-            self._vectors[i],
-            self._audio_ids[i],
-            self._segment_ords[i],
-            self._starts[i],
-            self._durations[i],
-        )
+    @classmethod
+    def from_records(cls, records: np.ndarray) -> "FingerprintIndex":
+        """Index over an array of `record_dtype(dim)` after checking its vectors."""
+        index = cls(records.dtype["vector"].shape[0])
+        _check_vectors(records["vector"])
+        index._buf = records
+        index._n = len(records)
+        return index
 
-    def _stacked(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.vstack(self._vectors) if self._vectors else np.zeros((0, self.dim), np.float32)
-        return self._matrix
+    def _append(self, entries: list[IndexEntry]) -> None:
+        """Validate a non-empty batch of entries, then add it in bulk."""
+        vectors = np.asarray([e.vector for e in entries], dtype=np.float32)
+        if vectors.shape[1:] != (self.dim,):
+            raise ValueError(f"vector dim {vectors.shape[1:]} != index dim ({self.dim},)")
+        _check_vectors(vectors)
+        audio_ids = [e.audio_id for e in entries]
+        segment_ords = [e.segment_ord for e in entries]
+        for name, values, bits in (("audio_id", audio_ids, 64), ("segment_ord", segment_ords, 32)):
+            if min(values) < 0 or max(values) >= 1 << bits:
+                raise ValueError(f"{name} outside the u{bits} range in {min(values)}..{max(values)}")
+        end = self._n + len(entries)
+        if end > len(self._buf):
+            grown = np.empty(max(end, 2 * len(self._buf)), self._buf.dtype)
+            grown[: self._n] = self.records
+            self._buf = grown
+        rows = self._buf[self._n : end]
+        rows["audio_id"] = audio_ids
+        rows["segment_ord"] = segment_ords
+        rows["start_time"] = [e.start_time for e in entries]
+        rows["duration"] = [e.duration for e in entries]
+        rows["vector"] = vectors
+        self._n = end
+
+    def entry(self, i: int) -> IndexEntry:
+        r = self.records[i]
+        return IndexEntry(
+            r["vector"].copy(), int(r["audio_id"]), int(r["segment_ord"]),
+            float(r["start_time"]), float(r["duration"]),
+        )
 
     def search_top_k(self, query: np.ndarray, k: int) -> list[tuple[IndexEntry, float]]:
         """Exact top-k by inner product, scores descending.
@@ -93,49 +128,37 @@ class FingerprintIndex:
         q = np.asarray(query, dtype=np.float32)
         if q.shape != (self.dim,):
             raise ValueError(f"query dim {q.shape} != index dim ({self.dim},)")
-        if not self._vectors:
-            return []
-        scores = self._stacked() @ q
-        order = np.lexsort((self._segment_ords, self._audio_ids, -scores))
-        top = order[: min(k, len(order))]
-        return [(self.entry(int(i)), float(scores[i])) for i in top]
+        if not np.isfinite(q).all():
+            raise ValueError("query vector is not finite")
+        records = self.records
+        scores = records["vector"] @ q
+        order = np.lexsort((records["segment_ord"], records["audio_id"], -scores))
+        return [(self.entry(int(i)), float(scores[i])) for i in order[:k]]
 
     def save(self, path: str | Path) -> None:
         with open(path, "wb") as fh:
-            fh.write(INDEX_MAGIC)
-            fh.write(struct.pack("<IIQ", INDEX_VERSION, self.dim, len(self)))
-            for i in range(len(self)):
-                fh.write(
-                    struct.pack(
-                        "<QIff",
-                        self._audio_ids[i],
-                        self._segment_ords[i],
-                        self._starts[i],
-                        self._durations[i],
-                    )
-                )
-                fh.write(self._vectors[i].astype("<f4").tobytes())
+            fh.write(_HEADER.pack(INDEX_MAGIC, INDEX_VERSION, self.dim, len(self)))
+            self.records.tofile(fh)
 
     @classmethod
     def load(cls, path: str | Path) -> "FingerprintIndex":
+        """Read a `.vlix` file; a bad header, size or vector is a ValueError naming the path."""
         with open(path, "rb") as fh:
-            if fh.read(4) != INDEX_MAGIC:
-                raise ValueError(f"{path}: bad index magic")
-            version, dim, count = struct.unpack("<IIQ", fh.read(16))
-            if version != INDEX_VERSION:
-                raise ValueError(f"{path}: unsupported index version {version}")
-            index = cls(dim)
-            for _ in range(count):
-                audio_id, seg_ord, start, dur = struct.unpack("<QIff", fh.read(ENTRY_FIXED_BYTES))
-                vec = np.frombuffer(fh.read(4 * dim), dtype="<f4")
-                index._vectors.append(vec.copy())
-                index._audio_ids.append(audio_id)
-                index._segment_ords.append(seg_ord)
-                index._starts.append(start)
-                index._durations.append(dur)
-        return index
+            header = fh.read(HEADER_BYTES)
+            size = os.fstat(fh.fileno()).st_size
+            try:
+                if header[:4] != INDEX_MAGIC or size < HEADER_BYTES:
+                    raise ValueError("bad index magic or short header")
+                _, version, dim, count = _HEADER.unpack(header)
+                if version != INDEX_VERSION:
+                    raise ValueError(f"unsupported index version {version}")
+                if size != expected_file_size(count, dim):
+                    raise ValueError(f"{size} bytes, but the header declares {count} entries of dim {dim}")
+                return cls.from_records(np.fromfile(fh, record_dtype(dim), count))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
 
 def expected_file_size(n_entries: int, dim: int) -> int:
-    """Exact on-disk size: header + N * (fixed metadata + 4*dim)."""
-    return HEADER_BYTES + n_entries * (ENTRY_FIXED_BYTES + 4 * dim)
+    """Exact on-disk size: header + N records of `record_dtype(dim)`."""
+    return HEADER_BYTES + n_entries * record_dtype(dim).itemsize

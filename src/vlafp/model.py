@@ -5,6 +5,7 @@ L2-normalized summarization."""
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -395,32 +396,32 @@ def save_checkpoint(path: str | Path, params: Parameters, cfg: ModelConfig) -> N
 
 
 def load_checkpoint(path: str | Path) -> tuple[Parameters, ModelConfig]:
+    """Read a `.vlfp` file; a short or malformed one is a ValueError naming the path."""
     with open(path, "rb") as fh:
-        if fh.read(4) != CKPT_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic")
-        version, f_bins, d1, d2, d, n_blocks, n_heads, d_head, alpha, eps = struct.unpack(
-            "<8I2d", fh.read(8 * 4 + 2 * 8)
-        )
-        if version != CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        cfg = ModelConfig(
-            f_bins=f_bins,
-            d1=d1,
-            d2=d2,
-            d=d,
-            n_blocks=n_blocks,
-            n_heads=n_heads,
-            d_head=d_head,
-            ffn_alpha=alpha,
-            eps=eps,
-        )
-        (count,) = struct.unpack("<I", fh.read(4))
-        params: Parameters = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-            data = np.frombuffer(fh.read(4 * int(np.prod(shape))), dtype="<f4")
-            params[name] = data.reshape(shape).astype(np.float64)
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            if fh.tell() + n > size:
+                raise ValueError(f"truncated checkpoint at byte {fh.tell()} of {size}")
+            return fh.read(n)
+
+        try:
+            if fh.read(4) != CKPT_MAGIC:
+                raise ValueError("bad checkpoint magic")
+            # The header holds ModelConfig's fields in declaration order.
+            version, *fields = struct.unpack("<8I2d", read(8 * 4 + 2 * 8))
+            if version != CKPT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}")
+            cfg = ModelConfig(*fields)
+            (count,) = struct.unpack("<I", read(4))
+            params: Parameters = {}
+            for _ in range(count):
+                (name_len,) = struct.unpack("<I", read(4))
+                name = read(name_len).decode("utf-8")
+                (rank,) = struct.unpack("<I", read(4))
+                shape = struct.unpack(f"<{rank}I", read(4 * rank))
+                data = np.frombuffer(read(4 * math.prod(shape)), dtype="<f4")
+                params[name] = data.reshape(shape).astype(np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return params, cfg

@@ -68,10 +68,9 @@ def build_index(
     model_cfg: ModelConfig,
     fixed_window_s: float = 1.0,
     fixed_hop_s: float = 0.5,
-    metadata: str = "",
 ) -> FingerprintIndex:
     """Segment and fingerprint a corpus; seg_cfg None means fixed windows."""
-    index = FingerprintIndex(model_cfg.d, metadata)
+    index = FingerprintIndex(model_cfg.d)
     for aid, w in corpus:
         segs = (
             segment(w, seg_cfg, audio_id=aid)

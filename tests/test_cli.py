@@ -1,11 +1,12 @@
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vlafp.cli import main
-from vlafp.index import FingerprintIndex
+from vlafp.index import FingerprintIndex, IndexEntry
 from vlafp.model import load_checkpoint
 from vlafp.segmentation import read_manifest
 
@@ -135,6 +136,66 @@ class TestFingerprintIndexQuery:
             assert float(fields[6]) == pytest.approx(1.0, abs=1e-4)
 
 
+def _unit_index(n, dim, first_id, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, dim))
+    v = (v / np.linalg.norm(v, axis=1, keepdims=True)).astype(np.float32)
+    index = FingerprintIndex(dim)
+    for i in range(n):
+        index.insert(IndexEntry(v[i], first_id + i // 2, i, 0.5 * i, 1.0))
+    return index
+
+
+def _one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    for needle in needles:
+        assert needle in lines[0]
+
+
+class TestIndexBuild:
+    def test_merge_is_header_then_parts_in_order(self, tmp_path):
+        a, b, out = tmp_path / "a.vlix", tmp_path / "b.vlix", tmp_path / "ab.vlix"
+        _unit_index(3, 8, 0, seed=1).save(a)
+        _unit_index(4, 8, 10, seed=2).save(b)
+        assert main(["index", "build", "--fingerprints", str(a), str(b), "--out", str(out)]) == 0
+        header = b"VLIX" + struct.pack("<IIQ", 1, 8, 7)
+        assert out.read_bytes() == header + a.read_bytes()[20:] + b.read_bytes()[20:]
+
+    def test_dim_mismatch_exit_1(self, tmp_path, capsys):
+        a, b = tmp_path / "a.vlix", tmp_path / "b.vlix"
+        _unit_index(2, 8, 0, seed=1).save(a)
+        _unit_index(2, 4, 0, seed=2).save(b)
+        assert main(["index", "build", "--fingerprints", str(a), str(b), "--out", str(tmp_path / "o")]) == 1
+        _one_error_line(capsys, str(b))
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("keep", [30, 2000])
+    def test_inspect_truncated_checkpoint(self, ckpt, tmp_path, capsys, keep):
+        path = tmp_path / "cut.vlfp"
+        path.write_bytes(Path(ckpt).read_bytes()[:keep])
+        assert main(["inspect", str(path)]) == 1
+        _one_error_line(capsys, str(path), "truncated")
+
+    def test_inspect_truncated_index(self, tmp_path, capsys):
+        good = tmp_path / "good.vlix"
+        _unit_index(3, 8, 0, seed=1).save(good)
+        path = tmp_path / "cut.vlix"
+        path.write_bytes(good.read_bytes()[:-1])
+        assert main(["inspect", str(path)]) == 1
+        _one_error_line(capsys, str(path))
+
+    def test_unknown_commercial_id_exit_1(self, corpus_dir, ckpt, tmp_path, capsys):
+        rc = main(
+            ["eval", "cbr", "--audio", str(corpus_dir), "--ckpt", str(ckpt),
+             "--commercial-id", "999", "--out", str(tmp_path / "cbr.csv")]
+        )
+        assert rc == 1
+        _one_error_line(capsys, "999", "0..5")
+
+
 class TestEvalCommands:
     def test_dtr_self_match_100(self, corpus_dir, ckpt, tmp_path):
         out = tmp_path / "dtr.csv"
@@ -209,8 +270,6 @@ class TestEvalCommands:
                     "1",
                     "--seed",
                     "9",
-                    "--threads",
-                    "1",
                     "--out",
                     str(out),
                 ]
@@ -261,8 +320,6 @@ class TestInspectAndInit:
         assert "model checkpoint" in out
 
     def test_inspect_index(self, tmp_path, capsys):
-        from vlafp.index import IndexEntry
-
         idx = FingerprintIndex(4)
         v = np.zeros(4, np.float32)
         v[0] = 1.0

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,10 @@ def unit_rows(n, d, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n, d))
     return (v / np.linalg.norm(v, axis=1, keepdims=True)).astype(np.float32)
+
+
+ENTRY_8 = 20 + 4 * 8  # bytes of one entry at d=8
+VEC_2 = 20 + 2 * ENTRY_8 + 20  # offset of entry 2's vector at d=8
 
 
 def make_index(n, d, seed=0):
@@ -72,6 +78,14 @@ class TestSearch:
     def test_empty_index_empty_result(self):
         assert FingerprintIndex(4).search_top_k(np.zeros(4, np.float32), 5) == []
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        index, vecs = make_index(10, 4)
+        q = vecs[0].copy()
+        q[1] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            index.search_top_k(q, 1)
+
     def test_k_larger_than_index(self):
         index, _ = make_index(3, 4)
         assert len(index.search_top_k(unit_rows(1, 4, 0)[0], 10)) == 3
@@ -105,6 +119,31 @@ class TestInsert:
         with pytest.raises(ValueError):
             FingerprintIndex.build([])
 
+    def test_nan_vector_rejected(self):
+        v = np.full(4, np.nan, np.float32)
+        with pytest.raises(ValueError, match="norm nan"):
+            FingerprintIndex(4).insert(IndexEntry(v, 0, 0, 0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "audio_id,segment_ord,field",
+        [(-1, 0, "audio_id"), (2**64, 0, "audio_id"), (0, -1, "segment_ord"), (0, 2**32, "segment_ord")],
+    )
+    def test_out_of_range_ids_rejected(self, audio_id, segment_ord, field):
+        vecs = unit_rows(2, 4, 0)
+        good = IndexEntry(vecs[0], 2**64 - 1, 2**32 - 1, 0.0, 1.0)
+        bad = IndexEntry(vecs[1], audio_id, segment_ord, 0.0, 1.0)
+        index = FingerprintIndex(4)
+        with pytest.raises(ValueError, match=field):
+            index.insert(bad)
+        assert len(index) == 0
+        with pytest.raises(ValueError, match=field):
+            FingerprintIndex.build([good, bad])
+
+    def test_build_equals_inserts(self):
+        index, _ = make_index(300, 8, seed=7)
+        entries = [index.entry(i) for i in range(len(index))]
+        assert FingerprintIndex.build(entries).records.tobytes() == index.records.tobytes()
+
 
 class TestPersistence:
     def test_roundtrip_bytes_identical(self, tmp_path):
@@ -113,6 +152,45 @@ class TestPersistence:
         index.save(p1)
         FingerprintIndex.load(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_writes_the_vlix_record_layout(self, tmp_path):
+        vecs = unit_rows(3, 4, 8)
+        meta = [(2**64 - 1, 0, 0.0, 1.0), (7, 2**32 - 1, 0.5, 0.25), (0, 3, 12.75, 2.5)]
+        want = b"VLIX" + struct.pack("<IIQ", 1, 4, 3)
+        for (aid, ord_, start, dur), v in zip(meta, vecs):
+            want += struct.pack("<QIff", aid, ord_, start, dur) + v.astype("<f4").tobytes()
+        index = FingerprintIndex(4)
+        for (aid, ord_, start, dur), v in zip(meta, vecs):
+            index.insert(IndexEntry(v, aid, ord_, start, dur))
+        path, again = tmp_path / "three.vlix", tmp_path / "again.vlix"
+        index.save(path)
+        assert path.read_bytes() == want
+        loaded = FingerprintIndex.load(path)
+        assert [(e.audio_id, e.segment_ord, e.start_time, e.duration) for e in map(loaded.entry, range(3))] == meta
+        loaded.save(again)
+        assert again.read_bytes() == want
+
+    @pytest.mark.parametrize(
+        "damage,reason",
+        [
+            (lambda b: b[:-1], "header declares"),  # one byte short
+            (lambda b: b[: -ENTRY_8 // 2], "header declares"),  # half an entry short
+            (lambda b: b + b"\x00", "header declares"),  # one byte long
+            (lambda b: b[:12], "short header"),
+            (lambda b: b[:VEC_2] + struct.pack("<f", float("nan")) + b[VEC_2 + 4 :], "norm nan"),
+            (lambda b: b[:VEC_2] + bytes(32) + b[VEC_2 + 32 :], "not unit"),
+        ],
+        ids=["byte-short", "half-entry-short", "byte-long", "header-cut", "nan-vector", "zero-vector"],
+    )
+    def test_damaged_file_rejected_with_path(self, tmp_path, damage, reason):
+        index, _ = make_index(5, 8, seed=1)
+        good = tmp_path / "good.vlix"
+        index.save(good)
+        path = tmp_path / "damaged.vlix"
+        path.write_bytes(damage(good.read_bytes()))
+        with pytest.raises(ValueError, match=reason) as exc:
+            FingerprintIndex.load(path)
+        assert str(path) in str(exc.value)
 
     def test_roundtrip_search_identical(self, tmp_path):
         index, vecs = make_index(64, 8, seed=5)
@@ -149,8 +227,6 @@ class TestPersistence:
             FingerprintIndex.load(path)
 
     def test_bad_version_rejected(self, tmp_path):
-        import struct
-
         path = tmp_path / "vfuture.vlix"
         path.write_bytes(b"VLIX" + struct.pack("<IIQ", 99, 4, 0))
         with pytest.raises(ValueError, match="version"):

@@ -303,3 +303,23 @@ class TestCheckpoint:
         )
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [30, 2000])
+    def test_truncated_desk_checkpoint_names_path(self, tmp_path, keep):
+        full = tmp_path / "full.vlfp"
+        save_checkpoint(full, init_parameters(DESK, seed=0), DESK)
+        path = tmp_path / "cut.vlfp"
+        path.write_bytes(full.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="truncated") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        full = tmp_path / "full.vlfp"
+        save_checkpoint(full, init_parameters(SMALL, seed=9), SMALL)
+        data = full.read_bytes()
+        path = tmp_path / "cut.vlfp"
+        for keep in [*range(4, 300), *range(300, len(data), 97)]:
+            path.write_bytes(data[:keep])
+            with pytest.raises(ValueError, match="truncated"):
+                load_checkpoint(path)
