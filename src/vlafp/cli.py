@@ -303,6 +303,11 @@ def cmd_eval_dtr(args) -> int:
     aug_cfg = make_aug_config(args, args.rate)
 
     n_targets = args.targets if args.targets is not None else min(500, len(corpus))
+    if n_targets < 1 or args.queries_per_target < 1:
+        raise ValueError(
+            f"eval dtr needs at least one query: got {n_targets} targets"
+            f" and {args.queries_per_target} queries per target"
+        )
     targets = corpus[:n_targets]
     database = corpus if args.dummies is None else corpus[: n_targets + args.dummies]
     index = build_index(
@@ -356,13 +361,18 @@ def cmd_inspect(args) -> int:
         n_values = sum(v.size for v in params.values())
         print(f"model checkpoint: {cfg}")
         print(f"tensors={len(params)} parameters={n_values}")
-    elif path.suffix == ".json":
-        print(path.read_text().rstrip())
     else:
-        lines = path.read_text().splitlines()
-        print(f"text artifact: {len(lines)} lines")
-        for line in lines[:5]:
-            print(f"  {line}")
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not a .vlix index, a .vlfp checkpoint or a text artifact") from None
+        if path.suffix == ".json":
+            print(text.rstrip())
+        else:
+            lines = text.splitlines()
+            print(f"text artifact: {len(lines)} lines")
+            for line in lines[:5]:
+                print(f"  {line}")
     return 0
 
 

@@ -3,6 +3,7 @@ precision/recall/F1) and database retrieval (majority-vote top-1 hit rate)."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -214,6 +215,9 @@ def make_dtr_queries(
     align_s: float = 0.5,
 ) -> list[DtrQuery]:
     """Crop distorted excerpts of target audios at hop-aligned offsets."""
+    for dur in durations_s:
+        if not (math.isfinite(dur) and dur > 0):
+            raise ValueError(f"query duration must be a positive number of seconds, got {dur}")
     queries = []
     for dur in durations_s:
         for aid, w in targets:

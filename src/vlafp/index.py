@@ -121,7 +121,11 @@ class FingerprintIndex:
     def search_top_k(self, query: np.ndarray, k: int) -> list[tuple[IndexEntry, float]]:
         """Exact top-k by inner product, scores descending.
 
-        Ties break toward the lower (audio_id, segment_ord).
+        Ties break toward the lower (audio_id, segment_ord). A linear scan
+        scores every entry, a selection finds the k-th best score, and only
+        the entries scoring at least that much, every tie at the cut
+        included, are sorted; when all scores tie, that is a full sort.
+        The scores and the order are those of sorting all N entries.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -132,7 +136,18 @@ class FingerprintIndex:
             raise ValueError("query vector is not finite")
         records = self.records
         scores = records["vector"] @ q
-        order = np.lexsort((records["segment_ord"], records["audio_id"], -scores))
+        neg = -scores
+        keys = [records["segment_ord"], records["audio_id"], neg]
+        rows = np.arange(len(neg))
+        if k < len(neg):
+            cut = np.partition(neg, k - 1)[k - 1]
+            # A score overflowing to NaN sorts last: `~(neg > cut)` keeps such rows,
+            # which the sort ranks last again, and keeps every row if the cut is NaN.
+            rows = np.flatnonzero(~(neg > cut))
+        if len(rows) == len(neg):  # sort the column views: gathering them costs more
+            order = np.lexsort(keys)
+        else:
+            order = rows[np.lexsort([key[rows] for key in keys])]
         return [(self.entry(int(i)), float(scores[i])) for i in order[:k]]
 
     def save(self, path: str | Path) -> None:

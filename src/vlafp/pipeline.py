@@ -70,16 +70,15 @@ def build_index(
     fixed_hop_s: float = 0.5,
 ) -> FingerprintIndex:
     """Segment and fingerprint a corpus; seg_cfg None means fixed windows."""
-    index = FingerprintIndex(model_cfg.d)
+    entries = []
     for aid, w in corpus:
         segs = (
             segment(w, seg_cfg, audio_id=aid)
             if seg_cfg is not None
             else segment_fixed(w, fixed_window_s, fixed_hop_s, audio_id=aid)
         )
-        for entry in fingerprint_segments(w, segs, mel_cfg, params, model_cfg):
-            index.insert(entry)
-    return index
+        entries += fingerprint_segments(w, segs, mel_cfg, params, model_cfg)
+    return FingerprintIndex.build(entries) if entries else FingerprintIndex(model_cfg.d)
 
 
 def make_embedder(params: Parameters, model_cfg: ModelConfig, mel_cfg: MelConfig):

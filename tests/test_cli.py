@@ -196,6 +196,30 @@ class TestHostileInput:
         _one_error_line(capsys, "999", "0..5")
 
 
+    @pytest.mark.parametrize(
+        "flags,needle",
+        [
+            (["--targets", "0"], "0 targets"),
+            (["--queries-per-target", "0"], "0 queries per target"),
+            (["--durations", "0"], "positive number of seconds"),
+            (["--durations", "1,-2"], "positive number of seconds"),
+        ],
+        ids=["no-targets", "no-queries", "zero-duration", "negative-duration"],
+    )
+    def test_eval_dtr_without_queries_exit_1(self, corpus_dir, ckpt, tmp_path, capsys, flags, needle):
+        out = tmp_path / "dtr.csv"
+        rc = main(["eval", "dtr", "--audio", str(corpus_dir), "--ckpt", str(ckpt), "--out", str(out)] + flags)
+        assert rc == 1
+        _one_error_line(capsys, needle)
+        assert not out.exists()
+
+    def test_inspect_unknown_binary_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "noise.bin"
+        path.write_bytes(np.random.default_rng(0).integers(0, 256, 100, dtype=np.uint8).tobytes())
+        assert main(["inspect", str(path)]) == 1
+        _one_error_line(capsys, str(path))
+
+
 class TestEvalCommands:
     def test_dtr_self_match_100(self, corpus_dir, ckpt, tmp_path):
         out = tmp_path / "dtr.csv"

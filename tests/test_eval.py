@@ -130,6 +130,13 @@ class TestDtr:
             qs = make_dtr_queries([(0, w)], [3.0], aug, np.random.default_rng(0))
         assert len(qs) == 1
 
+    @pytest.mark.parametrize("dur", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_duration_rejected(self, dur):
+        w = Waveform(np.zeros(FS), FS)
+        aug = AugmentConfig(enable_ts=False, enable_bg=False, enable_ir=False)
+        with pytest.raises(ValueError, match="positive number of seconds"):
+            make_dtr_queries([(0, w)], [1.0, dur], aug, np.random.default_rng(0))
+
 
 @pytest.fixture(scope="module")
 def audios():

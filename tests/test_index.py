@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlafp.dsp import MelConfig
 from vlafp.index import FingerprintIndex, IndexEntry, expected_file_size
+from vlafp.model import ModelConfig, init_parameters
+from vlafp.pipeline import build_index, fingerprint_segments
+from vlafp.segmentation import segment_fixed
+from vlafp.synth import SynthSpec, generate
 
 
 def unit_rows(n, d, seed):
@@ -91,6 +96,87 @@ class TestSearch:
         assert len(index.search_top_k(unit_rows(1, 4, 0)[0], 10)) == 3
 
 
+def tied_index(vecs, meta):
+    """Index whose entry i has key meta[i] and start_time i, so duplicates stay distinguishable."""
+    return FingerprintIndex.build(
+        [IndexEntry(v, aid, ord_, float(i), 1.0) for i, (v, (aid, ord_)) in enumerate(zip(vecs, meta))]
+    )
+
+
+def assert_same_as_scan(index, vecs, meta, q, k):
+    """Rows, order and scores (bit for bit, sign of zero included) equal the linear scan's."""
+    got = index.search_top_k(q, k)
+    want = linear_scan(vecs, meta, q, k)
+    assert [int(e.start_time) for e, _ in got] == [i for i, _ in want]
+    assert np.array([s for _, s in got]).tobytes() == np.array([s for _, s in want]).tobytes()
+
+
+class TestTiedSearch:
+    """Many entries share the k-th best score; the tie rule must hold across the cut."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        d=st.integers(min_value=9, max_value=16),
+        pool=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+        query_from_pool=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_duplicates_straddling_the_cut_match_oracle(self, n, d, pool, seed, query_from_pool, data):
+        rng = np.random.default_rng(seed)
+        vecs = unit_rows(pool, d, seed)[rng.integers(0, pool, n)]
+        meta = [(int(a), int(o)) for a, o in rng.integers(0, 3, (n, 2))]  # repeated keys too
+        q = vecs[0] if query_from_pool else unit_rows(1, d, seed + 1)[0]
+        k = data.draw(st.integers(min_value=1, max_value=n + 2), label="k")
+        assert_same_as_scan(tied_index(vecs, meta), vecs, meta, q, k)
+
+    @pytest.mark.parametrize("k", [1, 10, 299, 300, 302])
+    def test_every_score_tied(self, k):
+        d, n = 16, 300
+        vecs = unit_rows(n, d, 11)
+        vecs[:, -1] = 0.0
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        meta = [(int(a), int(o)) for a, o in np.random.default_rng(12).integers(0, 40, (n, 2))]
+        q = np.zeros(d, np.float32)
+        q[-1] = 1.0  # orthogonal to every entry: all N scores are zero
+        index = tied_index(vecs, meta)
+        assert_same_as_scan(index, vecs, meta, q, k)
+        keys = [(e.audio_id, e.segment_ord) for e, _ in index.search_top_k(q, k)]
+        assert keys == sorted(meta)[:k]
+
+    @pytest.mark.parametrize("k", [1, 3, 6, 8])
+    def test_zero_products_of_both_signs_tie(self, k):
+        """+0.0 and -0.0 products sum to zero scores that tie; signs must match the scan's."""
+        d = 12
+        vecs = np.zeros((6, d), np.float32)
+        for i in range(6):
+            vecs[i, i % 3] = 1.0 if i % 2 else -1.0
+        meta = [(5 - i, 0) for i in range(6)]
+        q = np.zeros(d, np.float32)
+        q[:3] = -0.0  # products of +0.0 and -0.0
+        q[5] = 1.0
+        index = tied_index(vecs, meta)
+        assert_same_as_scan(index, vecs, meta, q, k)
+        assert [e.audio_id for e, _ in index.search_top_k(q, k)] == list(range(min(k, 6)))
+
+    def test_overflowing_query_ranks_nan_scores_last(self):
+        d, n = 16, 200
+        vecs = unit_rows(n, d, 13)
+        meta = [(i % 7, i) for i in range(n)]
+        q = np.where(unit_rows(1, d, 14)[0] > 0, 3.4e38, -3.4e38).astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = vecs @ q
+            nan = np.isnan(scores)
+            assert 5 < nan.sum() < n - 5
+            want = sorted(range(n), key=lambda i: (bool(nan[i]), 0.0 if nan[i] else -scores[i], meta[i]))
+            index = tied_index(vecs, meta)
+            for k in (1, 5, n - 1, n):
+                got = index.search_top_k(q, k)
+                assert [int(e.start_time) for e, _ in got] == want[:k]
+                assert np.array_equal([s for _, s in got], scores[want[:k]], equal_nan=True)
+
+
 class TestInsert:
     def test_count(self):
         index, _ = make_index(37, 8)
@@ -143,6 +229,30 @@ class TestInsert:
         index, _ = make_index(300, 8, seed=7)
         entries = [index.entry(i) for i in range(len(index))]
         assert FingerprintIndex.build(entries).records.tobytes() == index.records.tobytes()
+
+
+class TestBuildIndex:
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        corpus = generate(SynthSpec(n_audios=3, duration_range=(3.0, 3.0), seed=4))
+        model_cfg = ModelConfig(f_bins=16, d1=12, d2=12, d=12, n_blocks=1, n_heads=2, d_head=6)
+        return corpus, MelConfig(n_mels=16), init_parameters(model_cfg, seed=1), model_cfg
+
+    def test_equals_inserting_each_entry(self, tiny):
+        corpus, mel_cfg, params, model_cfg = tiny
+        one_by_one = FingerprintIndex(model_cfg.d)
+        for aid, w in corpus:
+            segs = segment_fixed(w, 1.0, 0.5, audio_id=aid)
+            for entry in fingerprint_segments(w, segs, mel_cfg, params, model_cfg):
+                one_by_one.insert(entry)
+        built = build_index(corpus, None, mel_cfg, params, model_cfg)
+        assert len(built) == 3 * 5
+        assert built.records.tobytes() == one_by_one.records.tobytes()
+
+    def test_empty_corpus_gives_empty_index(self, tiny):
+        _, mel_cfg, params, model_cfg = tiny
+        index = build_index([], None, mel_cfg, params, model_cfg)
+        assert (len(index), index.dim) == (0, 12)
 
 
 class TestPersistence:
