@@ -21,7 +21,6 @@ class AugmentConfig:
     snr_range_db: tuple[float, float] = (1.0, 10.0)
     bg_pool: tuple[Waveform, ...] = ()
     ir_pool: tuple[Waveform, ...] = ()
-    seed: int = 0
 
     def __post_init__(self):
         lo, hi = self.ts_range

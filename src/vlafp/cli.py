@@ -88,7 +88,6 @@ def make_aug_config(args, sample_rate: int) -> AugmentConfig:
         snr_range_db=args.snr,
         bg_pool=bg_pool,
         ir_pool=ir_pool,
-        seed=args.seed,
     )
 
 
@@ -109,8 +108,6 @@ def seg_config_from_args(args) -> SegmenterConfig | None:
 def model_config_from_args(args) -> ModelConfig:
     return ModelConfig(
         f_bins=args.mel_bands,
-        d1=args.dim,
-        d2=args.dim,
         d=args.dim,
         n_blocks=args.blocks,
         n_heads=args.heads,
@@ -308,6 +305,8 @@ def cmd_eval_dtr(args) -> int:
             f"eval dtr needs at least one query: got {n_targets} targets"
             f" and {args.queries_per_target} queries per target"
         )
+    if args.dummies is not None and args.dummies < 0:
+        raise ValueError(f"--dummies must be >= 0, got {args.dummies}")
     targets = corpus[:n_targets]
     database = corpus if args.dummies is None else corpus[: n_targets + args.dummies]
     index = build_index(
@@ -351,7 +350,8 @@ def cmd_inspect(args) -> int:
     path = Path(args.path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    magic = path.open("rb").read(4)
+    with path.open("rb") as fh:
+        magic = fh.read(4)
     if magic == b"VLIX":
         index = FingerprintIndex.load(path)
         print(f"fingerprint index: dim={index.dim} entries={len(index)} bytes={path.stat().st_size}")

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .audio import Waveform
 
+# The one STFT frame grid: segment frame indices, mel rows and training
+# spans all refer to it.
 DEFAULT_WINDOW = 1024
 DEFAULT_HOP = 256
+# Mel band edges (Hz) and the dB range kept below each mel's maximum.
+MEL_FMIN = 300.0
+MEL_FMAX = 4000.0
+MEL_DYNAMIC_RANGE_DB = 80.0
 EPS = 1e-12
 SILENT_DB = -np.inf
 
@@ -42,17 +49,16 @@ class StftFrames:
 
 @dataclass(frozen=True)
 class MelConfig:
+    """Mel front-end settings; the frame grid and band edges are fixed constants."""
+
     n_mels: int = 256
-    window_size: int = DEFAULT_WINDOW
-    hop: int = DEFAULT_HOP
-    fmin: float = 300.0
-    fmax: float = 4000.0
-    dynamic_range_db: float = 80.0
+    window_size: ClassVar[int] = DEFAULT_WINDOW
+    hop: ClassVar[int] = DEFAULT_HOP
 
 
 @dataclass(frozen=True)
 class MelSpectrogram:
-    """T x F log-power (dB) mel matrix, clamped to its top dynamic_range_db."""
+    """T x F log-power (dB) mel matrix, clamped to its top MEL_DYNAMIC_RANGE_DB."""
 
     data: np.ndarray
     n_mels: int
@@ -156,18 +162,18 @@ def mel_filterbank(
 
 def mel_from_frames(frames: StftFrames, cfg: MelConfig) -> MelSpectrogram:
     """Apply the mel filterbank and dB conversion to existing STFT frames."""
-    fb = mel_filterbank(cfg.n_mels, frames.window_size, frames.sample_rate, cfg.fmin, cfg.fmax)
+    fb = mel_filterbank(cfg.n_mels, frames.window_size, frames.sample_rate, MEL_FMIN, MEL_FMAX)
     mel_power = frames.power() @ fb.T
     db = 10.0 * np.log10(mel_power + EPS)
-    db = np.maximum(db, db.max() - cfg.dynamic_range_db)
-    return MelSpectrogram(db, cfg.n_mels, cfg.fmin, cfg.fmax, frames.hop, frames.sample_rate)
+    db = np.maximum(db, db.max() - MEL_DYNAMIC_RANGE_DB)
+    return MelSpectrogram(db, cfg.n_mels, MEL_FMIN, MEL_FMAX, frames.hop, frames.sample_rate)
 
 
 def mel_spectrogram(w: Waveform, cfg: MelConfig = MelConfig()) -> MelSpectrogram:
-    """Log-mel spectrogram (T x F), dB, clamped to the top dynamic_range_db."""
-    if len(w) < cfg.hop:
-        raise ValueError(f"waveform shorter than one hop ({cfg.hop} samples)")
-    return mel_from_frames(stft(w, cfg.window_size, cfg.hop), cfg)
+    """Log-mel spectrogram (T x F), dB, clamped to the top MEL_DYNAMIC_RANGE_DB."""
+    if len(w) < DEFAULT_HOP:
+        raise ValueError(f"waveform shorter than one hop ({DEFAULT_HOP} samples)")
+    return mel_from_frames(stft(w), cfg)
 
 
 def frame_rms_db(w: Waveform, frame_len: int) -> np.ndarray:

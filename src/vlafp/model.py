@@ -23,9 +23,7 @@ Parameters = dict[str, np.ndarray]
 @dataclass(frozen=True)
 class ModelConfig:
     f_bins: int = 64
-    d1: int = 32
-    d2: int = 32
-    d: int = 32
+    d: int = 32  # frame and segment width; residual paths tie them together
     n_blocks: int = 2
     n_heads: int = 4
     d_head: int = 8
@@ -33,12 +31,9 @@ class ModelConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
-        dims = (self.f_bins, self.d1, self.d2, self.d, self.n_blocks, self.n_heads, self.d_head)
+        dims = (self.f_bins, self.d, self.n_blocks, self.n_heads, self.d_head)
         if any(v < 1 for v in dims):
             raise ValueError(f"all dimensions must be >= 1, got {dims}")
-        if not (self.d1 == self.d2 == self.d):
-            # Residual paths tie the frame and segment widths together.
-            raise ValueError(f"d1, d2 and d must match, got {self.d1}, {self.d2}, {self.d}")
 
     @property
     def ffn_hidden(self) -> int:
@@ -48,7 +43,7 @@ class ModelConfig:
     def full_scale(cls) -> "ModelConfig":
         """Large configuration (d=256, 4 blocks, 8 heads); slow on CPU."""
         return cls(
-            f_bins=256, d1=256, d2=256, d=256, n_blocks=4, n_heads=8, d_head=256, ffn_alpha=32.0
+            f_bins=256, d=256, n_blocks=4, n_heads=8, d_head=256, ffn_alpha=32.0
         )
 
 
@@ -103,28 +98,28 @@ def init_parameters(cfg: ModelConfig, seed: int = 0) -> Parameters:
         return rng.normal(0.0, INIT_STD, size=shape)
 
     params: Parameters = {
-        "w0": w(cfg.f_bins, cfg.d1),
-        "b0": np.zeros(cfg.d1),
+        "w0": w(cfg.f_bins, cfg.d),
+        "b0": np.zeros(cfg.d),
     }
     for l in range(cfg.n_blocks):
         for h in range(cfg.n_heads):
-            params[f"block{l}.attn.wq.{h}"] = w(cfg.d2, cfg.d_head)
-            params[f"block{l}.attn.wk.{h}"] = w(cfg.d2, cfg.d_head)
-            params[f"block{l}.attn.wv.{h}"] = w(cfg.d2, cfg.d_head)
+            params[f"block{l}.attn.wq.{h}"] = w(cfg.d, cfg.d_head)
+            params[f"block{l}.attn.wk.{h}"] = w(cfg.d, cfg.d_head)
+            params[f"block{l}.attn.wv.{h}"] = w(cfg.d, cfg.d_head)
             params[f"block{l}.cross.wq.{h}"] = w(cfg.d, cfg.d_head)
-            params[f"block{l}.cross.wk.{h}"] = w(cfg.d2, cfg.d_head)
-            params[f"block{l}.cross.wv.{h}"] = w(cfg.d2, cfg.d_head)
-        params[f"block{l}.attn.wo"] = w(cfg.n_heads * cfg.d_head, cfg.d2)
+            params[f"block{l}.cross.wk.{h}"] = w(cfg.d, cfg.d_head)
+            params[f"block{l}.cross.wv.{h}"] = w(cfg.d, cfg.d_head)
+        params[f"block{l}.attn.wo"] = w(cfg.n_heads * cfg.d_head, cfg.d)
         params[f"block{l}.cross.wo"] = w(cfg.n_heads * cfg.d_head, cfg.d)
-        params[f"block{l}.attn_norm.gain"] = np.ones(cfg.d2)
-        params[f"block{l}.ffn_norm.gain"] = np.ones(cfg.d2)
+        params[f"block{l}.attn_norm.gain"] = np.ones(cfg.d)
+        params[f"block{l}.ffn_norm.gain"] = np.ones(cfg.d)
         params[f"block{l}.cross_qnorm.gain"] = np.ones(cfg.d)
-        params[f"block{l}.cross_kvnorm.gain"] = np.ones(cfg.d2)
-        params[f"block{l}.ffn.w1"] = w(cfg.d2, cfg.ffn_hidden)
-        params[f"block{l}.ffn.w3"] = w(cfg.d2, cfg.ffn_hidden)
-        params[f"block{l}.ffn.w2"] = w(cfg.ffn_hidden, cfg.d2)
+        params[f"block{l}.cross_kvnorm.gain"] = np.ones(cfg.d)
+        params[f"block{l}.ffn.w1"] = w(cfg.d, cfg.ffn_hidden)
+        params[f"block{l}.ffn.w3"] = w(cfg.d, cfg.ffn_hidden)
+        params[f"block{l}.ffn.w2"] = w(cfg.ffn_hidden, cfg.d)
     for h in range(cfg.n_heads):
-        params[f"seg_init.ws.{h}"] = w(cfg.d2, cfg.d)
+        params[f"seg_init.ws.{h}"] = w(cfg.d, cfg.d)
     return params
 
 
@@ -210,7 +205,7 @@ def init_segment_embeddings(h1: Tensor, tp: dict[str, Tensor], cfg: ModelConfig)
     """Mean-pool block-1 frame embeddings, project once per head: (H, d)."""
     if h1.shape[-2] == 0:
         raise ValueError("cannot pool zero frames")
-    pooled = h1.mean(axis=-2, keepdims=True)  # (1, d2)
+    pooled = h1.mean(axis=-2, keepdims=True)  # (1, d)
     rows = [pooled @ tp[f"seg_init.ws.{h}"] for h in range(cfg.n_heads)]
     return concat(rows, axis=0)
 
@@ -286,10 +281,7 @@ def _pack_rows(spans: tuple[tuple[int, int], ...], capacity: int) -> list[list[i
 
 
 def fingerprint_batch_forward(
-    batch: PackedBatch,
-    tp: dict[str, Tensor],
-    cfg: ModelConfig,
-    row_capacity: int | None = None,
+    batch: PackedBatch, tp: dict[str, Tensor], cfg: ModelConfig
 ) -> list[Tensor]:
     """Forward all segments of a packed batch, several segments per row.
 
@@ -298,12 +290,10 @@ def fingerprint_batch_forward(
     query slot sees only its own frames as keys. Padding positions attend
     only to padding. Returns per-segment fingerprint Tensors in span order.
 
-    row_capacity defaults to the longest span; masked cross-segment
-    attention entries are wasted compute, so rows stay as short as the
-    content allows.
+    Row capacity is the longest span; masked cross-segment attention
+    entries are wasted compute, so rows stay as short as the content allows.
     """
-    max_len = max(length for _, length in batch.spans)
-    capacity = max(row_capacity or max_len, max_len)
+    capacity = max(length for _, length in batch.spans)
     rows = _pack_rows(batch.spans, capacity)
 
     n_rows = len(rows)
@@ -333,7 +323,7 @@ def fingerprint_batch_forward(
     for block in range(cfg.n_blocks):
         h = block_frames(h, tp, block, cfg, mask_bias=frame_bias)
         if block == 0:
-            pooled = Tensor(pool_mat) @ h  # (rows, slots, d2) masked mean per segment
+            pooled = Tensor(pool_mat) @ h  # (rows, slots, d) masked mean per segment
             head_rows = [
                 (pooled @ tp[f"seg_init.ws.{hh}"]).reshape(n_rows, n_slots, 1, cfg.d)
                 for hh in range(cfg.n_heads)
@@ -348,14 +338,9 @@ def fingerprint_batch_forward(
     return out
 
 
-def fingerprint_batch(
-    batch: PackedBatch,
-    params: Parameters,
-    cfg: ModelConfig,
-    row_capacity: int | None = None,
-) -> list[np.ndarray]:
+def fingerprint_batch(batch: PackedBatch, params: Parameters, cfg: ModelConfig) -> list[np.ndarray]:
     """Inference-mode packed forward; returns per-segment unit vectors."""
-    zs = fingerprint_batch_forward(batch, as_tensors(params), cfg, row_capacity)
+    zs = fingerprint_batch_forward(batch, as_tensors(params), cfg)
     return [z.data.copy() for z in zs]
 
 
@@ -366,7 +351,11 @@ CKPT_VERSION = 1
 
 
 def save_checkpoint(path: str | Path, params: Parameters, cfg: ModelConfig) -> None:
-    """Binary checkpoint: magic, version, config, then named float32 tensors."""
+    """Binary checkpoint: magic, version, config, then named float32 tensors.
+
+    The header keeps three width slots (frame, attention and segment
+    width); all three hold cfg.d.
+    """
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(
@@ -374,8 +363,8 @@ def save_checkpoint(path: str | Path, params: Parameters, cfg: ModelConfig) -> N
                 "<8I2d",
                 CKPT_VERSION,
                 cfg.f_bins,
-                cfg.d1,
-                cfg.d2,
+                cfg.d,
+                cfg.d,
                 cfg.d,
                 cfg.n_blocks,
                 cfg.n_heads,
@@ -408,11 +397,16 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, ModelConfig]:
         try:
             if fh.read(4) != CKPT_MAGIC:
                 raise ValueError("bad checkpoint magic")
-            # The header holds ModelConfig's fields in declaration order.
-            version, *fields = struct.unpack("<8I2d", read(8 * 4 + 2 * 8))
+            header = struct.unpack("<8I2d", read(8 * 4 + 2 * 8))
+            version, f_bins, d1, d2, d, n_blocks, n_heads, d_head, ffn_alpha, eps = header
             if version != CKPT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
-            cfg = ModelConfig(*fields)
+            if not d1 == d2 == d:
+                raise ValueError(f"header widths must be equal, got {d1}, {d2}, {d}")
+            cfg = ModelConfig(
+                f_bins=f_bins, d=d, n_blocks=n_blocks, n_heads=n_heads, d_head=d_head,
+                ffn_alpha=ffn_alpha, eps=eps,
+            )
             (count,) = struct.unpack("<I", read(4))
             params: Parameters = {}
             for _ in range(count):

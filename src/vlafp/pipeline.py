@@ -15,15 +15,16 @@ from .training import SourceSegment
 def segment_mels(w: Waveform, segments: list[Segment], mel_cfg: MelConfig) -> list[np.ndarray]:
     """Materialize each segment's mel matrix.
 
-    Frame-grid segments slice one full-audio mel; sample windows get their
-    own mel (zero-padded to the window length).
+    Frame-grid segments slice one full-audio mel on the default STFT grid
+    (the grid the segmenters use); sample windows get their own mel
+    (zero-padded to the window length).
     """
     full = None
     out = []
     for seg in segments:
         if seg.frame_indices is not None:
             if full is None:
-                full = mel_from_frames(stft(w, mel_cfg.window_size, mel_cfg.hop), mel_cfg).data
+                full = mel_from_frames(stft(w), mel_cfg).data
             out.append(full[list(seg.frame_indices)])
         else:
             chunk = w.slice_samples(seg.start_sample, seg.n_samples, pad=True)
@@ -32,7 +33,11 @@ def segment_mels(w: Waveform, segments: list[Segment], mel_cfg: MelConfig) -> li
 
 
 def segment_waveform_span(w: Waveform, seg: Segment, mel_cfg: MelConfig) -> Waveform:
-    """Samples backing a segment (frame-grid spans include the analysis tail)."""
+    """Samples backing a segment (frame-grid spans include the analysis tail).
+
+    A frame-grid span runs on mel_cfg's fixed grid (MelConfig.hop and
+    .window_size, bound to dsp.DEFAULT_HOP and dsp.DEFAULT_WINDOW).
+    """
     if seg.frame_indices is not None:
         first, last = seg.frame_indices[0], seg.frame_indices[-1]
         start = first * mel_cfg.hop

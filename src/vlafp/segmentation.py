@@ -12,6 +12,7 @@ from .audio import Waveform
 from .dsp import (
     DEFAULT_HOP,
     DEFAULT_WINDOW,
+    frame_count,
     frame_rms_db,
     spectral_entropies,
     stft,
@@ -36,10 +37,7 @@ class SegmenterConfig:
     t_min: float = 0.5
     t_max: float = 5.0
     theta: float = 1.0
-    stft_window: int = DEFAULT_WINDOW
-    frame_hop: int = DEFAULT_HOP
     method: str = "main"
-    silence_threshold_db: float = SILENCE_THRESHOLD_DB
     pelt_penalty: float | None = None
     pelt_jump: int = 1
 
@@ -52,10 +50,10 @@ class SegmenterConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
 
     def min_frames(self, sample_rate: int) -> int:
-        return max(1, math.ceil(self.t_min * sample_rate / self.frame_hop))
+        return max(1, math.ceil(self.t_min * sample_rate / DEFAULT_HOP))
 
     def max_frames(self, sample_rate: int) -> int:
-        return max(1, math.ceil(self.t_max * sample_rate / self.frame_hop))
+        return max(1, math.ceil(self.t_max * sample_rate / DEFAULT_HOP))
 
 
 @dataclass(frozen=True)
@@ -168,8 +166,8 @@ def _zscore_partition(
     return out
 
 
-def _frame_segment(audio_id: int, indices: list[int], hop: int, sample_rate: int) -> Segment:
-    period = hop / sample_rate
+def _frame_segment(audio_id: int, indices: list[int], sample_rate: int) -> Segment:
+    period = DEFAULT_HOP / sample_rate
     return Segment(
         audio_id=audio_id,
         start_time=indices[0] * period,
@@ -180,22 +178,22 @@ def _frame_segment(audio_id: int, indices: list[int], hop: int, sample_rate: int
 
 def segment_main(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segment]:
     """Spectral-entropy z-score segmentation over the audio's STFT frames."""
-    entropies = spectral_entropies(stft(w, cfg.stft_window, cfg.frame_hop))
+    entropies = spectral_entropies(stft(w))
     groups = _zscore_partition(
         entropies, cfg.min_frames(w.sample_rate), cfg.max_frames(w.sample_rate), cfg.theta
     )
-    return [_frame_segment(audio_id, g, cfg.frame_hop, w.sample_rate) for g in groups]
+    return [_frame_segment(audio_id, g, w.sample_rate) for g in groups]
 
 
 def segment_no_silence(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segment]:
     """Like segment_main, but the fill phase skips frames quieter than the
     silence threshold (relative to the waveform's peak)."""
-    frames = stft(w, cfg.stft_window, cfg.frame_hop)
+    frames = stft(w)
     entropies = spectral_entropies(frames)
-    levels = frame_rms_db(w, cfg.frame_hop)[: frames.n_frames]
+    levels = frame_rms_db(w, DEFAULT_HOP)[: frames.n_frames]
     if levels.shape[0] < frames.n_frames:
         levels = np.concatenate([levels, np.full(frames.n_frames - levels.shape[0], -np.inf)])
-    silent = levels < cfg.silence_threshold_db
+    silent = levels < SILENCE_THRESHOLD_DB
     groups = _zscore_partition(
         entropies,
         cfg.min_frames(w.sample_rate),
@@ -203,7 +201,7 @@ def segment_no_silence(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> 
         cfg.theta,
         skip=silent,
     )
-    return [_frame_segment(audio_id, g, cfg.frame_hop, w.sample_rate) for g in groups]
+    return [_frame_segment(audio_id, g, w.sample_rate) for g in groups]
 
 
 def segment_waveform(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segment]:
@@ -212,20 +210,21 @@ def segment_waveform(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> li
     Frames follow the same hop grid as the STFT so segments stay sliceable
     against the audio's frame sequence.
     """
-    frames = stft(w, cfg.stft_window, cfg.frame_hop)
-    hop = cfg.frame_hop
+    if len(w) == 0:
+        raise ValueError("empty input")
+    hop = DEFAULT_HOP
     values = np.array(
         [
             waveform_entropy(w.samples[i * hop : (i + 1) * hop])
             if w.samples[i * hop : (i + 1) * hop].size
             else 0.0
-            for i in range(frames.n_frames)
+            for i in range(frame_count(len(w), DEFAULT_WINDOW, hop))
         ]
     )
     groups = _zscore_partition(
         values, cfg.min_frames(w.sample_rate), cfg.max_frames(w.sample_rate), cfg.theta
     )
-    return [_frame_segment(audio_id, g, hop, w.sample_rate) for g in groups]
+    return [_frame_segment(audio_id, g, w.sample_rate) for g in groups]
 
 
 def _split_oversize(bounds: list[tuple[int, int]], max_frames: int) -> list[tuple[int, int]]:
@@ -245,33 +244,20 @@ def _split_oversize(bounds: list[tuple[int, int]], max_frames: int) -> list[tupl
     return out
 
 
-def segment_pelt(
-    w: Waveform,
-    cfg: SegmenterConfig,
-    penalty: float | None = None,
-    jump: int | None = None,
-    audio_id: int = 0,
-) -> list[Segment]:
+def segment_pelt(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segment]:
     """Change-point segmentation of the spectral-entropy series.
 
-    Segments exceeding t_max are split into near-equal parts afterwards.
+    cfg.pelt_penalty None means the series' default penalty. Segments
+    exceeding t_max are split into near-equal parts afterwards.
     """
-    entropies = spectral_entropies(stft(w, cfg.stft_window, cfg.frame_hop))
-    pen = penalty if penalty is not None else cfg.pelt_penalty
-    if pen is None:
-        pen = default_penalty(entropies)
+    entropies = spectral_entropies(stft(w))
+    pen = cfg.pelt_penalty if cfg.pelt_penalty is not None else default_penalty(entropies)
     bps = pelt_changepoints(
-        entropies,
-        penalty=pen,
-        min_size=cfg.min_frames(w.sample_rate),
-        jump=jump if jump is not None else cfg.pelt_jump,
+        entropies, penalty=pen, min_size=cfg.min_frames(w.sample_rate), jump=cfg.pelt_jump
     )
     bounds = list(zip([0] + bps[:-1], bps))
     bounds = _split_oversize(bounds, cfg.max_frames(w.sample_rate))
-    return [
-        _frame_segment(audio_id, list(range(a, b)), cfg.frame_hop, w.sample_rate)
-        for a, b in bounds
-    ]
+    return [_frame_segment(audio_id, list(range(a, b)), w.sample_rate) for a, b in bounds]
 
 
 def segment_fixed(
@@ -308,7 +294,7 @@ def segment(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segmen
     if cfg.method == "nosilence":
         return segment_no_silence(w, cfg, audio_id)
     if cfg.method == "pelt":
-        return segment_pelt(w, cfg, audio_id=audio_id)
+        return segment_pelt(w, cfg, audio_id)
     if cfg.method == "waveform":
         return segment_waveform(w, cfg, audio_id)
     raise ValueError(f"unknown method {cfg.method!r}")

@@ -21,6 +21,10 @@ from .model import (
     pack_segments,
 )
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -30,9 +34,6 @@ class TrainConfig:
     lr: float = 1e-5
     epochs: int = 100
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -152,28 +153,26 @@ def build_batch(
 
 
 class Adam:
-    """Plain Adam; no weight decay, schedule, or clipping."""
+    """Plain Adam (betas ADAM_BETA1/ADAM_BETA2, epsilon ADAM_EPS); no weight
+    decay, schedule, or clipping."""
 
     def __init__(self, params: Parameters, cfg: TrainConfig):
         self.params = params
         self.lr = cfg.lr
-        self.beta1 = cfg.beta1
-        self.beta2 = cfg.beta2
-        self.eps = cfg.adam_eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for name, g in grads.items():
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g * g
             m_hat = self.m[name] / b1c
             v_hat = self.v[name] / b2c
-            self.params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train_step(

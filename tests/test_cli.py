@@ -1,5 +1,7 @@
+import gc
 import math
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,8 +205,9 @@ class TestHostileInput:
             (["--queries-per-target", "0"], "0 queries per target"),
             (["--durations", "0"], "positive number of seconds"),
             (["--durations", "1,-2"], "positive number of seconds"),
+            (["--targets", "4", "--dummies", "-3"], "--dummies must be >= 0"),
         ],
-        ids=["no-targets", "no-queries", "zero-duration", "negative-duration"],
+        ids=["no-targets", "no-queries", "zero-duration", "negative-duration", "negative-dummies"],
     )
     def test_eval_dtr_without_queries_exit_1(self, corpus_dir, ckpt, tmp_path, capsys, flags, needle):
         out = tmp_path / "dtr.csv"
@@ -212,6 +215,14 @@ class TestHostileInput:
         assert rc == 1
         _one_error_line(capsys, needle)
         assert not out.exists()
+
+    def test_inspect_unequal_header_widths(self, ckpt, tmp_path, capsys):
+        data = bytearray(Path(ckpt).read_bytes())
+        struct.pack_into("<I", data, 16, 7)  # second of the three width slots
+        path = tmp_path / "widths.vlfp"
+        path.write_bytes(bytes(data))
+        assert main(["inspect", str(path)]) == 1
+        _one_error_line(capsys, str(path), "widths must be equal")
 
     def test_inspect_unknown_binary_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "noise.bin"
@@ -352,6 +363,16 @@ class TestInspectAndInit:
         idx.save(p)
         assert main(["inspect", str(p)]) == 0
         assert "entries=1" in capsys.readouterr().out
+
+    def test_inspect_closes_the_file(self, ckpt, tmp_path):
+        idx = tmp_path / "one.vlix"
+        _unit_index(2, 4, 0, seed=1).save(idx)
+        for path in (idx, ckpt):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["inspect", str(path)]) == 0
+                gc.collect()
+            assert not [w for w in caught if issubclass(w.category, ResourceWarning)], path
 
     def test_inspect_missing_file(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "missing.bin")]) == 1

@@ -235,7 +235,7 @@ class TestBuildIndex:
     @pytest.fixture(scope="class")
     def tiny(self):
         corpus = generate(SynthSpec(n_audios=3, duration_range=(3.0, 3.0), seed=4))
-        model_cfg = ModelConfig(f_bins=16, d1=12, d2=12, d=12, n_blocks=1, n_heads=2, d_head=6)
+        model_cfg = ModelConfig(f_bins=16, d=12, n_blocks=1, n_heads=2, d_head=6)
         return corpus, MelConfig(n_mels=16), init_parameters(model_cfg, seed=1), model_cfg
 
     def test_equals_inserting_each_entry(self, tiny):

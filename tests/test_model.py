@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -21,17 +23,13 @@ from vlafp.model import (
 )
 
 DESK = ModelConfig()
-SMALL = ModelConfig(f_bins=6, d1=8, d2=8, d=8, n_blocks=2, n_heads=2, d_head=4)
+SMALL = ModelConfig(f_bins=6, d=8, n_blocks=2, n_heads=2, d_head=4)
 
 
 class TestConfig:
     def test_ffn_hidden_formula(self):
-        assert ModelConfig(f_bins=4, d1=3, d2=3, d=3).ffn_hidden == 8
+        assert ModelConfig(f_bins=4, d=3).ffn_hidden == 8
         assert DESK.ffn_hidden == int(np.ceil(1.0 * (2 / 3) * 4 * 32))
-
-    def test_dims_must_match(self):
-        with pytest.raises(ValueError, match="must match"):
-            ModelConfig(d1=16, d2=32, d=32)
 
     def test_full_scale_dims(self):
         cfg = ModelConfig.full_scale()
@@ -79,7 +77,7 @@ class TestFfn:
 
 class TestAttention:
     def test_single_row_softmax_is_identity_weight(self, rng):
-        cfg = ModelConfig(f_bins=4, d1=8, d2=8, d=8, n_blocks=1, n_heads=2, d_head=4)
+        cfg = ModelConfig(f_bins=4, d=8, n_blocks=1, n_heads=2, d_head=4)
         params = init_parameters(cfg, seed=0)
         tp = as_tensors(params)
         x = Tensor(rng.standard_normal((1, 8)))
@@ -134,7 +132,7 @@ class TestAttention:
         params["block0.cross.wo"] = np.zeros_like(params["block0.cross.wo"])
         tp = as_tensors(params)
         s = rng.standard_normal((cfg.n_heads, cfg.d))
-        frames = rng.standard_normal((6, cfg.d2))
+        frames = rng.standard_normal((6, cfg.d))
         out = cross_attention_block(Tensor(s), Tensor(frames), tp, 0, cfg)
         np.testing.assert_allclose(out.data, s, atol=1e-12)
 
@@ -143,7 +141,7 @@ class TestAttention:
         tp = as_tensors(init_parameters(cfg, seed=2))
         s = rng.standard_normal((cfg.n_heads, cfg.d))
         for t in (1, 3, 50):
-            frames = rng.standard_normal((t, cfg.d2))
+            frames = rng.standard_normal((t, cfg.d))
             out = cross_attention_block(Tensor(s), Tensor(frames), tp, 0, cfg)
             assert out.shape == (cfg.n_heads, cfg.d)
 
@@ -153,7 +151,7 @@ class TestAttention:
         params = init_parameters(cfg, seed=6)
         tp = as_tensors(params)
         s = rng.standard_normal((2, cfg.d))[:2]
-        frames = rng.standard_normal((3, cfg.d2))
+        frames = rng.standard_normal((3, cfg.d))
         got = cross_attention_block(Tensor(s), Tensor(frames), tp, 0, cfg).data
 
         def ref_rms(x, gain):
@@ -178,7 +176,7 @@ class TestSegInit:
         cfg = SMALL
         params = init_parameters(cfg, seed=3)
         tp = as_tensors(params)
-        h1 = rng.standard_normal((1, cfg.d2))
+        h1 = rng.standard_normal((1, cfg.d))
         s0 = init_segment_embeddings(Tensor(h1), tp, cfg)
         for h in range(cfg.n_heads):
             np.testing.assert_allclose(
@@ -188,7 +186,7 @@ class TestSegInit:
     def test_permutation_invariant(self, rng):
         cfg = SMALL
         tp = as_tensors(init_parameters(cfg, seed=3))
-        h1 = rng.standard_normal((7, cfg.d2))
+        h1 = rng.standard_normal((7, cfg.d))
         a = init_segment_embeddings(Tensor(h1), tp, cfg).data
         b = init_segment_embeddings(Tensor(h1[::-1].copy()), tp, cfg).data
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -196,7 +194,7 @@ class TestSegInit:
     def test_distinct_heads_distinct_rows(self, rng):
         cfg = SMALL
         tp = as_tensors(init_parameters(cfg, seed=3))
-        s0 = init_segment_embeddings(Tensor(rng.standard_normal((5, cfg.d2))), tp, cfg).data
+        s0 = init_segment_embeddings(Tensor(rng.standard_normal((5, cfg.d))), tp, cfg).data
         assert not np.allclose(s0[0], s0[1])
 
 
@@ -263,7 +261,7 @@ class TestPackedBatch:
     def test_mixed_lengths_share_rows(self, rng):
         params = init_parameters(DESK, seed=4)
         mels = [rng.standard_normal((t, DESK.f_bins)) for t in (8, 8, 8, 40)]
-        packed = fingerprint_batch(pack_segments(mels), params, DESK, row_capacity=40)
+        packed = fingerprint_batch(pack_segments(mels), params, DESK)
         for z, mel in zip(packed, mels):
             assert np.abs(z - fingerprint(mel, params, DESK).vector).max() < 1e-6
 
@@ -295,14 +293,30 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_bad_version_rejected(self, tmp_path):
-        import struct
-
         path = tmp_path / "vfuture.vlfp"
         path.write_bytes(
             b"VLFP" + struct.pack("<8I2d", 99, 4, 8, 8, 8, 1, 2, 4, 1.0, 1e-6) + b"\x00" * 4
         )
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
+
+    def test_header_writes_d_in_all_three_width_slots(self, tmp_path):
+        path = tmp_path / "model.vlfp"
+        save_checkpoint(path, init_parameters(SMALL, seed=9), SMALL)
+        header = struct.pack("<8I2d", 1, 6, 8, 8, 8, 2, 2, 4, 1.0, 1e-6)
+        assert path.read_bytes()[: 4 + len(header)] == b"VLFP" + header
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_unequal_header_widths_rejected(self, tmp_path, slot):
+        path = tmp_path / "model.vlfp"
+        save_checkpoint(path, init_parameters(SMALL, seed=9), SMALL)
+        data = bytearray(path.read_bytes())
+        # magic, version and f_bins precede the three width u32s
+        struct.pack_into("<I", data, 12 + 4 * slot, 9)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="widths must be equal") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize("keep", [30, 2000])
     def test_truncated_desk_checkpoint_names_path(self, tmp_path, keep):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ class TestSegmentPelt:
         aid, w = small_corpus[3]
         cfg = SegmenterConfig(method="pelt")
         segs = segment_pelt(w, cfg, audio_id=aid)
-        n = stft(w, cfg.stft_window, cfg.frame_hop).n_frames
+        n = stft(w).n_frames
         covered = [i for s in segs for i in s.frame_indices]
         assert covered == list(range(n))
 
@@ -76,7 +78,7 @@ class TestSegmentPelt:
         t = np.arange(8 * FS) / FS
         w = Waveform(0.5 * np.sin(2 * np.pi * 500 * t), FS)
         cfg = SegmenterConfig(method="pelt")
-        segs = segment_pelt(w, cfg, penalty=5.0)
+        segs = segment_pelt(w, replace(cfg, pelt_penalty=5.0))
         Mf = cfg.max_frames(FS)
         assert all(s.n_frames <= Mf for s in segs)
         # near-equal split of one long run

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlafp.audio import Waveform
-from vlafp.dsp import stft
+from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, MelConfig, mel_spectrogram, stft
+from vlafp.pipeline import segment_mels, segment_waveform_span
 from vlafp.segmentation import (
+    METHODS,
+    SILENCE_THRESHOLD_DB,
     EntropyStats,
     SegmenterConfig,
     _zscore_partition,
@@ -69,7 +72,7 @@ class TestMainLimits:
         for theta in (0.0, 1.0, 2.0, math.inf):
             cfg = SegmenterConfig(theta=theta)
             for aid, w in small_corpus:
-                n = stft(w, cfg.stft_window, cfg.frame_hop).n_frames
+                n = stft(w).n_frames
                 assert reconstructs(segment_main(w, cfg, aid), n)
 
     def test_length_bounds(self, small_corpus):
@@ -95,7 +98,7 @@ class TestMainLimits:
     def test_boundary_frames_terminate_segments(self):
         w, switches = make_tone_noise_alternation(10.0, 1.0, FS, seed=4)
         cfg = SegmenterConfig(theta=1.0)
-        hop = cfg.frame_hop
+        hop = DEFAULT_HOP
         switch_frames = {s // hop for s in switches}
         mf = cfg.min_frames(FS)
         for seg in segment_main(w, cfg):
@@ -155,7 +158,7 @@ class TestNoSilence:
         w = make_tone_silence(1.0, 2.0, 1.0, FS)
         cfg = SegmenterConfig(theta=0.0, method="nosilence")
         segs = segment_no_silence(w, cfg)
-        hop = cfg.frame_hop
+        hop = DEFAULT_HOP
         # hand-trace: silent hop-chunks live strictly inside (8000, 24000)
         for s in segs:
             for f in s.frame_indices:
@@ -182,8 +185,33 @@ class TestWaveformMethod:
     def test_reconstruction(self, small_corpus):
         aid, w = small_corpus[2]
         cfg = SegmenterConfig(theta=4.0, method="waveform")
-        n = stft(w, cfg.stft_window, cfg.frame_hop).n_frames
+        n = stft(w).n_frames
         assert reconstructs(segment_waveform(w, cfg, aid), n)
+
+
+class TestFrameGrid:
+    """Segments, their index-side mel rows and their training spans share one frame grid."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_mel_rows_and_span_follow_the_grid(self, small_corpus, method):
+        mel_cfg = MelConfig(n_mels=32)
+        cfg = SegmenterConfig(method=method, theta=default_theta(method))
+        for aid, w in small_corpus[:2]:
+            segs = segment(w, cfg, aid)
+            for seg, mel in zip(segs, segment_mels(w, segs, mel_cfg), strict=True):
+                first, last = seg.frame_indices[0], seg.frame_indices[-1]
+                assert mel.shape == (seg.n_frames, 32)
+                assert seg.start_time == pytest.approx(first * DEFAULT_HOP / FS)
+                span = segment_waveform_span(w, seg, mel_cfg)
+                assert len(span) == (last - first) * DEFAULT_HOP + DEFAULT_WINDOW
+                assert mel_spectrogram(span, mel_cfg).n_frames == last - first + 1
+
+    def test_waveform_method_short_and_empty_input(self):
+        cfg = SegmenterConfig(method="waveform", theta=4.0)
+        segs = segment_waveform(Waveform(np.ones(50), FS), cfg)
+        assert [s.frame_indices for s in segs] == [(0,)]
+        with pytest.raises(ValueError, match="empty"):
+            segment_waveform(Waveform(np.zeros(0), FS), cfg)
 
 
 class TestFixed:
@@ -229,8 +257,8 @@ class TestDispatchAndManifest:
     def test_pinned_defaults(self):
         cfg = SegmenterConfig()
         assert (cfg.t_min, cfg.t_max, cfg.theta) == (0.5, 5.0, 1.0)
-        assert (cfg.stft_window, cfg.frame_hop) == (1024, 256)
-        assert cfg.silence_threshold_db == -60.0
+        assert (DEFAULT_WINDOW, DEFAULT_HOP) == (1024, 256)
+        assert SILENCE_THRESHOLD_DB == -60.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

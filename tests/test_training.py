@@ -8,6 +8,9 @@ from vlafp.dsp import MelConfig
 from vlafp.model import ModelConfig, init_parameters
 from vlafp.synth import SynthSpec, generate
 from vlafp.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Adam,
     SourceSegment,
     TrainConfig,
@@ -105,7 +108,7 @@ def tiny_setup():
         ir_pool=make_ir_pool(3, 0.1, FS, 2),
     )
     sources = training_sources(corpus, None, mel_cfg)
-    model_cfg = ModelConfig(f_bins=32, d1=16, d2=16, d=16, n_blocks=1, n_heads=2, d_head=8)
+    model_cfg = ModelConfig(f_bins=32, d=16, n_blocks=1, n_heads=2, d_head=8)
     return sources, mel_cfg, aug, model_cfg
 
 
@@ -182,7 +185,7 @@ class TestEndToEndGradient:
         from vlafp.autodiff import Tensor, concat
         from vlafp.model import as_tensors, fingerprint_batch_forward, pack_segments
 
-        cfg = ModelConfig(f_bins=5, d1=8, d2=8, d=8, n_blocks=2, n_heads=2, d_head=4)
+        cfg = ModelConfig(f_bins=5, d=8, n_blocks=2, n_heads=2, d_head=4)
         params = init_parameters(cfg, seed=11)
         rng = np.random.default_rng(11)
         mels = [rng.standard_normal((t, 5)) for t in (4, 6, 3, 5)]
@@ -217,7 +220,7 @@ class TestAdam:
         cfg = TrainConfig()
         assert (cfg.tau, cfg.batch_items, cfg.n_pos) == (0.05, 60, 3)
         assert (cfg.lr, cfg.epochs) == (1e-5, 100)
-        assert (cfg.beta1, cfg.beta2, cfg.adam_eps) == (0.9, 0.999, 1e-8)
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (0.9, 0.999, 1e-8)
         assert cfg.groups_per_batch == 15
 
     def test_single_step_matches_reference(self):
