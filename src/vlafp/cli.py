@@ -42,14 +42,16 @@ def _float_pair(value: str) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _aug_set(value: str) -> frozenset:
+def _aug_set(value: str) -> tuple[str, ...]:
+    # Sorted, so the run manifest records the stages in the same order under
+    # every string-hash seed.
     if value.lower() in ("none", ""):
-        return frozenset()
+        return ()
     stages = {s.strip().lower() for s in value.split(",") if s.strip()}
     unknown = stages - {"ts", "bg", "ir"}
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown augmentation stages: {sorted(unknown)}")
-    return frozenset(stages)
+    return tuple(sorted(stages))
 
 
 def load_corpus(audio_dir: str, sample_rate: int) -> tuple[list[tuple[int, Waveform]], list[str]]:
@@ -305,8 +307,15 @@ def cmd_eval_dtr(args) -> int:
             f"eval dtr needs at least one query: got {n_targets} targets"
             f" and {args.queries_per_target} queries per target"
         )
+    if n_targets > len(corpus):
+        raise ValueError(f"--targets {n_targets} exceeds the corpus of {len(corpus)} audios")
     if args.dummies is not None and args.dummies < 0:
         raise ValueError(f"--dummies must be >= 0, got {args.dummies}")
+    if args.dummies is not None and n_targets + args.dummies > len(corpus):
+        raise ValueError(
+            f"--dummies {args.dummies} exceeds the {len(corpus) - n_targets} audios"
+            f" left after {n_targets} targets"
+        )
     targets = corpus[:n_targets]
     database = corpus if args.dummies is None else corpus[: n_targets + args.dummies]
     index = build_index(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -17,6 +18,8 @@ DEFAULT_HOP = 256
 MEL_FMIN = 300.0
 MEL_FMAX = 4000.0
 MEL_DYNAMIC_RANGE_DB = 80.0
+# Equal-width |amplitude| bins of the waveform-entropy histogram.
+WAVEFORM_ENTROPY_BINS = 64
 EPS = 1e-12
 SILENT_DB = -np.inf
 
@@ -97,9 +100,8 @@ def stft(w: Waveform, window_size: int = DEFAULT_WINDOW, hop: int = DEFAULT_HOP)
         raise ValueError("empty input")
     if x.shape[0] < window_size:
         x = np.concatenate([x, np.zeros(window_size - x.shape[0])])
-    n = frame_count(x.shape[0], window_size, hop)
-    idx = np.arange(window_size)[None, :] + hop * np.arange(n)[:, None]
-    frames = x[idx] * hann_window(window_size)[None, :]
+    frames = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop]
+    frames = frames * hann_window(window_size)
     return StftFrames(np.fft.rfft(frames, axis=1), window_size, hop, w.sample_rate)
 
 
@@ -160,9 +162,17 @@ def mel_filterbank(
     return np.maximum(0.0, np.minimum(up, down))
 
 
+@functools.lru_cache(maxsize=16)
+def _shared_mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
+    """The MEL_FMIN..MEL_FMAX filterbank, built once per shape and read-only."""
+    fb = mel_filterbank(n_mels, n_fft, sample_rate, MEL_FMIN, MEL_FMAX)
+    fb.flags.writeable = False
+    return fb
+
+
 def mel_from_frames(frames: StftFrames, cfg: MelConfig) -> MelSpectrogram:
     """Apply the mel filterbank and dB conversion to existing STFT frames."""
-    fb = mel_filterbank(cfg.n_mels, frames.window_size, frames.sample_rate, MEL_FMIN, MEL_FMAX)
+    fb = _shared_mel_filterbank(cfg.n_mels, frames.window_size, frames.sample_rate)
     mel_power = frames.power() @ fb.T
     db = 10.0 * np.log10(mel_power + EPS)
     db = np.maximum(db, db.max() - MEL_DYNAMIC_RANGE_DB)
@@ -190,15 +200,18 @@ def frame_rms_db(w: Waveform, frame_len: int) -> np.ndarray:
     out = np.full(n, SILENT_DB)
     if peak == 0.0:
         return out
-    for i in range(n):
-        chunk = x[i * frame_len : (i + 1) * frame_len]
-        rms = np.sqrt(np.mean(chunk**2)) if chunk.size else 0.0
-        if rms > 0.0:
-            out[i] = 20.0 * np.log10(rms / peak)
+    n_full = x.shape[0] // frame_len
+    # A row mean sums each frame exactly as a mean over that frame alone.
+    ms = np.mean(x[: n_full * frame_len].reshape(n_full, frame_len) ** 2, axis=1)
+    if n > n_full:
+        ms = np.append(ms, np.mean(x[n_full * frame_len :] ** 2))
+    rms = np.sqrt(ms)
+    live = rms > 0.0
+    out[live] = 20.0 * np.log10(rms[live] / peak)
     return out
 
 
-def waveform_entropy(chunk: np.ndarray, n_bins: int = 64) -> float:
+def waveform_entropy(chunk: np.ndarray) -> float:
     """Shannon entropy (nats) of a chunk's absolute-amplitude histogram.
 
     Equal-width bins span the chunk's own |x| range; constant-|x| chunks
@@ -210,6 +223,44 @@ def waveform_entropy(chunk: np.ndarray, n_bins: int = 64) -> float:
     lo, hi = a.min(), a.max()
     if hi - lo < EPS:
         return 0.0
-    counts, _ = np.histogram(a, bins=n_bins, range=(lo, hi))
+    counts, _ = np.histogram(a, bins=WAVEFORM_ENTROPY_BINS, range=(lo, hi))
     p = counts[counts > 0] / a.size
     return float(-(p * np.log(p)).sum())
+
+
+def waveform_entropies(chunks: np.ndarray) -> np.ndarray:
+    """waveform_entropy of every row of a (frames, samples) matrix, bit for bit.
+
+    Each row is binned by np.histogram's uniform-bin rule (index from the
+    scaled offset, the right edge folded into the last bin, then one step of
+    correction against the linspace edges) and all rows are counted in one
+    bincount. Rows are reduced in groups of equal non-empty-bin count, so
+    each row's entropy is summed in the same order as the scalar call.
+    """
+    a = np.abs(np.asarray(chunks, dtype=np.float64))
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise ValueError(f"need a non-empty (frames, samples) matrix, got shape {a.shape}")
+    lo, hi = a.min(axis=1), a.max(axis=1)
+    if not np.all(np.isfinite(hi)):
+        raise ValueError("non-finite samples")
+    out = np.zeros(a.shape[0])
+    live = np.flatnonzero(hi - lo >= EPS)
+    if live.size == 0:
+        return out
+    a, lo, hi = a[live], lo[live], hi[live]
+    n_bins = WAVEFORM_ENTROPY_BINS
+    edges = np.linspace(lo, hi, n_bins + 1, axis=1)
+    idx = (((a - lo[:, None]) / (hi - lo)[:, None]) * n_bins).astype(np.intp)
+    idx[idx == n_bins] -= 1
+    idx[a < np.take_along_axis(edges, idx, axis=1)] -= 1
+    idx[(a >= np.take_along_axis(edges, idx + 1, axis=1)) & (idx != n_bins - 1)] += 1
+    rows = np.arange(live.size)[:, None]
+    counts = np.bincount((rows * n_bins + idx).ravel(), minlength=live.size * n_bins)
+    counts = counts.reshape(live.size, n_bins)
+    filled = counts > 0
+    n_filled = filled.sum(axis=1)
+    for k in np.unique(n_filled):
+        group = np.flatnonzero(n_filled == k)
+        p = counts[group][filled[group]].reshape(group.size, k) / a.shape[1]
+        out[live[group]] = -(p * np.log(p)).sum(axis=1)
+    return out

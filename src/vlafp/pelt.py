@@ -43,6 +43,12 @@ def pelt_changepoints(
     Admissible boundaries lie on the jump grid (the final index always
     qualifies); every segment spans at least min_size points. Candidate
     pruning never discards the optimum for this cost class.
+
+    Each end t is one vectorized pass over the surviving candidates, kept
+    as a sorted int array: the admissible ones (at least min_size before t)
+    are scored together in the same arithmetic order as a scalar loop, the
+    first minimum wins ties, and a candidate whose cost without the penalty
+    exceeds the optimum by more than PRUNE_SLACK is dropped for good.
     """
     if penalty <= 0:
         raise ValueError(f"penalty must be positive, got {penalty}")
@@ -56,34 +62,35 @@ def pelt_changepoints(
     s1 = np.concatenate([[0.0], np.cumsum(x)])
     s2 = np.concatenate([[0.0], np.cumsum(x * x)])
 
-    def cost(a: int, b: int) -> float:
-        m = b - a
-        seg_sum = s1[b] - s1[a]
-        return (s2[b] - s2[a]) - seg_sum * seg_sum / m
-
     ends = sorted({t for t in range(jump, n + 1, jump)} | {n})
-    best_cost = {0: -penalty}
-    prev_bp = {0: 0}
-    candidates = [0]
+    best_cost = np.empty(n + 1)
+    best_cost[0] = -penalty
+    prev_bp = np.full(n + 1, -1)
+    prev_bp[0] = 0
+    # The surviving candidates, in increasing order, are cand[:m].
+    cand = np.zeros(n + 1, dtype=np.intp)
+    m = 1
     for t in ends:
-        admissible = [s for s in candidates if t - s >= min_size]
-        if not admissible:
+        n_adm = int(cand[:m].searchsorted(t - min_size, side="right"))
+        if n_adm == 0:
             continue
-        costs = [best_cost[s] + cost(s, t) + penalty for s in admissible]
-        k = int(np.argmin(costs))
+        s = cand[:n_adm]
+        seg_sum = s1[t] - s1[s]
+        costs = best_cost[s] + ((s2[t] - s2[s]) - seg_sum * seg_sum / (t - s)) + penalty
+        k = costs.argmin()
         best_cost[t] = costs[k]
-        prev_bp[t] = admissible[k]
-        kept = [
-            s
-            for s, c in zip(admissible, costs)
-            if c - penalty <= best_cost[t] + PRUNE_SLACK
-        ]
-        not_yet = [s for s in candidates if t - s < min_size]
-        candidates = kept + not_yet + [t]
+        prev_bp[t] = s[k]
+        kept = s[costs - penalty <= costs[k] + PRUNE_SLACK]
+        # Pruned candidates leave; the not-yet-admissible tail and t follow the kept ones.
+        cand[kept.size : kept.size + m - n_adm] = cand[n_adm:m]
+        cand[: kept.size] = kept
+        m = kept.size + m - n_adm
+        cand[m] = t
+        m += 1
 
-    if n not in best_cost:
+    if prev_bp[n] < 0:
         return [n]
     bps = [n]
     while bps[-1] != 0:
-        bps.append(prev_bp[bps[-1]])
+        bps.append(int(prev_bp[bps[-1]]))
     return list(reversed(bps))[1:]

@@ -16,7 +16,7 @@ from .dsp import (
     frame_rms_db,
     spectral_entropies,
     stft,
-    waveform_entropy,
+    waveform_entropies,
 )
 from .pelt import default_penalty, pelt_changepoints
 
@@ -212,15 +212,11 @@ def segment_waveform(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> li
     """
     if len(w) == 0:
         raise ValueError("empty input")
-    hop = DEFAULT_HOP
-    values = np.array(
-        [
-            waveform_entropy(w.samples[i * hop : (i + 1) * hop])
-            if w.samples[i * hop : (i + 1) * hop].size
-            else 0.0
-            for i in range(frame_count(len(w), DEFAULT_WINDOW, hop))
-        ]
-    )
+    # Frame i's chunk is samples [i*hop, (i+1)*hop); only input shorter
+    # than one hop gives a shorter (single) chunk.
+    n = frame_count(len(w), DEFAULT_WINDOW, DEFAULT_HOP)
+    width = min(len(w), DEFAULT_HOP)
+    values = waveform_entropies(w.samples[: n * width].reshape(n, width))
     groups = _zscore_partition(
         values, cfg.min_frames(w.sample_rate), cfg.max_frames(w.sample_rate), cfg.theta
     )

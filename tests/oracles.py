@@ -26,6 +26,74 @@ def dp_oracle(series, penalty, min_size=1, jump=1):
     return list(reversed(bps))[1:]
 
 
+def pelt_list_reference(series, penalty, min_size=1, jump=1, prune_slack=1e-9):
+    """PELT with Python lists and dicts, one scalar cost per candidate.
+
+    The same recursion, pruning and first-minimum tie rule as
+    vlafp.pelt.pelt_changepoints, written one candidate at a time.
+    """
+    x = np.asarray(series, dtype=np.float64)
+    n = x.shape[0]
+    if n < 2 * min_size:
+        return [n]
+    s1 = np.concatenate([[0.0], np.cumsum(x)])
+    s2 = np.concatenate([[0.0], np.cumsum(x * x)])
+
+    def cost(a, b):
+        m = b - a
+        seg_sum = s1[b] - s1[a]
+        return (s2[b] - s2[a]) - seg_sum * seg_sum / m
+
+    ends = sorted({t for t in range(jump, n + 1, jump)} | {n})
+    best_cost = {0: -penalty}
+    prev_bp = {0: 0}
+    candidates = [0]
+    for t in ends:
+        admissible = [s for s in candidates if t - s >= min_size]
+        if not admissible:
+            continue
+        costs = [best_cost[s] + cost(s, t) + penalty for s in admissible]
+        k = int(np.argmin(costs))
+        best_cost[t] = costs[k]
+        prev_bp[t] = admissible[k]
+        kept = [s for s, c in zip(admissible, costs) if c - penalty <= best_cost[t] + prune_slack]
+        not_yet = [s for s in candidates if t - s < min_size]
+        candidates = kept + not_yet + [t]
+    if n not in best_cost:
+        return [n]
+    bps = [n]
+    while bps[-1] != 0:
+        bps.append(prev_bp[bps[-1]])
+    return list(reversed(bps))[1:]
+
+
+def frame_rms_db_loop(samples, frame_len):
+    """frame_rms_db one frame at a time: RMS of each chunk in dB re the peak."""
+    x = np.asarray(samples, dtype=np.float64)
+    n = max(1, int(np.ceil(x.shape[0] / frame_len)))
+    peak = float(np.max(np.abs(x))) if x.size else 0.0
+    out = np.full(n, -np.inf)
+    if peak == 0.0:
+        return out
+    for i in range(n):
+        chunk = x[i * frame_len : (i + 1) * frame_len]
+        rms = np.sqrt(np.mean(chunk**2)) if chunk.size else 0.0
+        if rms > 0.0:
+            out[i] = 20.0 * np.log10(rms / peak)
+    return out
+
+
+def stft_gather(samples, window_size, hop):
+    """STFT frames gathered through an explicit (frames, window) index matrix."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.shape[0] < window_size:
+        x = np.concatenate([x, np.zeros(window_size - x.shape[0])])
+    n = (x.shape[0] - window_size) // hop + 1
+    idx = np.arange(window_size)[None, :] + hop * np.arange(n)[:, None]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window_size) / window_size)
+    return np.fft.rfft(x[idx] * window[None, :], axis=1)
+
+
 def naive_convolve(x, h):
     """Direct O(n*m) linear convolution truncated to len(x)."""
     out = np.zeros(len(x))

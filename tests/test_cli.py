@@ -1,12 +1,17 @@
 import gc
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vlafp
 from vlafp.cli import main
 from vlafp.index import FingerprintIndex, IndexEntry
 from vlafp.model import load_checkpoint
@@ -206,8 +211,18 @@ class TestHostileInput:
             (["--durations", "0"], "positive number of seconds"),
             (["--durations", "1,-2"], "positive number of seconds"),
             (["--targets", "4", "--dummies", "-3"], "--dummies must be >= 0"),
+            (["--targets", "7"], "--targets 7 exceeds the corpus of 6 audios"),
+            (["--targets", "4", "--dummies", "3"], "--dummies 3 exceeds the 2 audios left after 4 targets"),
         ],
-        ids=["no-targets", "no-queries", "zero-duration", "negative-duration", "negative-dummies"],
+        ids=[
+            "no-targets",
+            "no-queries",
+            "zero-duration",
+            "negative-duration",
+            "negative-dummies",
+            "targets-beyond-corpus",
+            "dummies-beyond-corpus",
+        ],
     )
     def test_eval_dtr_without_queries_exit_1(self, corpus_dir, ckpt, tmp_path, capsys, flags, needle):
         out = tmp_path / "dtr.csv"
@@ -232,6 +247,22 @@ class TestHostileInput:
 
 
 class TestEvalCommands:
+    def test_cbr_manifest_independent_of_hash_seed(self, corpus_dir, ckpt, tmp_path):
+        # The two hash seeds order the frozenset {"ts", "bg", "ir"} differently.
+        src = str(Path(vlafp.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            cwd = tmp_path / f"hash{hash_seed}"
+            cwd.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+            cmd = [sys.executable, "-m", "vlafp.cli", "eval", "cbr", "--audio", str(corpus_dir),
+                   "--ckpt", str(ckpt), "--others", "2", "--out", "cbr.csv"]
+            subprocess.run(cmd, cwd=cwd, env=env, check=True, capture_output=True, timeout=300)
+            outputs.append(((cwd / "cbr.csv.manifest.json").read_text(), (cwd / "cbr.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["flags"]["aug"] == "('bg', 'ir', 'ts')"
+
     def test_dtr_self_match_100(self, corpus_dir, ckpt, tmp_path):
         out = tmp_path / "dtr.csv"
         rc = main(

@@ -3,22 +3,58 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import frame_rms_db_loop, stft_gather
+
 from vlafp.audio import Waveform
 from vlafp.dsp import (
+    EPS,
+    _shared_mel_filterbank,
     MEL_DYNAMIC_RANGE_DB,
     MEL_FMAX,
     MEL_FMIN,
     MelConfig,
     frame_rms_db,
     mel_filterbank,
+    mel_from_frames,
     mel_spectrogram,
     spectral_entropies,
     spectral_entropy,
     stft,
+    waveform_entropies,
     waveform_entropy,
 )
 
 FS = 8000
+CHUNK_KINDS = ("noise", "thirds", "ulp_edges", "constant", "zero", "sparse")
+
+
+def make_chunk(kind: str, width: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "noise":
+        return rng.standard_normal(width) * rng.uniform(1e-4, 1.0)
+    if kind == "thirds":  # |x| in {0, 1/3, 2/3, 1}: on the range ends or, often, the middle edge
+        return rng.integers(-3, 4, width) / 3
+    if kind == "ulp_edges":  # the 65 bin edges of [lo, hi], each maybe one ulp off
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+        edges = np.linspace(lo, hi, 65)[rng.integers(0, 65, width + 2)]
+        out = np.nextafter(edges, edges + rng.integers(-1, 2, width + 2))
+        out[:2] = lo, hi
+        return out[:width] * rng.choice([-1.0, 1.0], width)
+    if kind == "constant":
+        return np.full(width, rng.uniform(-1.0, 1.0))
+    if kind == "zero":
+        return np.zeros(width)
+    out = np.zeros(width)  # sparse
+    out[rng.integers(0, width, size=max(1, width // 16))] = rng.uniform(-1.0, 1.0)
+    return out
+
+
+@st.composite
+def chunk_lists(draw, max_chunks=8):
+    """Chunks of mixed kinds from a drawn seed, all of one drawn width."""
+    width = draw(st.sampled_from([1, 2, 3, 7, 64, 100, 255, 256]))
+    kinds = draw(st.lists(st.sampled_from(CHUNK_KINDS), min_size=1, max_size=max_chunks))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [make_chunk(k, width, rng) for k in kinds]
 
 
 class TestStft:
@@ -83,6 +119,20 @@ class TestSpectralEntropy:
         )
 
 
+class TestStftFraming:
+    @given(
+        st.integers(0, 1500).map(lambda k: 2 * k + 1),
+        st.sampled_from([(1024, 256), (64, 16), (15, 4), (8, 8)]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_gathered_frames_on_odd_lengths(self, n, grid, seed):
+        window, hop = grid
+        x = np.random.default_rng(seed).standard_normal(n)
+        got = stft(Waveform(x, FS), window, hop).frames
+        assert np.array_equal(got, stft_gather(x, window, hop))
+
+
 class TestMel:
     def test_pinned_defaults(self):
         cfg = MelConfig()
@@ -117,6 +167,18 @@ class TestMel:
         centers = fb.argmax(axis=1)
         assert np.all(np.diff(centers) >= 0)
 
+    def test_shared_filterbank_is_read_only_and_exact(self, noise_wave):
+        frames = stft(noise_wave)
+        fb = mel_filterbank(64, frames.window_size, FS, MEL_FMIN, MEL_FMAX)
+        db = 10.0 * np.log10(frames.power() @ fb.T + EPS)
+        want = np.maximum(db, db.max() - MEL_DYNAMIC_RANGE_DB)
+        for _ in range(2):
+            assert np.array_equal(mel_from_frames(frames, MelConfig(n_mels=64)).data, want)
+        shared = _shared_mel_filterbank(64, frames.window_size, FS)
+        assert shared is _shared_mel_filterbank(64, frames.window_size, FS)
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 1.0
+
     def test_row_count_superadditive(self, noise_wave):
         w = noise_wave
         ww = Waveform(np.concatenate([w.samples, w.samples]), FS)
@@ -149,6 +211,16 @@ class TestFrameRms:
         out = frame_rms_db(noise_wave, 256)
         assert np.all(out[np.isfinite(out)] <= 1e-12)
 
+    @given(chunk_lists(max_chunks=12), st.sampled_from([1, 7, 100, 256]), st.integers(0, 255))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_frame_loop(self, chunks, frame_len, tail):
+        # Chunk widths and frame_len differ, so frames straddle chunk kinds;
+        # the extra tail leaves a sub-frame remainder, or input shorter than a frame.
+        x = np.concatenate(chunks)
+        x = x[: max(1, x.shape[0] - tail)]
+        got = frame_rms_db(Waveform(x, FS), frame_len)
+        assert np.array_equal(got, frame_rms_db_loop(x, frame_len))
+
 
 class TestWaveformEntropy:
     def test_constant_chunk_zero(self):
@@ -160,3 +232,19 @@ class TestWaveformEntropy:
     def test_noise_positive(self):
         chunk = np.random.default_rng(0).standard_normal(256)
         assert waveform_entropy(chunk) > 0.5
+
+    @given(chunk_lists())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_scalar_entropy(self, chunks):
+        got = waveform_entropies(np.stack(chunks))
+        assert np.array_equal(got, np.array([waveform_entropy(c) for c in chunks]))
+
+    def test_rows_of_ramped_noise_equal_scalar_entropy(self, noise_wave):
+        x = noise_wave.samples * np.repeat(np.linspace(0.0, 1.0, 8), noise_wave.samples.shape[0] // 8)
+        chunks = x[: x.shape[0] // 256 * 256].reshape(-1, 256)
+        got = waveform_entropies(chunks)
+        assert np.array_equal(got, np.array([waveform_entropy(c) for c in chunks]))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            waveform_entropies(np.array([[0.0, np.nan, 1.0]]))

@@ -3,11 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import dp_oracle
+from oracles import dp_oracle, pelt_list_reference
 
 from vlafp.audio import Waveform
+from vlafp.augment import AugmentConfig, make_ir_pool, make_noise_pool
+from vlafp.dsp import spectral_entropies, stft
+from vlafp.evaluation import simulate_broadcast
 from vlafp.pelt import default_penalty, pelt_changepoints, segmentation_cost
 from vlafp.segmentation import SegmenterConfig, segment_pelt
+from vlafp.synth import SynthSpec, generate
 
 FS = 8000
 
@@ -53,6 +57,33 @@ class TestPeltOracle:
 
     def test_default_penalty_positive(self, rng):
         assert default_penalty(rng.standard_normal(100)) > 0
+
+
+@pytest.fixture(scope="module")
+def long_entropy_series():
+    """Spectral-entropy series of a 10-audio synth corpus and of a TS+BG+IR broadcast."""
+    corpus = [w for _, w in generate(SynthSpec(n_audios=10, duration_range=(8.0, 8.0), seed=5))]
+    joined = Waveform(np.concatenate([w.samples for w in corpus]), FS)
+    aug = AugmentConfig(bg_pool=make_noise_pool(4, 3.0, FS, 11), ir_pool=make_ir_pool(4, 0.25, FS, 12))
+    sim = simulate_broadcast(corpus[0], corpus[1:], aug, np.random.default_rng(2), n_others=9)
+    return {
+        "corpus": spectral_entropies(stft(joined)),
+        "broadcast": spectral_entropies(stft(sim.stream)),
+    }
+
+
+class TestPeltAtScale:
+    """Long series, where pruning drops most candidates: identical breakpoints."""
+
+    @pytest.mark.parametrize("jump", [1, 3])
+    @pytest.mark.parametrize("source", ["corpus", "broadcast"])
+    def test_matches_list_reference(self, long_entropy_series, source, jump):
+        series = long_entropy_series[source]
+        assert series.shape[0] >= 2000
+        penalty = default_penalty(series)
+        got = pelt_changepoints(series, penalty, min_size=16, jump=jump)
+        assert len(got) > 2
+        assert got == pelt_list_reference(series, penalty, min_size=16, jump=jump)
 
 
 class TestSegmentPelt:
