@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,10 +53,13 @@ class Waveform:
 def read_wav(path: str | Path, expected_rate: int | None = None) -> Waveform:
     """Read a PCM16 or float32 WAV file as a mono Waveform.
 
-    Raises on stereo input or on a sampling-rate mismatch; resampling is
-    the caller's job.
+    Raises on a file scipy cannot parse, on stereo input or on a
+    sampling-rate mismatch; resampling is the caller's job.
     """
-    rate, data = wavfile.read(str(path))
+    try:
+        rate, data = wavfile.read(str(path))
+    except (ValueError, struct.error) as exc:
+        raise ValueError(f"{path}: not a readable WAV file ({exc})") from None
     if data.ndim != 1:
         raise ValueError(f"{path}: mono only, got {data.shape[1]} channels")
     if expected_rate is not None and rate != expected_rate:
@@ -89,10 +93,15 @@ def read_raw_f32(path: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Wa
 
 
 def load_audio(path: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
-    """Load .wav (rate-checked) or raw .f32 audio."""
+    """Load .wav (rate-checked) or raw .f32 audio; every sample must be finite."""
     p = Path(path)
     if p.suffix.lower() == ".wav":
-        return read_wav(p, expected_rate=sample_rate)
-    if p.suffix.lower() in (".f32", ".raw"):
-        return read_raw_f32(p, sample_rate)
-    raise ValueError(f"{path}: unsupported audio format {p.suffix!r}")
+        w = read_wav(p, expected_rate=sample_rate)
+    elif p.suffix.lower() in (".f32", ".raw"):
+        w = read_raw_f32(p, sample_rate)
+    else:
+        raise ValueError(f"{path}: unsupported audio format {p.suffix!r}")
+    bad = np.flatnonzero(~np.isfinite(w.samples))
+    if bad.size:
+        raise ValueError(f"{path}: {bad.size} non-finite samples (NaN or Inf), first at sample {bad[0]}")
+    return w

@@ -14,8 +14,10 @@ import numpy as np
 
 from .autodiff import Tensor, concat, silu, softmax_lastdim
 
-MASKED_BIAS = -1e30
 INIT_STD = 0.02
+# Largest self-attention, in cells (n * L^2), that one stack of n equal-length
+# segments may hold; a longer group of equal lengths runs in chunks.
+MAX_ATTENTION_CELLS = 65_536
 
 Parameters = dict[str, np.ndarray]
 
@@ -143,14 +145,11 @@ def multi_head_attention(
     prefix: str,
     n_heads: int,
     d_head: int,
-    mask_bias: np.ndarray | None = None,
 ) -> Tensor:
     """softmax(QK^T / sqrt(d_head)) V per head, heads concatenated, then W_O.
 
     q_in and kv_in may be 2-D (rows x dim) or batched 3-D. The per-head
     projections run as one matmul each, then split into a head axis.
-    mask_bias is an additive constant broadcast over heads (0 = attend,
-    large negative = blocked).
     """
     scale = 1.0 / math.sqrt(d_head)
     wq = concat([tp[f"{prefix}.wq.{h}"] for h in range(n_heads)], axis=1)
@@ -165,10 +164,6 @@ def multi_head_attention(
     k = split_heads(kv_in @ wk)
     v = split_heads(kv_in @ wv)
     logits = (q @ k.swapaxes(-1, -2)) * scale
-    if mask_bias is not None:
-        if mask_bias.ndim == 3:  # (batch, rows, keys): broadcast over heads
-            mask_bias = mask_bias[:, None, :, :]
-        logits = logits + Tensor(mask_bias)
     att = softmax_lastdim(logits) @ v
     merged = att.swapaxes(-3, -2)
     merged = merged.reshape(*merged.shape[:-2], n_heads * d_head)
@@ -185,12 +180,11 @@ def block_frames(
     tp: dict[str, Tensor],
     block: int,
     cfg: ModelConfig,
-    mask_bias: np.ndarray | None = None,
 ) -> Tensor:
     """Pre-norm residual frame update: self-attention then gated FFN."""
     normed = rms_norm(h_prev, tp[f"block{block}.attn_norm.gain"], cfg.eps)
     h = h_prev + multi_head_attention(
-        normed, normed, tp, f"block{block}.attn", cfg.n_heads, cfg.d_head, mask_bias
+        normed, normed, tp, f"block{block}.attn", cfg.n_heads, cfg.d_head
     )
     h_t = h + ffn(
         rms_norm(h, tp[f"block{block}.ffn_norm.gain"], cfg.eps),
@@ -201,13 +195,16 @@ def block_frames(
     return h_t
 
 
-def init_segment_embeddings(h1: Tensor, tp: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """Mean-pool block-1 frame embeddings, project once per head: (H, d)."""
-    if h1.shape[-2] == 0:
-        raise ValueError("cannot pool zero frames")
-    pooled = h1.mean(axis=-2, keepdims=True)  # (1, d)
-    rows = [pooled @ tp[f"seg_init.ws.{h}"] for h in range(cfg.n_heads)]
-    return concat(rows, axis=0)
+def seg_init(h1: Tensor, tp: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+    """Mean-pool each segment of an (n, L, d) stack, project once per head: (n, H, d).
+
+    The mean is a matmul with a 1/L pooling row, not a sum and a divide:
+    retraining bench/desk.vlfp reproduces it bit for bit only with this
+    rounding (`bench/make_checkpoint.py --check`).
+    """
+    n, length, _ = h1.shape
+    pooled = Tensor(np.full((n, 1, length), 1.0 / length)) @ h1  # (n, 1, d)
+    return concat([pooled @ tp[f"seg_init.ws.{h}"] for h in range(cfg.n_heads)], axis=1)
 
 
 def cross_attention_block(
@@ -216,14 +213,11 @@ def cross_attention_block(
     tp: dict[str, Tensor],
     block: int,
     cfg: ModelConfig,
-    mask_bias: np.ndarray | None = None,
 ) -> Tensor:
     """Segment embeddings attend to frames; a single residual addition."""
     q = rms_norm(s_prev, tp[f"block{block}.cross_qnorm.gain"], cfg.eps)
     kv = rms_norm(frames, tp[f"block{block}.cross_kvnorm.gain"], cfg.eps)
-    return s_prev + multi_head_attention(
-        q, kv, tp, f"block{block}.cross", cfg.n_heads, cfg.d_head, mask_bias
-    )
+    return s_prev + multi_head_attention(q, kv, tp, f"block{block}.cross", cfg.n_heads, cfg.d_head)
 
 
 def l2_normalize(x: Tensor) -> Tensor:
@@ -231,19 +225,55 @@ def l2_normalize(x: Tensor) -> Tensor:
     return x / norm.sqrt()
 
 
-# -- full forward pass ---------------------------------------------------
+# -- forward pass ----------------------------------------------------------
 
 
-def fingerprint_forward(mel: Tensor, tp: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """Map one (T, F) mel segment to a unit-L2 fingerprint Tensor of size d."""
-    h = mel @ tp["w0"] + tp["b0"]
+def _forward_stack(x: np.ndarray, tp: dict[str, Tensor], cfg: ModelConfig) -> list[Tensor]:
+    """Forward n equal-length segments stacked as (n, L, F); one unit vector each."""
+    h = Tensor(x) @ tp["w0"] + tp["b0"]
     s = None
     for block in range(cfg.n_blocks):
         h = block_frames(h, tp, block, cfg)
         if block == 0:
-            s = init_segment_embeddings(h, tp, cfg)
+            s = seg_init(h, tp, cfg)
         s = cross_attention_block(s, h, tp, block, cfg)
-    return l2_normalize(s.mean(axis=0))
+    s = s.mean(axis=1)
+    return [l2_normalize(s[i]) for i in range(x.shape[0])]
+
+
+def fingerprint_batch_forward(
+    batch: PackedBatch, tp: dict[str, Tensor], cfg: ModelConfig
+) -> list[Tensor]:
+    """Forward every segment of a packed batch; fingerprint Tensors in span order.
+
+    Segments of equal length run together as one (n, L, F) stack, so no
+    attention crosses a segment boundary and nothing needs a mask. A stack
+    whose self-attention would exceed MAX_ATTENTION_CELLS runs in chunks.
+    """
+    groups: dict[int, list[int]] = {}  # length -> span indices
+    for i, (_, length) in enumerate(batch.spans):
+        groups.setdefault(length, []).append(i)
+    out: list[Tensor] = [None] * batch.n_segments
+    for length, members in groups.items():
+        per_chunk = max(1, MAX_ATTENTION_CELLS // (length * length))
+        for start in range(0, len(members), per_chunk):
+            chunk = members[start : start + per_chunk]
+            offsets = [batch.spans[i][0] for i in chunk]
+            x = np.stack([batch.frames[off : off + length] for off in offsets])
+            for i, z in zip(chunk, _forward_stack(x, tp, cfg)):
+                out[i] = z
+    return out
+
+
+def fingerprint_batch(batch: PackedBatch, params: Parameters, cfg: ModelConfig) -> list[np.ndarray]:
+    """Inference-mode forward of a packed batch; per-segment unit vectors in span order."""
+    frames = batch.frames
+    if frames.ndim != 2 or frames.shape[1] != cfg.f_bins:
+        raise ValueError(f"expected (T, {cfg.f_bins}) mel frames, got shape {frames.shape}")
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("non-finite values in mel input")
+    zs = fingerprint_batch_forward(batch, as_tensors(params), cfg)
+    return [z.data.copy() for z in zs]
 
 
 def fingerprint(
@@ -254,94 +284,12 @@ def fingerprint(
     start_time: float = 0.0,
     duration: float = 0.0,
 ) -> Fingerprint:
-    """Fingerprint a single mel segment (no gradient graph retained)."""
+    """Fingerprint a single mel segment: a packed batch of one."""
     mel = np.asarray(mel, dtype=np.float64)
     if mel.ndim != 2 or mel.shape[0] < 1:
         raise ValueError(f"expected (T, F) mel with T >= 1, got shape {mel.shape}")
-    if not np.all(np.isfinite(mel)):
-        raise ValueError("non-finite values in mel input")
-    z = fingerprint_forward(Tensor(mel), as_tensors(params), cfg)
-    return Fingerprint(z.data.copy(), audio_id, start_time, duration)
-
-
-# -- packed batches -------------------------------------------------------
-
-
-def _pack_rows(spans: tuple[tuple[int, int], ...], capacity: int) -> list[list[int]]:
-    """Greedy next-fit packing of segment indices into rows of `capacity` frames."""
-    rows: list[list[int]] = []
-    used = capacity
-    for i, (_, length) in enumerate(spans):
-        if used + length > capacity:
-            rows.append([])
-            used = 0
-        rows[-1].append(i)
-        used += length
-    return rows
-
-
-def fingerprint_batch_forward(
-    batch: PackedBatch, tp: dict[str, Tensor], cfg: ModelConfig
-) -> list[Tensor]:
-    """Forward all segments of a packed batch, several segments per row.
-
-    Additive masks keep both attention paths segment-local: frame
-    self-attention is blocked across segment boundaries, and each segment's
-    query slot sees only its own frames as keys. Padding positions attend
-    only to padding. Returns per-segment fingerprint Tensors in span order.
-
-    Row capacity is the longest span; masked cross-segment attention
-    entries are wasted compute, so rows stay as short as the content allows.
-    """
-    capacity = max(length for _, length in batch.spans)
-    rows = _pack_rows(batch.spans, capacity)
-
-    n_rows = len(rows)
-    n_slots = max(len(members) for members in rows)
-    x = np.zeros((n_rows, capacity, batch.frames.shape[1]))
-    block_ids = np.full((n_rows, capacity), -1, dtype=np.int64)
-    slot_seg = np.full((n_rows, n_slots), -1, dtype=np.int64)
-    pool_mat = np.zeros((n_rows, n_slots, capacity))
-    placement: dict[int, tuple[int, int]] = {}
-    for r, members in enumerate(rows):
-        cursor = 0
-        for slot, seg_idx in enumerate(members):
-            off, length = batch.spans[seg_idx]
-            x[r, cursor : cursor + length] = batch.frames[off : off + length]
-            block_ids[r, cursor : cursor + length] = seg_idx
-            slot_seg[r, slot] = seg_idx
-            pool_mat[r, slot, cursor : cursor + length] = 1.0 / length
-            placement[seg_idx] = (r, slot)
-            cursor += length
-
-    frame_bias = np.where(block_ids[:, :, None] == block_ids[:, None, :], 0.0, MASKED_BIAS)
-    slot_bias = np.where(slot_seg[:, :, None] == block_ids[:, None, :], 0.0, MASKED_BIAS)
-    key_bias = np.repeat(slot_bias, cfg.n_heads, axis=1)  # query rows: slot-major, head-minor
-
-    h = Tensor(x) @ tp["w0"] + tp["b0"]
-    s = None
-    for block in range(cfg.n_blocks):
-        h = block_frames(h, tp, block, cfg, mask_bias=frame_bias)
-        if block == 0:
-            pooled = Tensor(pool_mat) @ h  # (rows, slots, d) masked mean per segment
-            head_rows = [
-                (pooled @ tp[f"seg_init.ws.{hh}"]).reshape(n_rows, n_slots, 1, cfg.d)
-                for hh in range(cfg.n_heads)
-            ]
-            s = concat(head_rows, axis=2).reshape(n_rows, n_slots * cfg.n_heads, cfg.d)
-        s = cross_attention_block(s, h, tp, block, cfg, mask_bias=key_bias)
-    s = s.reshape(n_rows, n_slots, cfg.n_heads, cfg.d).mean(axis=2)
-    out = []
-    for seg_idx in range(batch.n_segments):
-        r, slot = placement[seg_idx]
-        out.append(l2_normalize(s[r, slot]))
-    return out
-
-
-def fingerprint_batch(batch: PackedBatch, params: Parameters, cfg: ModelConfig) -> list[np.ndarray]:
-    """Inference-mode packed forward; returns per-segment unit vectors."""
-    zs = fingerprint_batch_forward(batch, as_tensors(params), cfg)
-    return [z.data.copy() for z in zs]
+    (z,) = fingerprint_batch(pack_segments([mel]), params, cfg)
+    return Fingerprint(z, audio_id, start_time, duration)
 
 
 # -- checkpoint I/O --------------------------------------------------------

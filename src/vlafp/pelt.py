@@ -26,10 +26,14 @@ def segmentation_cost(series: np.ndarray, breakpoints: list[int], penalty: float
 
 
 def default_penalty(series: np.ndarray) -> float:
-    """BIC-style default: 2 * ln(n) * var(series)."""
+    """BIC-style default: 2 * ln(n) * var(series).
+
+    A constant series (silent audio, say) has no change point, and any
+    positive penalty keeps it whole; it gets 1, as does a single point.
+    """
     x = np.asarray(series, dtype=np.float64)
     n = x.shape[0]
-    if n < 2:
+    if n < 2 or np.ptp(x) == 0.0:
         return 1.0
     return float(2.0 * np.log(n) * np.var(x))
 

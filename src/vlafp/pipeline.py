@@ -7,7 +7,7 @@ import numpy as np
 from .audio import Waveform
 from .dsp import MelConfig, mel_from_frames, mel_spectrogram, stft
 from .index import FingerprintIndex, IndexEntry
-from .model import ModelConfig, Parameters, fingerprint
+from .model import ModelConfig, Parameters, fingerprint, fingerprint_batch, pack_segments
 from .segmentation import Segment, SegmenterConfig, segment, segment_fixed
 from .training import SourceSegment
 
@@ -53,16 +53,14 @@ def fingerprint_segments(
     params: Parameters,
     model_cfg: ModelConfig,
 ) -> list[IndexEntry]:
-    """Fingerprint every segment of one audio into index entries."""
-    entries = []
-    for ord_, (seg, mel) in enumerate(zip(segments, segment_mels(w, segments, mel_cfg))):
-        fp = fingerprint(mel, params, model_cfg, seg.audio_id, seg.start_time, seg.duration)
-        entries.append(
-            IndexEntry(
-                fp.vector.astype(np.float32), seg.audio_id, ord_, seg.start_time, seg.duration
-            )
-        )
-    return entries
+    """Fingerprint every segment of one audio into index entries, in one packed batch."""
+    if not segments:
+        return []
+    vectors = fingerprint_batch(pack_segments(segment_mels(w, segments, mel_cfg)), params, model_cfg)
+    return [
+        IndexEntry(v.astype(np.float32), seg.audio_id, ord_, seg.start_time, seg.duration)
+        for ord_, (seg, v) in enumerate(zip(segments, vectors))
+    ]
 
 
 def build_index(

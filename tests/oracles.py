@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from vlafp.autodiff import Tensor, concat
+from vlafp.model import ModelConfig, block_frames, cross_attention_block, l2_normalize
+
 
 def dp_oracle(series, penalty, min_size=1, jump=1):
     """Unpruned O(n^2) dynamic program over the admissible boundary set."""
@@ -117,3 +120,28 @@ def exhaustive_best_f1(scores, labels):
         if f1 > best[0]:
             best = (f1, th, p, r)
     return best
+
+
+def init_segment_embeddings(h1: Tensor, tp: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+    """Mean-pool block-1 frame embeddings, project once per head: (H, d)."""
+    if h1.shape[-2] == 0:
+        raise ValueError("cannot pool zero frames")
+    pooled = h1.mean(axis=-2, keepdims=True)  # (1, d)
+    rows = [pooled @ tp[f"seg_init.ws.{h}"] for h in range(cfg.n_heads)]
+    return concat(rows, axis=0)
+
+
+def fingerprint_forward(mel: Tensor, tp: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+    """Map one (T, F) mel segment to a unit-L2 fingerprint Tensor of size d.
+
+    The single-segment forward, one (T, F) matrix at a time, kept as the
+    reference for the grouped packed forward.
+    """
+    h = mel @ tp["w0"] + tp["b0"]
+    s = None
+    for block in range(cfg.n_blocks):
+        h = block_frames(h, tp, block, cfg)
+        if block == 0:
+            s = init_segment_embeddings(h, tp, cfg)
+        s = cross_attention_block(s, h, tp, block, cfg)
+    return l2_normalize(s.mean(axis=0))

@@ -37,7 +37,7 @@ from vlafp.model import (
     as_tensors,
     fingerprint,
     fingerprint_batch,
-    fingerprint_forward,
+    fingerprint_batch_forward,
     init_parameters,
     pack_segments,
 )
@@ -138,13 +138,14 @@ def test_04_gradient_suite():
         params = init_parameters(DESK_MODEL, seed=4)
         mel = rng.standard_normal((6, DESK_MODEL.f_bins))
         probe = rng.standard_normal(DESK_MODEL.d)
+        batch = pack_segments([mel])  # the one forward, as a batch of one
 
         def objective(p) -> float:
-            z = fingerprint_forward(Tensor(mel), as_tensors(p), DESK_MODEL)
+            (z,) = fingerprint_batch_forward(batch, as_tensors(p), DESK_MODEL)
             return float((z.data * probe).sum())
 
         tp = as_tensors(params, requires_grad=True)
-        z = fingerprint_forward(Tensor(mel), tp, DESK_MODEL)
+        (z,) = fingerprint_batch_forward(batch, tp, DESK_MODEL)
         (z * Tensor(probe)).sum().backward()
         step = 1e-5
         for name, tensor in tp.items():

@@ -69,3 +69,25 @@ class TestWavIo:
         path.write_bytes(b"")
         with pytest.raises(ValueError, match="empty"):
             read_raw_f32(path, FS)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("suffix", [".wav", ".f32"])
+    def test_non_finite_sample_names_the_file(self, tmp_path, bad, suffix):
+        data = np.zeros(FS, dtype="<f4")
+        data[123] = bad
+        path = tmp_path / f"bad{suffix}"
+        if suffix == ".wav":
+            write_wav(path, Waveform(data, FS))
+        else:
+            data.tofile(path)
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            load_audio(path, FS)
+        assert str(path) in str(exc.value) and "sample 123" in str(exc.value)
+
+    @pytest.mark.parametrize("content", [b"", b"not a wav file at all", b"RIFF", b"RIFF" + b"\xff" * 60])
+    def test_unparsable_wav_names_the_file(self, tmp_path, content):
+        path = tmp_path / "junk.wav"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="not a readable WAV") as exc:
+            load_audio(path, FS)
+        assert str(path) in str(exc.value)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 import vlafp
 from vlafp.cli import main
@@ -91,6 +92,35 @@ class TestSegment:
         rc = main(["segment", "--audio", str(tmp_path / "nope"), "--out", str(tmp_path / "m.txt")])
         assert rc == 1
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["main", "nosilence", "pelt", "waveform", "fixed"])
+    @pytest.mark.parametrize("suffix", [".wav", ".f32"])
+    def test_non_finite_sample_exit_1(self, tmp_path, capsys, method, suffix):
+        data = np.zeros(2 * 8000, dtype="<f4")
+        data[4000] = np.nan
+        path = tmp_path / f"nan{suffix}"
+        if suffix == ".wav":
+            wavfile.write(str(path), 8000, data)
+        else:
+            data.tofile(path)
+        rc = main(["segment", "--audio", str(path), "--method", method, "--out", str(tmp_path / "m.txt")])
+        assert rc == 1
+        _one_error_line(capsys, str(path), "non-finite")
+
+    @pytest.mark.parametrize("method", ["main", "nosilence", "pelt", "waveform", "fixed"])
+    def test_unparsable_wav_exit_1(self, tmp_path, capsys, method):
+        path = tmp_path / "text.wav"
+        path.write_text("not a wav file at all")
+        rc = main(["segment", "--audio", str(path), "--method", method, "--out", str(tmp_path / "m.txt")])
+        assert rc == 1
+        _one_error_line(capsys, str(path), "not a readable WAV")
+
+    def test_silent_audio_under_pelt(self, tmp_path, capsys):
+        path = tmp_path / "silence.wav"
+        wavfile.write(str(path), 8000, np.zeros(10 * 8000, dtype=np.float32))
+        out = tmp_path / "m.txt"
+        assert main(["segment", "--audio", str(path), "--method", "pelt", "--out", str(out)]) == 0
+        assert len(read_manifest(out)) == 2  # one span, split only by t_max
 
     def test_unknown_flag_exit_2(self, corpus_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import fingerprint_forward, init_segment_embeddings
 
+from vlafp import model
 from vlafp.autodiff import Tensor
 from vlafp.model import (
     ModelConfig,
@@ -13,12 +17,12 @@ from vlafp.model import (
     fingerprint,
     fingerprint_batch,
     init_parameters,
-    init_segment_embeddings,
     load_checkpoint,
     multi_head_attention,
     pack_segments,
     rms_norm,
     save_checkpoint,
+    seg_init,
     block_frames,
 )
 
@@ -171,31 +175,44 @@ class TestAttention:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
+def oracle_vector(mel, params, cfg):
+    return fingerprint_forward(Tensor(mel), as_tensors(params), cfg).data
+
+
 class TestSegInit:
     def test_single_frame_pool_is_that_frame(self, rng):
         cfg = SMALL
         params = init_parameters(cfg, seed=3)
         tp = as_tensors(params)
-        h1 = rng.standard_normal((1, cfg.d))
-        s0 = init_segment_embeddings(Tensor(h1), tp, cfg)
+        h1 = rng.standard_normal((1, 1, cfg.d))
+        s0 = seg_init(Tensor(h1), tp, cfg)
         for h in range(cfg.n_heads):
             np.testing.assert_allclose(
-                s0.data[h], (h1 @ params[f"seg_init.ws.{h}"])[0], atol=1e-12
+                s0.data[0, h], (h1[0] @ params[f"seg_init.ws.{h}"])[0], atol=1e-12
             )
 
     def test_permutation_invariant(self, rng):
         cfg = SMALL
         tp = as_tensors(init_parameters(cfg, seed=3))
-        h1 = rng.standard_normal((7, cfg.d))
-        a = init_segment_embeddings(Tensor(h1), tp, cfg).data
-        b = init_segment_embeddings(Tensor(h1[::-1].copy()), tp, cfg).data
+        h1 = rng.standard_normal((1, 7, cfg.d))
+        a = seg_init(Tensor(h1), tp, cfg).data
+        b = seg_init(Tensor(h1[:, ::-1].copy()), tp, cfg).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_distinct_heads_distinct_rows(self, rng):
         cfg = SMALL
         tp = as_tensors(init_parameters(cfg, seed=3))
-        s0 = init_segment_embeddings(Tensor(rng.standard_normal((5, cfg.d))), tp, cfg).data
-        assert not np.allclose(s0[0], s0[1])
+        s0 = seg_init(Tensor(rng.standard_normal((1, 5, cfg.d))), tp, cfg).data
+        assert not np.allclose(s0[0, 0], s0[0, 1])
+
+    def test_stack_matches_single_segment_oracle(self, rng):
+        cfg = SMALL
+        tp = as_tensors(init_parameters(cfg, seed=3))
+        h1 = rng.standard_normal((4, 9, cfg.d))
+        got = seg_init(Tensor(h1), tp, cfg).data
+        for i in range(4):
+            want = init_segment_embeddings(Tensor(h1[i]), tp, cfg).data
+            np.testing.assert_allclose(got[i], want, atol=1e-12)
 
 
 class TestFingerprint:
@@ -229,6 +246,13 @@ class TestFingerprint:
         with pytest.raises(ValueError):
             fingerprint(np.zeros((0, DESK.f_bins)), params, DESK)
 
+    def test_matches_single_segment_oracle(self, rng):
+        params = init_parameters(DESK, seed=0)
+        for t in (1, 2, 31, 157):
+            mel = rng.standard_normal((t, DESK.f_bins))
+            got = fingerprint(mel, params, DESK).vector
+            np.testing.assert_allclose(got, oracle_vector(mel, params, DESK), rtol=0, atol=1e-12)
+
 
 class TestPackedBatch:
     def test_overlapping_spans_rejected(self, rng):
@@ -248,22 +272,72 @@ class TestPackedBatch:
         params = init_parameters(DESK, seed=4)
         mel = rng.standard_normal((25, DESK.f_bins))
         packed = fingerprint_batch(pack_segments([mel]), params, DESK)[0]
-        single = fingerprint(mel, params, DESK).vector
-        assert np.abs(packed - single).max() < 1e-6
+        assert np.array_equal(packed, fingerprint(mel, params, DESK).vector)
+        assert np.abs(packed - oracle_vector(mel, params, DESK)).max() < 1e-12
 
     def test_packed_equals_per_segment(self, rng):
         params = init_parameters(DESK, seed=4)
         mels = [rng.standard_normal((t, DESK.f_bins)) for t in (16, 40, 96)]
         packed = fingerprint_batch(pack_segments(mels), params, DESK)
         for z, mel in zip(packed, mels):
-            assert np.abs(z - fingerprint(mel, params, DESK).vector).max() < 1e-6
+            assert np.abs(z - oracle_vector(mel, params, DESK)).max() < 1e-12
 
     def test_mixed_lengths_share_rows(self, rng):
         params = init_parameters(DESK, seed=4)
-        mels = [rng.standard_normal((t, DESK.f_bins)) for t in (8, 8, 8, 40)]
+        mels = [rng.standard_normal((t, DESK.f_bins)) for t in (8, 40, 8, 8)]
         packed = fingerprint_batch(pack_segments(mels), params, DESK)
         for z, mel in zip(packed, mels):
-            assert np.abs(z - fingerprint(mel, params, DESK).vector).max() < 1e-6
+            assert np.abs(z - oracle_vector(mel, params, DESK)).max() < 1e-12
+
+    def test_non_finite_rejected(self, rng):
+        params = init_parameters(DESK, seed=0)
+        mel = rng.standard_normal((6, DESK.f_bins))
+        mel[3, 5] = np.nan
+        batch = pack_segments([rng.standard_normal((4, DESK.f_bins)), mel])
+        with pytest.raises(ValueError, match="non-finite"):
+            fingerprint_batch(batch, params, DESK)
+
+    def test_wrong_frame_width_rejected(self, rng):
+        params = init_parameters(DESK, seed=0)
+        batch = pack_segments([rng.standard_normal((4, DESK.f_bins - 1))])
+        with pytest.raises(ValueError, match=f"expected \\(T, {DESK.f_bins}\\)"):
+            fingerprint_batch(batch, params, DESK)
+
+    def test_stacks_stay_within_attention_cap(self, rng, monkeypatch):
+        seen = []
+        forward_stack = model._forward_stack
+
+        def record(x, tp, cfg):
+            seen.append(x.shape[:2])
+            return forward_stack(x, tp, cfg)
+
+        monkeypatch.setattr(model, "_forward_stack", record)
+        lengths = [100] * 7 + [3, 260, 260]
+        mels = [rng.standard_normal((t, SMALL.f_bins)) for t in lengths]
+        fingerprint_batch(pack_segments(mels), init_parameters(SMALL, seed=5), SMALL)
+        # 65 536 // 100^2 = 6 segments of 100 frames fit one stack; 260^2 > 65 536
+        assert sorted(seen) == [(1, 3), (1, 100), (1, 260), (1, 260), (6, 100)]
+
+    # 1 frame, repeated and mixed lengths, and groups past the chunk cap:
+    # seven 100-frame segments hold 70 000 attention cells, and a single
+    # 260-frame segment 67 600, above model.MAX_ATTENTION_CELLS.
+    @example(lengths=[1], seed=0)
+    @example(lengths=[5, 1, 5, 1, 1], seed=1)
+    @example(lengths=[100] * 7 + [3], seed=2)
+    @example(lengths=[260, 1, 260], seed=3)
+    @given(
+        lengths=st.lists(st.sampled_from([1, 2, 3, 17, 100, 260]), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_oracle_in_span_order(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        params = init_parameters(SMALL, seed=5)
+        mels = [rng.standard_normal((t, SMALL.f_bins)) for t in lengths]
+        packed = fingerprint_batch(pack_segments(mels), params, SMALL)
+        assert len(packed) == len(mels)
+        for z, mel in zip(packed, mels):
+            np.testing.assert_allclose(z, oracle_vector(mel, params, SMALL), rtol=0, atol=1e-12)
 
 
 class TestCheckpoint:

@@ -235,6 +235,20 @@ class TestFixed:
             segment_fixed(Waveform(np.ones(FS), FS), 0.5, 1.0)
 
 
+class TestPeltConstantSeries:
+    @pytest.mark.parametrize("level", [0.0, 0.1])
+    def test_constant_audio_is_one_span_split_by_t_max(self, level):
+        w = Waveform(np.full(10 * FS, level), FS)
+        cfg = SegmenterConfig(method="pelt")
+        got = segment(w, cfg)
+        assert got == segment(w, SegmenterConfig(method="pelt", pelt_penalty=1.0))
+        n_frames = stft(w).n_frames
+        parts = math.ceil(n_frames / cfg.max_frames(FS))
+        assert len(got) == parts > 1
+        assert reconstructs(got, n_frames)
+        assert max(s.n_frames for s in got) - min(s.n_frames for s in got) <= 1
+
+
 class TestDispatchAndManifest:
     def test_dispatch_by_method(self, small_corpus):
         aid, w = small_corpus[0]
