@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,12 +54,15 @@ class Waveform:
 def read_wav(path: str | Path, expected_rate: int | None = None) -> Waveform:
     """Read a PCM16 or float32 WAV file as a mono Waveform.
 
-    Raises on a file scipy cannot parse, on stereo input or on a
-    sampling-rate mismatch; resampling is the caller's job.
+    Raises on a file scipy cannot parse or that ends inside its data, on
+    stereo input or on a sampling-rate mismatch; resampling is the caller's
+    job. Other scipy warnings (an unknown chunk, say) still load.
     """
     try:
-        rate, data = wavfile.read(str(path))
-    except (ValueError, struct.error) as exc:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+            rate, data = wavfile.read(str(path))
+    except (ValueError, struct.error, wavfile.WavFileWarning) as exc:
         raise ValueError(f"{path}: not a readable WAV file ({exc})") from None
     if data.ndim != 1:
         raise ValueError(f"{path}: mono only, got {data.shape[1]} channels")

@@ -19,14 +19,8 @@ from .dsp import MelConfig
 from .evaluation import cbr_evaluate, dtr_evaluate, make_dtr_queries, simulate_broadcast
 from .index import FingerprintIndex
 from .model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
-from .pipeline import build_index, fingerprint_segments, make_embedder, training_sources
-from .segmentation import (
-    SegmenterConfig,
-    default_theta,
-    segment,
-    segment_fixed,
-    write_manifest,
-)
+from .pipeline import build_index, fingerprint_segments, make_embedder, segment_audio, training_sources
+from .segmentation import SegmenterConfig, default_theta, write_manifest
 from .synth import SynthSpec, generate
 from .training import TrainConfig, train
 
@@ -153,12 +147,7 @@ def cmd_synth(args) -> int:
 def cmd_segment(args) -> int:
     corpus, files = load_corpus(args.audio, args.rate)
     cfg = seg_config_from_args(args)
-    per_audio = [
-        segment_fixed(w, args.window, args.hop, audio_id=aid)
-        if cfg is None
-        else segment(w, cfg, audio_id=aid)
-        for aid, w in corpus
-    ]
+    per_audio = [segment_audio(w, cfg, aid, args.window, args.hop) for aid, w in corpus]
     segments = [s for segs in per_audio for s in segs]
     theta = cfg.theta if cfg is not None else 0.0
     write_manifest(args.out, segments, args.method, theta)
@@ -262,11 +251,7 @@ def cmd_eval_cbr(args) -> int:
         [(args.commercial_id, commercial)], seg_cfg, mel_cfg, params, model_cfg,
         args.window, args.hop,
     )
-    broadcast_segs = (
-        segment(sim.stream, seg_cfg, audio_id=-1)
-        if seg_cfg is not None
-        else segment_fixed(sim.stream, args.window, args.hop, audio_id=-1)
-    )
+    broadcast_segs = segment_audio(sim.stream, seg_cfg, -1, args.window, args.hop)
     entries = fingerprint_segments(sim.stream, broadcast_segs, mel_cfg, params, model_cfg)
     scored_segments = [(seg, e.vector) for seg, e in zip(broadcast_segs, entries)]
     report = cbr_evaluate(commercial_index, scored_segments, sim.span)

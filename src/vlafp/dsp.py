@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .audio import Waveform
 
 # The one STFT frame grid: segment frame indices, mel rows and training
-# spans all refer to it.
+# rows all refer to it.
 DEFAULT_WINDOW = 1024
 DEFAULT_HOP = 256
 # Mel band edges (Hz) and the dB range kept below each mel's maximum.
@@ -41,10 +40,9 @@ class StftFrames:
     def n_bins(self) -> int:
         return self.frames.shape[1]
 
-    @property
-    def frame_period(self) -> float:
-        """Seconds advanced per frame."""
-        return self.hop / self.sample_rate
+    def select(self, rows) -> "StftFrames":
+        """The frames at the given row indices, in that order."""
+        return replace(self, frames=self.frames[np.asarray(rows, dtype=np.intp)])
 
     def power(self) -> np.ndarray:
         return np.abs(self.frames) ** 2
@@ -55,8 +53,6 @@ class MelConfig:
     """Mel front-end settings; the frame grid and band edges are fixed constants."""
 
     n_mels: int = 256
-    window_size: ClassVar[int] = DEFAULT_WINDOW
-    hop: ClassVar[int] = DEFAULT_HOP
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,11 @@ def _shared_mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndar
 
 
 def mel_from_frames(frames: StftFrames, cfg: MelConfig) -> MelSpectrogram:
-    """Apply the mel filterbank and dB conversion to existing STFT frames."""
+    """Apply the mel filterbank and dB conversion to existing STFT frames.
+
+    The dB range is clamped against these frames' own maximum, so a
+    segment's mel is this function of its selected rows alone.
+    """
     fb = _shared_mel_filterbank(cfg.n_mels, frames.window_size, frames.sample_rate)
     mel_power = frames.power() @ fb.T
     db = 10.0 * np.log10(mel_power + EPS)

@@ -5,45 +5,41 @@ from __future__ import annotations
 import numpy as np
 
 from .audio import Waveform
-from .dsp import MelConfig, mel_from_frames, mel_spectrogram, stft
+from .dsp import DEFAULT_HOP, DEFAULT_WINDOW, MelConfig, frame_count, mel_from_frames, mel_spectrogram, stft
 from .index import FingerprintIndex, IndexEntry
 from .model import ModelConfig, Parameters, fingerprint, fingerprint_batch, pack_segments
 from .segmentation import Segment, SegmenterConfig, segment, segment_fixed
 from .training import SourceSegment
 
 
+def segment_audio(
+    w: Waveform, seg_cfg: SegmenterConfig | None, audio_id: int, window_s: float, hop_s: float
+) -> list[Segment]:
+    """One audio's segments; seg_cfg None means fixed sample windows of window_s every hop_s."""
+    if seg_cfg is None:
+        return segment_fixed(w, window_s, hop_s, audio_id=audio_id)
+    return segment(w, seg_cfg, audio_id=audio_id)
+
+
 def segment_mels(w: Waveform, segments: list[Segment], mel_cfg: MelConfig) -> list[np.ndarray]:
     """Materialize each segment's mel matrix.
 
-    Frame-grid segments slice one full-audio mel on the default STFT grid
-    (the grid the segmenters use); sample windows get their own mel
-    (zero-padded to the window length).
+    A frame-grid segment's mel is mel_from_frames of its own rows of the
+    audio's STFT (computed once per audio), so the dB clamp follows the
+    segment's maximum; sample windows get their own mel (zero-padded to the
+    window length).
     """
-    full = None
+    frames = None
     out = []
     for seg in segments:
         if seg.frame_indices is not None:
-            if full is None:
-                full = mel_from_frames(stft(w), mel_cfg).data
-            out.append(full[list(seg.frame_indices)])
+            if frames is None:
+                frames = stft(w)
+            out.append(mel_from_frames(frames.select(seg.frame_indices), mel_cfg).data)
         else:
             chunk = w.slice_samples(seg.start_sample, seg.n_samples, pad=True)
             out.append(mel_spectrogram(chunk, mel_cfg).data)
     return out
-
-
-def segment_waveform_span(w: Waveform, seg: Segment, mel_cfg: MelConfig) -> Waveform:
-    """Samples backing a segment (frame-grid spans include the analysis tail).
-
-    A frame-grid span runs on mel_cfg's fixed grid (MelConfig.hop and
-    .window_size, bound to dsp.DEFAULT_HOP and dsp.DEFAULT_WINDOW).
-    """
-    if seg.frame_indices is not None:
-        first, last = seg.frame_indices[0], seg.frame_indices[-1]
-        start = first * mel_cfg.hop
-        n = (last - first) * mel_cfg.hop + mel_cfg.window_size
-        return w.slice_samples(start, n, pad=True)
-    return w.slice_samples(seg.start_sample, seg.n_samples, pad=True)
 
 
 def fingerprint_segments(
@@ -75,11 +71,7 @@ def build_index(
     """Segment and fingerprint a corpus; seg_cfg None means fixed windows."""
     entries = []
     for aid, w in corpus:
-        segs = (
-            segment(w, seg_cfg, audio_id=aid)
-            if seg_cfg is not None
-            else segment_fixed(w, fixed_window_s, fixed_hop_s, audio_id=aid)
-        )
+        segs = segment_audio(w, seg_cfg, aid, fixed_window_s, fixed_hop_s)
         entries += fingerprint_segments(w, segs, mel_cfg, params, model_cfg)
     return FingerprintIndex.build(entries) if entries else FingerprintIndex(model_cfg.d)
 
@@ -101,18 +93,28 @@ def training_sources(
     fixed_window_s: float = 1.0,
     fixed_hop_s: float = 0.5,
 ) -> list[SourceSegment]:
-    """Clean segment waveforms for contrastive training."""
+    """Clean training segments: each one's span of samples and its rows in the span's STFT.
+
+    A frame-grid span runs from the start of the segment's first frame to
+    the end of its last, so its STFT frames are the audio's frames
+    first..last and the rows are the segment's frames among them. A fixed
+    window is its zero-padded sample window, every frame a row. The frame
+    grid is dsp's one grid; mel_cfg sets none of it.
+    """
     sources = []
+    every_row: dict[int, tuple[int, ...]] = {}  # every frame of a fixed window, built once per length
     for aid, w in corpus:
-        segs = (
-            segment(w, seg_cfg, audio_id=aid)
-            if seg_cfg is not None
-            else segment_fixed(w, fixed_window_s, fixed_hop_s, audio_id=aid)
-        )
-        for seg in segs:
-            sources.append(
-                SourceSegment(
-                    aid, segment_waveform_span(w, seg, mel_cfg), seg.start_time, seg.duration
-                )
-            )
+        for seg in segment_audio(w, seg_cfg, aid, fixed_window_s, fixed_hop_s):
+            if seg.frame_indices is not None:
+                first, last = seg.frame_indices[0], seg.frame_indices[-1]
+                n = (last - first) * DEFAULT_HOP + DEFAULT_WINDOW
+                span = w.slice_samples(first * DEFAULT_HOP, n, pad=True)
+                rows = tuple(f - first for f in seg.frame_indices)
+            else:
+                n = seg.n_samples
+                span = w.slice_samples(seg.start_sample, n, pad=True)
+                if n not in every_row:
+                    every_row[n] = tuple(range(frame_count(n, DEFAULT_WINDOW, DEFAULT_HOP)))
+                rows = every_row[n]
+            sources.append(SourceSegment(aid, span, seg.start_time, seg.duration, rows))
     return sources

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +61,7 @@ class Segment:
     """A span of one audio, in frame-grid or sample-window coordinates.
 
     Variable-length methods produce frame-grid segments (frame_indices into
-    the audio's STFT/mel frame sequence); fixed segmentation produces
+    the audio's STFT frame sequence); fixed segmentation produces
     sample windows (start_sample/n_samples) that need not align to the grid.
     """
 
@@ -73,23 +73,10 @@ class Segment:
     n_samples: int | None = None
 
     @property
-    def start_frame(self) -> int:
-        if self.frame_indices is None:
-            raise ValueError("sample-window segment has no frame coordinates")
-        return self.frame_indices[0]
-
-    @property
     def n_frames(self) -> int:
         if self.frame_indices is None:
             raise ValueError("sample-window segment has no frame coordinates")
         return len(self.frame_indices)
-
-    @property
-    def is_contiguous(self) -> bool:
-        if self.frame_indices is None:
-            return True
-        f = self.frame_indices
-        return len(f) <= 1 or f[-1] - f[0] == len(f) - 1
 
 
 class EntropyStats:
@@ -313,7 +300,3 @@ def read_manifest(path: str | Path) -> list[tuple[int, float, float, str, float]
             aid, start, dur, method, theta = line.split(",")
             records.append((int(aid), float(start), float(dur), method, float(theta)))
     return records
-
-
-def with_theta(cfg: SegmenterConfig, theta: float) -> SegmenterConfig:
-    return replace(cfg, theta=theta)

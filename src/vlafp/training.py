@@ -7,10 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dsp
 from .audio import Waveform
-from .augment import AugmentConfig, augment_chain
+from .augment import AugmentConfig, augment_chain_with_draws
 from .autodiff import Tensor, concat
-from .dsp import MelConfig, mel_spectrogram
+from .dsp import MelConfig
 from .model import (
     ModelConfig,
     PackedBatch,
@@ -48,12 +49,18 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class SourceSegment:
-    """A clean training segment: its samples plus provenance."""
+    """A clean training segment: its span of samples, provenance, and rows.
+
+    rows are the segment's frames within the span's STFT, increasing from 0
+    (the span starts at the segment's first frame); a contiguous segment or
+    a fixed window has every frame as a row.
+    """
 
     audio_id: int
     waveform: Waveform
     start_time: float
     duration: float
+    rows: tuple[int, ...]
 
 
 def supcon_loss(
@@ -117,6 +124,11 @@ def build_batch(
 ) -> BuiltBatch:
     """Assemble anchor groups: each clean segment plus n_pos augmented copies.
 
+    The anchor's mel is mel_from_frames of its rows of the span's STFT, as
+    at index time. A positive stretched by f keeps its frame j iff source
+    frame min(round(j * f), K - 1) is a row, K being the span's frame count:
+    frame 0 always, and every frame for contiguous rows.
+
     Every group member acts as an anchor in turn with the rest of its group
     as positives; all other batch items are its negatives.
     """
@@ -137,12 +149,19 @@ def build_batch(
     item_sources: list[SourceSegment] = []
     for g, src_idx in enumerate(chosen):
         src = sources[src_idx]
-        mels.append(mel_spectrogram(src.waveform, mel_cfg).data)
+        frames = dsp.stft(src.waveform)
+        is_row = np.zeros(frames.n_frames, dtype=bool)
+        is_row[list(src.rows)] = True
+        mels.append(dsp.mel_from_frames(frames.select(src.rows), mel_cfg).data)
         group_ids.append(g)
         item_sources.append(src)
         for _ in range(train_cfg.n_pos):
-            distorted = augment_chain(src.waveform, aug_cfg, rng)
-            mels.append(mel_spectrogram(distorted, mel_cfg).data)
+            distorted, draws = augment_chain_with_draws(src.waveform, aug_cfg, rng)
+            factor = 1.0 if draws.ts_factor is None else draws.ts_factor
+            stretched = dsp.stft(distorted)
+            source = np.rint(np.arange(stretched.n_frames) * factor).astype(np.intp)
+            keep = np.flatnonzero(is_row[np.minimum(source, frames.n_frames - 1)])
+            mels.append(dsp.mel_from_frames(stretched.select(keep), mel_cfg).data)
             group_ids.append(g)
             item_sources.append(src)
 

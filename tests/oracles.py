@@ -3,6 +3,7 @@
 import numpy as np
 
 from vlafp.autodiff import Tensor, concat
+from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, mel_spectrogram
 from vlafp.model import ModelConfig, block_frames, cross_attention_block, l2_normalize
 
 
@@ -145,3 +146,25 @@ def fingerprint_forward(mel: Tensor, tp: dict[str, Tensor], cfg: ModelConfig) ->
             s = init_segment_embeddings(h, tp, cfg)
         s = cross_attention_block(s, h, tp, block, cfg)
     return l2_normalize(s.mean(axis=0))
+
+
+def segment_waveform_span(w, seg):
+    """Samples backing a segment (frame-grid spans include the analysis tail).
+
+    The earlier training path, kept as a reference: a frame-grid span runs
+    from the first frame's start to the last frame's end on the one STFT grid.
+    """
+    if seg.frame_indices is not None:
+        first, last = seg.frame_indices[0], seg.frame_indices[-1]
+        start = first * DEFAULT_HOP
+        n = (last - first) * DEFAULT_HOP + DEFAULT_WINDOW
+        return w.slice_samples(start, n, pad=True)
+    return w.slice_samples(seg.start_sample, seg.n_samples, pad=True)
+
+
+def span_mel(w, seg, mel_cfg):
+    """The mel of a segment's re-sliced span, clamped against the span's own maximum.
+
+    Equals the segment's mel for contiguous segments and fixed windows.
+    """
+    return mel_spectrogram(segment_waveform_span(w, seg), mel_cfg).data

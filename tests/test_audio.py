@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from vlafp.audio import Waveform, load_audio, read_raw_f32, read_wav, write_wav
 
@@ -91,3 +94,22 @@ class TestWavIo:
         with pytest.raises(ValueError, match="not a readable WAV") as exc:
             load_audio(path, FS)
         assert str(path) in str(exc.value)
+
+    def test_truncated_wav_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        write_wav(path, Waveform(np.zeros(FS), FS))
+        path.write_bytes(path.read_bytes()[:3000])
+        with pytest.raises(ValueError, match="not a readable WAV.*EOF") as exc:
+            read_wav(path, FS)
+        assert str(path) in str(exc.value)
+
+    def test_unknown_chunk_still_loads(self, tmp_path):
+        path = tmp_path / "extra.wav"
+        w = Waveform(np.random.default_rng(3).uniform(-0.5, 0.5, 100), FS)
+        write_wav(path, w)
+        data = bytearray(path.read_bytes() + b"abcd" + struct.pack("<I", 4) + b"\0" * 4)
+        data[4:8] = struct.pack("<I", len(data) - 8)
+        path.write_bytes(bytes(data))
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+            back = read_wav(path, FS)
+        assert np.array_equal(back.samples, w.samples.astype(np.float32))

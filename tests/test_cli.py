@@ -115,6 +115,14 @@ class TestSegment:
         assert rc == 1
         _one_error_line(capsys, str(path), "not a readable WAV")
 
+    def test_truncated_wav_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "cut.wav"
+        wavfile.write(str(path), 8000, np.zeros(8000, dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:3000])
+        rc = main(["segment", "--audio", str(path), "--out", str(tmp_path / "m.txt")])
+        assert rc == 1
+        _one_error_line(capsys, str(path), "not a readable WAV", "EOF")
+
     def test_silent_audio_under_pelt(self, tmp_path, capsys):
         path = tmp_path / "silence.wav"
         wavfile.write(str(path), 8000, np.zeros(10 * 8000, dtype=np.float32))

@@ -7,6 +7,8 @@ from oracles import frame_rms_db_loop, stft_gather
 
 from vlafp.audio import Waveform
 from vlafp.dsp import (
+    DEFAULT_HOP,
+    DEFAULT_WINDOW,
     EPS,
     _shared_mel_filterbank,
     MEL_DYNAMIC_RANGE_DB,
@@ -135,8 +137,8 @@ class TestStftFraming:
 
 class TestMel:
     def test_pinned_defaults(self):
-        cfg = MelConfig()
-        assert (cfg.n_mels, cfg.window_size, cfg.hop) == (256, 1024, 256)
+        assert MelConfig().n_mels == 256
+        assert (DEFAULT_WINDOW, DEFAULT_HOP) == (1024, 256)
         assert (MEL_FMIN, MEL_FMAX, MEL_DYNAMIC_RANGE_DB) == (300.0, 4000.0, 80.0)
 
     def test_default_shape(self, noise_wave):
@@ -178,6 +180,16 @@ class TestMel:
         assert shared is _shared_mel_filterbank(64, frames.window_size, FS)
         with pytest.raises(ValueError, match="read-only"):
             shared[0, 0] = 1.0
+
+    def test_selected_rows_clamp_against_their_own_maximum(self, noise_wave):
+        frames = stft(noise_wave)
+        rows = [0, 3, 4, 20]
+        picked = frames.select(rows)
+        assert np.array_equal(picked.frames, frames.frames[rows])
+        assert (picked.window_size, picked.hop, picked.sample_rate) == (1024, 256, FS)
+        got = mel_from_frames(picked, MelConfig(n_mels=64)).data
+        db = 10.0 * np.log10(frames.power()[rows] @ _shared_mel_filterbank(64, 1024, FS).T + EPS)
+        assert np.array_equal(got, np.maximum(db, db.max() - MEL_DYNAMIC_RANGE_DB))
 
     def test_row_count_superadditive(self, noise_wave):
         w = noise_wave

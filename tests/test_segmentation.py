@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlafp.audio import Waveform
-from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, MelConfig, mel_spectrogram, stft
-from vlafp.pipeline import segment_mels, segment_waveform_span
+from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, MelConfig, stft
+from vlafp.pipeline import segment_mels, training_sources
 from vlafp.segmentation import (
     METHODS,
     SILENCE_THRESHOLD_DB,
@@ -21,7 +21,6 @@ from vlafp.segmentation import (
     segment_main,
     segment_no_silence,
     segment_waveform,
-    with_theta,
     write_manifest,
 )
 from vlafp.synth import make_tone_noise_alternation, make_tone_silence
@@ -190,7 +189,7 @@ class TestWaveformMethod:
 
 
 class TestFrameGrid:
-    """Segments, their index-side mel rows and their training spans share one frame grid."""
+    """Segments, their index-side mel rows and their training rows share one frame grid."""
 
     @pytest.mark.parametrize("method", METHODS)
     def test_mel_rows_and_span_follow_the_grid(self, small_corpus, method):
@@ -198,13 +197,16 @@ class TestFrameGrid:
         cfg = SegmenterConfig(method=method, theta=default_theta(method))
         for aid, w in small_corpus[:2]:
             segs = segment(w, cfg, aid)
-            for seg, mel in zip(segs, segment_mels(w, segs, mel_cfg), strict=True):
+            audio_frames = stft(w).frames
+            sources = training_sources([(aid, w)], cfg, mel_cfg)
+            for seg, mel, src in zip(segs, segment_mels(w, segs, mel_cfg), sources, strict=True):
                 first, last = seg.frame_indices[0], seg.frame_indices[-1]
                 assert mel.shape == (seg.n_frames, 32)
                 assert seg.start_time == pytest.approx(first * DEFAULT_HOP / FS)
-                span = segment_waveform_span(w, seg, mel_cfg)
-                assert len(span) == (last - first) * DEFAULT_HOP + DEFAULT_WINDOW
-                assert mel_spectrogram(span, mel_cfg).n_frames == last - first + 1
+                assert len(src.waveform) == (last - first) * DEFAULT_HOP + DEFAULT_WINDOW
+                assert src.rows == tuple(i - first for i in seg.frame_indices)
+                # The span's STFT is the audio's frames first..last, bit for bit.
+                assert np.array_equal(stft(src.waveform).frames, audio_frames[first : last + 1])
 
     def test_waveform_method_short_and_empty_input(self):
         cfg = SegmenterConfig(method="waveform", theta=4.0)
@@ -212,6 +214,15 @@ class TestFrameGrid:
         assert [s.frame_indices for s in segs] == [(0,)]
         with pytest.raises(ValueError, match="empty"):
             segment_waveform(Waveform(np.zeros(0), FS), cfg)
+
+
+class TestTails:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_only_the_last_segment_may_be_short(self, small_corpus, method):
+        cfg = SegmenterConfig(method=method, theta=default_theta(method))
+        for aid, w in small_corpus:
+            segs = segment(w, cfg, aid)
+            assert all(s.n_frames >= cfg.min_frames(FS) for s in segs[:-1])
 
 
 class TestFixed:
@@ -281,7 +292,3 @@ class TestDispatchAndManifest:
             SegmenterConfig(theta=-1.0)
         with pytest.raises(ValueError):
             SegmenterConfig(method="bogus")
-
-    def test_with_theta(self):
-        cfg = with_theta(SegmenterConfig(), 2.5)
-        assert cfg.theta == 2.5

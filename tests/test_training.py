@@ -139,7 +139,9 @@ class TestBuildBatch:
     def test_small_corpus_warns(self, tiny_setup):
         _, mel_cfg, aug, _ = tiny_setup
         few = [
-            SourceSegment(0, Waveform(np.random.default_rng(0).standard_normal(FS) * 0.2, FS), 0.0, 1.0)
+            SourceSegment(
+                0, Waveform(np.random.default_rng(0).standard_normal(FS) * 0.2, FS), 0.0, 1.0, tuple(range(28))
+            )
         ]
         cfg = TrainConfig(batch_items=60, n_pos=3, seed=0)
         with pytest.warns(UserWarning, match="smaller batch"):
