@@ -90,14 +90,11 @@ def write_wav(path: str | Path, w: Waveform, pcm16: bool = False) -> None:
 
 def read_raw_f32(path: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
     """Read a headerless little-endian float32 mono file."""
-    data = np.fromfile(str(path), dtype="<f4")
-    if data.size == 0:
-        raise ValueError(f"{path}: empty input")
-    return Waveform(data.astype(np.float64), sample_rate)
+    return Waveform(np.fromfile(str(path), dtype="<f4").astype(np.float64), sample_rate)
 
 
 def load_audio(path: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:
-    """Load .wav (rate-checked) or raw .f32 audio; every sample must be finite."""
+    """Load .wav (rate-checked) or raw .f32 audio: at least one sample, every one finite."""
     p = Path(path)
     if p.suffix.lower() == ".wav":
         w = read_wav(p, expected_rate=sample_rate)
@@ -105,6 +102,8 @@ def load_audio(path: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Wave
         w = read_raw_f32(p, sample_rate)
     else:
         raise ValueError(f"{path}: unsupported audio format {p.suffix!r}")
+    if len(w) == 0:
+        raise ValueError(f"{path}: empty audio")
     bad = np.flatnonzero(~np.isfinite(w.samples))
     if bad.size:
         raise ValueError(f"{path}: {bad.size} non-finite samples (NaN or Inf), first at sample {bad[0]}")

@@ -1,9 +1,11 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
-Only the operations the fingerprint model needs: elementwise arithmetic,
-(batched) matmul, exp/log/sqrt/sigmoid, axis reductions, basic-slice
-indexing, reshape/swapaxes/concatenate. Gradients accumulate into .grad
-on tensors created with requires_grad=True.
+Elementwise arithmetic, (batched) matmul, exp/log/sqrt/sigmoid, axis
+reductions, basic-slice indexing, reshape/swapaxes/concatenate: what the
+contrastive loss and the model's Tensor reference (tests/oracles.py) use.
+The model itself enters the graph as one node with a hand-written
+backward (model.fingerprint_batch_forward). Gradients accumulate into
+.grad on tensors created with requires_grad=True.
 """
 
 from __future__ import annotations

@@ -7,10 +7,13 @@ import csv
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .audio import Waveform, load_audio, write_wav
@@ -112,7 +115,19 @@ def model_config_from_args(args) -> ModelConfig:
     )
 
 
+# Thread-count variables the BLAS and OpenMP pools read when numpy loads.
+THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
 def write_run_manifest(out_path: str | Path, subcommand: str, args) -> None:
+    """<out>.manifest.json: the flags, their digest, and the environment (not digested)."""
     flags = {k: repr(v) for k, v in sorted(vars(args).items()) if k != "func"}
     payload = {
         "tool": "vlafp",
@@ -120,6 +135,12 @@ def write_run_manifest(out_path: str | Path, subcommand: str, args) -> None:
         "subcommand": subcommand,
         "flags": flags,
         "config_digest": hashlib.sha256(json.dumps(flags, sort_keys=True).encode()).hexdigest(),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS},  # None when unset
+        },
     }
     Path(str(out_path) + ".manifest.json").write_text(json.dumps(payload, indent=2) + "\n")
 

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit
 
-from .autodiff import Tensor, concat, silu, softmax_lastdim
+from .autodiff import Tensor
 
 INIT_STD = 0.02
 # Largest self-attention, in cells (n * L^2), that one stack of n equal-length
@@ -129,73 +130,155 @@ def as_tensors(params: Parameters, requires_grad: bool = False) -> dict[str, Ten
     return {k: Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
 
 
-# -- layer primitives ---------------------------------------------------
+# -- forward and backward --------------------------------------------------
+#
+# The model is plain numpy over one (n, L, F) stack of equal-length segments.
+# In training each layer pushes the arrays its backward reads onto a tape (a
+# list), and each *_backward pops them in reverse order, adds the layer's
+# weight gradients into `grads` and returns the gradient of its inputs.
+# Inference passes no tape, so every array is freed as soon as it is used.
+# The forward keeps the arithmetic of the Tensor reference in
+# tests/oracles.py (a mean is sum * (1/n), pooling a matmul with a 1/L row,
+# SiLU x * expit(x)), so its bytes equal the reference's.
+
+HEAD_WEIGHTS = ("wq", "wk", "wv")
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
+def _attention_prefixes(cfg: ModelConfig) -> list[str]:
+    return [f"block{b}.{kind}" for b in range(cfg.n_blocks) for kind in ("attn", "cross")]
+
+
+def _fuse_heads(params: Parameters, cfg: ModelConfig) -> Parameters:
+    """params with each attention's per-head wq/wk/wv as one (d, H*d_head) matrix."""
+    w = dict(params)
+    for prefix in _attention_prefixes(cfg):
+        for kind in HEAD_WEIGHTS:
+            heads = [w.pop(f"{prefix}.{kind}.{h}") for h in range(cfg.n_heads)]
+            w[f"{prefix}.{kind}"] = np.concatenate(heads, axis=1)
+    return w
+
+
+def _split_heads(grads: Parameters, cfg: ModelConfig) -> Parameters:
+    """Inverse of _fuse_heads: fused weight gradients back under the per-head names."""
+    out = dict(grads)
+    for prefix in _attention_prefixes(cfg):
+        for kind in HEAD_WEIGHTS:
+            fused = out.pop(f"{prefix}.{kind}")
+            for h in range(cfg.n_heads):
+                out[f"{prefix}.{kind}.{h}"] = fused[:, h * cfg.d_head : (h + 1) * cfg.d_head]
+    return out
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """Every leading axis flattened: (..., k) -> (rows, k)."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float, tape: list | None) -> np.ndarray:
     """x / sqrt(mean(x^2) + eps) over the last axis, scaled by gain."""
-    ms = (x * x).mean(axis=-1, keepdims=True)
-    return x / (ms + eps).sqrt() * gain
+    r = np.sqrt((x * x).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1]) + eps)
+    xhat = x / r
+    if tape is not None:
+        tape.append((xhat, r))
+    return xhat * gain
 
 
-def multi_head_attention(
-    q_in: Tensor,
-    kv_in: Tensor,
-    tp: dict[str, Tensor],
-    prefix: str,
-    n_heads: int,
-    d_head: int,
-) -> Tensor:
-    """softmax(QK^T / sqrt(d_head)) V per head, heads concatenated, then W_O.
+def _rms_norm_backward(dy, w, name, tape, grads):
+    xhat, r = tape.pop()
+    grads[name] += _rows(dy * xhat).sum(axis=0)
+    dxhat = dy * w[name]
+    return (dxhat - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / r
 
-    q_in and kv_in may be 2-D (rows x dim) or batched 3-D. The per-head
-    projections run as one matmul each, then split into a head axis.
+
+def _attention(q_in, kv_in, w: Parameters, prefix: str, cfg: ModelConfig, tape: list | None) -> np.ndarray:
+    """softmax(QK^T / sqrt(d_head)) V per head, heads merged, then W_O.
+
+    q_in is (n, Rq, d) and kv_in (n, Rk, d); each head is a (n, H, rows,
+    d_head) view of one fused projection.
     """
-    scale = 1.0 / math.sqrt(d_head)
-    wq = concat([tp[f"{prefix}.wq.{h}"] for h in range(n_heads)], axis=1)
-    wk = concat([tp[f"{prefix}.wk.{h}"] for h in range(n_heads)], axis=1)
-    wv = concat([tp[f"{prefix}.wv.{h}"] for h in range(n_heads)], axis=1)
+    n_heads, d_head = cfg.n_heads, cfg.d_head
 
-    def split_heads(x: Tensor) -> Tensor:
-        # (..., rows, H*dh) -> (..., H, rows, dh)
+    def split(x):  # (n, rows, H*dh) -> (n, H, rows, dh)
         return x.reshape(*x.shape[:-1], n_heads, d_head).swapaxes(-3, -2)
 
-    q = split_heads(q_in @ wq)
-    k = split_heads(kv_in @ wk)
-    v = split_heads(kv_in @ wv)
-    logits = (q @ k.swapaxes(-1, -2)) * scale
-    att = softmax_lastdim(logits) @ v
-    merged = att.swapaxes(-3, -2)
-    merged = merged.reshape(*merged.shape[:-2], n_heads * d_head)
-    return merged @ tp[f"{prefix}.wo"]
+    q = split(q_in @ w[f"{prefix}.wq"])
+    k = split(kv_in @ w[f"{prefix}.wk"])
+    v = split(kv_in @ w[f"{prefix}.wv"])
+    logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_head))
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    att = (p @ v).swapaxes(-3, -2)
+    merged = att.reshape(*att.shape[:-2], n_heads * d_head)
+    if tape is not None:
+        tape.append((q_in, kv_in, q, k, v, p, merged))
+    return merged @ w[f"{prefix}.wo"]
 
 
-def ffn(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor) -> Tensor:
+def _attention_backward(dout, w, prefix, cfg, tape, grads):
+    """Gradients of the query and the key/value inputs of _attention."""
+    q_in, kv_in, q, k, v, p, merged = tape.pop()
+    n_heads, d_head = cfg.n_heads, cfg.d_head
+
+    def merge(x):  # (n, H, rows, dh) -> (n, rows, H*dh)
+        x = x.swapaxes(-3, -2)
+        return x.reshape(*x.shape[:-2], n_heads * d_head)
+
+    grads[f"{prefix}.wo"] += _rows(merged).T @ _rows(dout)
+    datt = dout @ w[f"{prefix}.wo"].T
+    datt = datt.reshape(*datt.shape[:-1], n_heads, d_head).swapaxes(-3, -2)
+    dp = datt @ v.swapaxes(-1, -2)
+    dv = merge(p.swapaxes(-1, -2) @ datt)
+    dlogits = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * (1.0 / math.sqrt(d_head))
+    dq = merge(dlogits @ k)
+    dk = merge(dlogits.swapaxes(-1, -2) @ q)
+    grads[f"{prefix}.wq"] += _rows(q_in).T @ _rows(dq)
+    grads[f"{prefix}.wk"] += _rows(kv_in).T @ _rows(dk)
+    grads[f"{prefix}.wv"] += _rows(kv_in).T @ _rows(dv)
+    dq_in = dq @ w[f"{prefix}.wq"].T
+    dkv_in = dk @ w[f"{prefix}.wk"].T + dv @ w[f"{prefix}.wv"].T
+    return dq_in, dkv_in
+
+
+def _ffn(x: np.ndarray, w: Parameters, prefix: str, tape: list | None) -> np.ndarray:
     """Gated feedforward: (SiLU(x W1) * (x W3)) W2."""
-    return (silu(x @ w1) * (x @ w3)) @ w2
+    u = x @ w[f"{prefix}.w1"]
+    gate = expit(u)
+    silu = u * gate
+    lin = x @ w[f"{prefix}.w3"]
+    hidden = silu * lin
+    if tape is not None:
+        tape.append((x, u, gate, silu, lin, hidden))
+    return hidden @ w[f"{prefix}.w2"]
 
 
-def block_frames(
-    h_prev: Tensor,
-    tp: dict[str, Tensor],
-    block: int,
-    cfg: ModelConfig,
-) -> Tensor:
+def _ffn_backward(dout, w, prefix, tape, grads):
+    x, u, gate, silu, lin, hidden = tape.pop()
+    grads[f"{prefix}.w2"] += _rows(hidden).T @ _rows(dout)
+    dhidden = dout @ w[f"{prefix}.w2"].T
+    du = dhidden * lin * gate * (1.0 + u * (1.0 - gate))
+    dlin = dhidden * silu
+    grads[f"{prefix}.w1"] += _rows(x).T @ _rows(du)
+    grads[f"{prefix}.w3"] += _rows(x).T @ _rows(dlin)
+    return du @ w[f"{prefix}.w1"].T + dlin @ w[f"{prefix}.w3"].T
+
+
+def _block_frames(h_prev: np.ndarray, w: Parameters, block: int, cfg: ModelConfig, tape: list | None):
     """Pre-norm residual frame update: self-attention then gated FFN."""
-    normed = rms_norm(h_prev, tp[f"block{block}.attn_norm.gain"], cfg.eps)
-    h = h_prev + multi_head_attention(
-        normed, normed, tp, f"block{block}.attn", cfg.n_heads, cfg.d_head
-    )
-    h_t = h + ffn(
-        rms_norm(h, tp[f"block{block}.ffn_norm.gain"], cfg.eps),
-        tp[f"block{block}.ffn.w1"],
-        tp[f"block{block}.ffn.w2"],
-        tp[f"block{block}.ffn.w3"],
-    )
-    return h_t
+    p = f"block{block}"
+    normed = _rms_norm(h_prev, w[f"{p}.attn_norm.gain"], cfg.eps, tape)
+    h = h_prev + _attention(normed, normed, w, f"{p}.attn", cfg, tape)
+    return h + _ffn(_rms_norm(h, w[f"{p}.ffn_norm.gain"], cfg.eps, tape), w, f"{p}.ffn", tape)
 
 
-def seg_init(h1: Tensor, tp: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+def _block_frames_backward(dh_out, w, block, cfg, tape, grads):
+    p = f"block{block}"
+    dnormed = _ffn_backward(dh_out, w, f"{p}.ffn", tape, grads)
+    dh = dh_out + _rms_norm_backward(dnormed, w, f"{p}.ffn_norm.gain", tape, grads)
+    dq_in, dkv_in = _attention_backward(dh, w, f"{p}.attn", cfg, tape, grads)
+    return dh + _rms_norm_backward(dq_in + dkv_in, w, f"{p}.attn_norm.gain", tape, grads)
+
+
+def _seg_init(h1: np.ndarray, w: Parameters, cfg: ModelConfig, tape: list | None) -> np.ndarray:
     """Mean-pool each segment of an (n, L, d) stack, project once per head: (n, H, d).
 
     The mean is a matmul with a 1/L pooling row, not a sum and a divide:
@@ -203,66 +286,130 @@ def seg_init(h1: Tensor, tp: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     rounding (`bench/make_checkpoint.py --check`).
     """
     n, length, _ = h1.shape
-    pooled = Tensor(np.full((n, 1, length), 1.0 / length)) @ h1  # (n, 1, d)
-    return concat([pooled @ tp[f"seg_init.ws.{h}"] for h in range(cfg.n_heads)], axis=1)
+    pooled = np.full((n, 1, length), 1.0 / length) @ h1  # (n, 1, d)
+    if tape is not None:
+        tape.append((pooled, length))
+    return np.concatenate([pooled @ w[f"seg_init.ws.{h}"] for h in range(cfg.n_heads)], axis=1)
 
 
-def cross_attention_block(
-    s_prev: Tensor,
-    frames: Tensor,
-    tp: dict[str, Tensor],
-    block: int,
-    cfg: ModelConfig,
-) -> Tensor:
+def _seg_init_backward(ds, w, cfg, tape, grads):
+    pooled, length = tape.pop()
+    dpooled = 0.0
+    for h in range(cfg.n_heads):
+        grads[f"seg_init.ws.{h}"] += pooled[:, 0].T @ ds[:, h]
+        dpooled = dpooled + ds[:, h : h + 1] @ w[f"seg_init.ws.{h}"].T
+    return np.broadcast_to(dpooled * (1.0 / length), (ds.shape[0], length, ds.shape[2]))
+
+
+def _cross_block(s_prev, frames, w: Parameters, block: int, cfg: ModelConfig, tape: list | None):
     """Segment embeddings attend to frames; a single residual addition."""
-    q = rms_norm(s_prev, tp[f"block{block}.cross_qnorm.gain"], cfg.eps)
-    kv = rms_norm(frames, tp[f"block{block}.cross_kvnorm.gain"], cfg.eps)
-    return s_prev + multi_head_attention(q, kv, tp, f"block{block}.cross", cfg.n_heads, cfg.d_head)
+    p = f"block{block}"
+    q = _rms_norm(s_prev, w[f"{p}.cross_qnorm.gain"], cfg.eps, tape)
+    kv = _rms_norm(frames, w[f"{p}.cross_kvnorm.gain"], cfg.eps, tape)
+    return s_prev + _attention(q, kv, w, f"{p}.cross", cfg, tape)
 
 
-def l2_normalize(x: Tensor) -> Tensor:
-    norm = (x * x).sum() + 1e-24
-    return x / norm.sqrt()
+def _cross_block_backward(ds_out, w, block, cfg, tape, grads):
+    """Gradients of the segment embeddings and of the frames."""
+    p = f"block{block}"
+    dq, dkv = _attention_backward(ds_out, w, f"{p}.cross", cfg, tape, grads)
+    dframes = _rms_norm_backward(dkv, w, f"{p}.cross_kvnorm.gain", tape, grads)
+    return ds_out + _rms_norm_backward(dq, w, f"{p}.cross_qnorm.gain", tape, grads), dframes
 
 
-# -- forward pass ----------------------------------------------------------
+def _forward_stack(x: np.ndarray, w: Parameters, cfg: ModelConfig, tape: list | None = None) -> np.ndarray:
+    """Forward n equal-length segments stacked as (n, L, F): (n, d) unit fingerprints.
 
-
-def _forward_stack(x: np.ndarray, tp: dict[str, Tensor], cfg: ModelConfig) -> list[Tensor]:
-    """Forward n equal-length segments stacked as (n, L, F); one unit vector each."""
-    h = Tensor(x) @ tp["w0"] + tp["b0"]
-    s = None
+    w holds head-fused weights (_fuse_heads). Given a tape, the forward
+    pushes onto it what _backward_stack pops.
+    """
+    if tape is not None:
+        tape.append(x)
+    h = x @ w["w0"] + w["b0"]
     for block in range(cfg.n_blocks):
-        h = block_frames(h, tp, block, cfg)
+        h = _block_frames(h, w, block, cfg, tape)
         if block == 0:
-            s = seg_init(h, tp, cfg)
-        s = cross_attention_block(s, h, tp, block, cfg)
-    s = s.mean(axis=1)
-    return [l2_normalize(s[i]) for i in range(x.shape[0])]
+            s = _seg_init(h, w, cfg, tape)
+        s = _cross_block(s, h, w, block, cfg, tape)
+    mean = s.sum(axis=1) * (1.0 / s.shape[1])
+    norm = np.sqrt((mean * mean).sum(axis=-1, keepdims=True) + 1e-24)
+    z = mean / norm
+    if tape is not None:
+        tape.append((z, norm))
+    return z
 
 
-def fingerprint_batch_forward(
-    batch: PackedBatch, tp: dict[str, Tensor], cfg: ModelConfig
-) -> list[Tensor]:
-    """Forward every segment of a packed batch; fingerprint Tensors in span order.
+def _backward_stack(dz: np.ndarray, w: Parameters, cfg: ModelConfig, tape: list, grads: Parameters) -> None:
+    """Add one stack's weight gradients into grads, given dz = d(objective)/d(fingerprints)."""
+    z, norm = tape.pop()
+    dmean = (dz - z * (dz * z).sum(axis=-1, keepdims=True)) / norm
+    ds = np.broadcast_to((dmean * (1.0 / cfg.n_heads))[:, None], (dz.shape[0], cfg.n_heads, cfg.d))
+    dh = 0.0
+    for block in reversed(range(cfg.n_blocks)):
+        ds, dframes = _cross_block_backward(ds, w, block, cfg, tape, grads)
+        dh = dh + dframes
+        if block == 0:
+            dh = dh + _seg_init_backward(ds, w, cfg, tape, grads)
+        dh = _block_frames_backward(dh, w, block, cfg, tape, grads)
+    x = tape.pop()
+    grads["w0"] += _rows(x).T @ _rows(dh)
+    grads["b0"] += _rows(dh).sum(axis=0)
 
-    Segments of equal length run together as one (n, L, F) stack, so no
-    attention crosses a segment boundary and nothing needs a mask. A stack
-    whose self-attention would exceed MAX_ATTENTION_CELLS runs in chunks.
+
+def _stacks(batch: PackedBatch):
+    """(span indices, (n, L, F) stack) for each group of equal-length spans.
+
+    A group whose self-attention would exceed MAX_ATTENTION_CELLS comes in
+    chunks, so no attention crosses a segment boundary and nothing needs a
+    mask.
     """
     groups: dict[int, list[int]] = {}  # length -> span indices
     for i, (_, length) in enumerate(batch.spans):
         groups.setdefault(length, []).append(i)
-    out: list[Tensor] = [None] * batch.n_segments
     for length, members in groups.items():
         per_chunk = max(1, MAX_ATTENTION_CELLS // (length * length))
         for start in range(0, len(members), per_chunk):
             chunk = members[start : start + per_chunk]
             offsets = [batch.spans[i][0] for i in chunk]
-            x = np.stack([batch.frames[off : off + length] for off in offsets])
-            for i, z in zip(chunk, _forward_stack(x, tp, cfg)):
-                out[i] = z
-    return out
+            yield chunk, np.stack([batch.frames[off : off + length] for off in offsets])
+
+
+def _forward_batch(batch: PackedBatch, w: Parameters, cfg: ModelConfig, tapes: list | None = None) -> np.ndarray:
+    """(n_segments, d) unit fingerprints in span order, forwarded stack by stack.
+
+    Given tapes, appends one (span indices, tape) pair per stack.
+    """
+    z = np.empty((batch.n_segments, cfg.d))
+    for chunk, x in _stacks(batch):
+        tape = None if tapes is None else []
+        z[chunk] = _forward_stack(x, w, cfg, tape)
+        if tapes is not None:
+            tapes.append((chunk, tape))
+    return z
+
+
+def fingerprint_batch_forward(
+    batch: PackedBatch, tp: dict[str, Tensor], cfg: ModelConfig
+) -> list[Tensor]:
+    """Forward a packed batch as one autodiff node; fingerprint Tensors in span order.
+
+    The node's backward is _backward_stack over every stack, with the fused
+    head gradients split back onto the per-head tensors of tp.
+    """
+    w = _fuse_heads({name: t.data for name, t in tp.items()}, cfg)
+    tapes: list = []
+    z = _forward_batch(batch, w, cfg, tapes)
+
+    def backward(g):
+        grads = {name: np.zeros_like(v) for name, v in w.items()}
+        for chunk, tape in tapes:  # pop from a copy: a graph may be swept more than once
+            _backward_stack(g[chunk], w, cfg, list(tape), grads)
+        for name, grad in _split_heads(grads, cfg).items():
+            if tp[name].requires_grad:
+                tp[name]._accum(grad)
+
+    node = Tensor._result(z, tuple(tp.values()), backward)
+    return [node[i] for i in range(batch.n_segments)]
 
 
 def fingerprint_batch(batch: PackedBatch, params: Parameters, cfg: ModelConfig) -> list[np.ndarray]:
@@ -272,8 +419,7 @@ def fingerprint_batch(batch: PackedBatch, params: Parameters, cfg: ModelConfig) 
         raise ValueError(f"expected (T, {cfg.f_bins}) mel frames, got shape {frames.shape}")
     if not np.all(np.isfinite(frames)):
         raise ValueError("non-finite values in mel input")
-    zs = fingerprint_batch_forward(batch, as_tensors(params), cfg)
-    return [z.data.copy() for z in zs]
+    return list(_forward_batch(batch, _fuse_heads(params, cfg), cfg))
 
 
 def fingerprint(

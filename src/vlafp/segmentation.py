@@ -253,6 +253,8 @@ def segment_fixed(
     """
     if not (window_s >= hop_s > 0):
         raise ValueError(f"need window >= hop > 0, got {window_s}, {hop_s}")
+    if len(w) == 0:
+        raise ValueError("empty input")
     fs = w.sample_rate
     w_n = round(window_s * fs)
     h_n = round(hop_s * fs)

@@ -1,10 +1,12 @@
 """Independent reference implementations shared by the test modules."""
 
+import math
+
 import numpy as np
 
-from vlafp.autodiff import Tensor, concat
+from vlafp.autodiff import Tensor, concat, silu, softmax_lastdim
 from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, mel_spectrogram
-from vlafp.model import ModelConfig, block_frames, cross_attention_block, l2_normalize
+from vlafp.model import MAX_ATTENTION_CELLS, ModelConfig, PackedBatch
 
 
 def dp_oracle(series, penalty, min_size=1, jump=1):
@@ -121,6 +123,143 @@ def exhaustive_best_f1(scores, labels):
         if f1 > best[0]:
             best = (f1, th, p, r)
     return best
+
+
+# -- the model on the Tensor graph -----------------------------------------
+#
+# The layers as Tensor operations, each op a graph node with its own
+# backward: the reference for vlafp.model's numpy forward (equal bytes) and
+# its hand-written backward (equal gradients within rounding).
+
+
+def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
+    """x / sqrt(mean(x^2) + eps) over the last axis, scaled by gain."""
+    ms = (x * x).mean(axis=-1, keepdims=True)
+    return x / (ms + eps).sqrt() * gain
+
+
+def multi_head_attention(
+    q_in: Tensor,
+    kv_in: Tensor,
+    tp: dict[str, Tensor],
+    prefix: str,
+    n_heads: int,
+    d_head: int,
+) -> Tensor:
+    """softmax(QK^T / sqrt(d_head)) V per head, heads concatenated, then W_O.
+
+    q_in and kv_in may be 2-D (rows x dim) or batched 3-D. The per-head
+    projections run as one matmul each, then split into a head axis.
+    """
+    scale = 1.0 / math.sqrt(d_head)
+    wq = concat([tp[f"{prefix}.wq.{h}"] for h in range(n_heads)], axis=1)
+    wk = concat([tp[f"{prefix}.wk.{h}"] for h in range(n_heads)], axis=1)
+    wv = concat([tp[f"{prefix}.wv.{h}"] for h in range(n_heads)], axis=1)
+
+    def split_heads(x: Tensor) -> Tensor:
+        # (..., rows, H*dh) -> (..., H, rows, dh)
+        return x.reshape(*x.shape[:-1], n_heads, d_head).swapaxes(-3, -2)
+
+    q = split_heads(q_in @ wq)
+    k = split_heads(kv_in @ wk)
+    v = split_heads(kv_in @ wv)
+    logits = (q @ k.swapaxes(-1, -2)) * scale
+    att = softmax_lastdim(logits) @ v
+    merged = att.swapaxes(-3, -2)
+    merged = merged.reshape(*merged.shape[:-2], n_heads * d_head)
+    return merged @ tp[f"{prefix}.wo"]
+
+
+def ffn(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor) -> Tensor:
+    """Gated feedforward: (SiLU(x W1) * (x W3)) W2."""
+    return (silu(x @ w1) * (x @ w3)) @ w2
+
+
+def block_frames(
+    h_prev: Tensor,
+    tp: dict[str, Tensor],
+    block: int,
+    cfg: ModelConfig,
+) -> Tensor:
+    """Pre-norm residual frame update: self-attention then gated FFN."""
+    normed = rms_norm(h_prev, tp[f"block{block}.attn_norm.gain"], cfg.eps)
+    h = h_prev + multi_head_attention(
+        normed, normed, tp, f"block{block}.attn", cfg.n_heads, cfg.d_head
+    )
+    h_t = h + ffn(
+        rms_norm(h, tp[f"block{block}.ffn_norm.gain"], cfg.eps),
+        tp[f"block{block}.ffn.w1"],
+        tp[f"block{block}.ffn.w2"],
+        tp[f"block{block}.ffn.w3"],
+    )
+    return h_t
+
+
+def seg_init(h1: Tensor, tp: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
+    """Mean-pool each segment of an (n, L, d) stack, project once per head: (n, H, d).
+
+    The mean is a matmul with a 1/L pooling row, not a sum and a divide:
+    retraining bench/desk.vlfp reproduces it bit for bit only with this
+    rounding (`bench/make_checkpoint.py --check`).
+    """
+    n, length, _ = h1.shape
+    pooled = Tensor(np.full((n, 1, length), 1.0 / length)) @ h1  # (n, 1, d)
+    return concat([pooled @ tp[f"seg_init.ws.{h}"] for h in range(cfg.n_heads)], axis=1)
+
+
+def cross_attention_block(
+    s_prev: Tensor,
+    frames: Tensor,
+    tp: dict[str, Tensor],
+    block: int,
+    cfg: ModelConfig,
+) -> Tensor:
+    """Segment embeddings attend to frames; a single residual addition."""
+    q = rms_norm(s_prev, tp[f"block{block}.cross_qnorm.gain"], cfg.eps)
+    kv = rms_norm(frames, tp[f"block{block}.cross_kvnorm.gain"], cfg.eps)
+    return s_prev + multi_head_attention(q, kv, tp, f"block{block}.cross", cfg.n_heads, cfg.d_head)
+
+
+def l2_normalize(x: Tensor) -> Tensor:
+    norm = (x * x).sum() + 1e-24
+    return x / norm.sqrt()
+
+
+def forward_stack(x: np.ndarray, tp: dict[str, Tensor], cfg: ModelConfig) -> list[Tensor]:
+    """Forward n equal-length segments stacked as (n, L, F); one unit vector each."""
+    h = Tensor(x) @ tp["w0"] + tp["b0"]
+    s = None
+    for block in range(cfg.n_blocks):
+        h = block_frames(h, tp, block, cfg)
+        if block == 0:
+            s = seg_init(h, tp, cfg)
+        s = cross_attention_block(s, h, tp, block, cfg)
+    s = s.mean(axis=1)
+    return [l2_normalize(s[i]) for i in range(x.shape[0])]
+
+
+def batch_forward(
+    batch: PackedBatch, tp: dict[str, Tensor], cfg: ModelConfig
+) -> list[Tensor]:
+    """Forward every segment of a packed batch; fingerprint Tensors in span order.
+
+    Segments of equal length run together as one (n, L, F) stack, so no
+    attention crosses a segment boundary and nothing needs a mask. A stack
+    whose self-attention would exceed MAX_ATTENTION_CELLS runs in chunks.
+    """
+    groups: dict[int, list[int]] = {}  # length -> span indices
+    for i, (_, length) in enumerate(batch.spans):
+        groups.setdefault(length, []).append(i)
+    out: list[Tensor] = [None] * batch.n_segments
+    for length, members in groups.items():
+        per_chunk = max(1, MAX_ATTENTION_CELLS // (length * length))
+        for start in range(0, len(members), per_chunk):
+            chunk = members[start : start + per_chunk]
+            offsets = [batch.spans[i][0] for i in chunk]
+            x = np.stack([batch.frames[off : off + length] for off in offsets])
+            for i, z in zip(chunk, forward_stack(x, tp, cfg)):
+                out[i] = z
+    return out
 
 
 def init_segment_embeddings(h1: Tensor, tp: dict[str, Tensor], cfg: ModelConfig) -> Tensor:

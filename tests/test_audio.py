@@ -70,8 +70,16 @@ class TestWavIo:
     def test_empty_raw_rejected(self, tmp_path):
         path = tmp_path / "empty.f32"
         path.write_bytes(b"")
-        with pytest.raises(ValueError, match="empty"):
-            read_raw_f32(path, FS)
+        with pytest.raises(ValueError, match="empty audio") as exc:
+            load_audio(path, FS)
+        assert str(path) in str(exc.value)
+
+    def test_empty_wav_rejected(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        write_wav(path, Waveform(np.zeros(0), FS))
+        with pytest.raises(ValueError, match="empty audio") as exc:
+            load_audio(path, FS)
+        assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("suffix", [".wav", ".f32"])

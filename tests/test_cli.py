@@ -1,7 +1,9 @@
 import gc
+import hashlib
 import json
 import math
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -10,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.io import wavfile
 
 import vlafp
-from vlafp.cli import main
+from vlafp.cli import THREAD_VARS, main
 from vlafp.index import FingerprintIndex, IndexEntry
 from vlafp.model import load_checkpoint
 from vlafp.segmentation import read_manifest
@@ -59,7 +62,15 @@ class TestSynth:
     def test_writes_wavs_and_manifest(self, corpus_dir):
         wavs = sorted(corpus_dir.glob("*.wav"))
         assert len(wavs) == 6
-        assert (corpus_dir / "corpus.manifest.json").exists()
+        manifest = json.loads((corpus_dir / "corpus.manifest.json").read_text())
+        digest = hashlib.sha256(json.dumps(manifest["flags"], sort_keys=True).encode()).hexdigest()
+        assert manifest["config_digest"] == digest
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        }
 
 
 class TestSegment:
@@ -114,6 +125,18 @@ class TestSegment:
         rc = main(["segment", "--audio", str(path), "--method", method, "--out", str(tmp_path / "m.txt")])
         assert rc == 1
         _one_error_line(capsys, str(path), "not a readable WAV")
+
+    @pytest.mark.parametrize("method", ["main", "nosilence", "pelt", "waveform", "fixed"])
+    @pytest.mark.parametrize("suffix", [".wav", ".f32"])
+    def test_empty_audio_exit_1(self, tmp_path, capsys, method, suffix):
+        path = tmp_path / f"empty{suffix}"
+        if suffix == ".wav":
+            wavfile.write(str(path), 8000, np.zeros(0, dtype=np.float32))
+        else:
+            path.write_bytes(b"")
+        rc = main(["segment", "--audio", str(path), "--method", method, "--out", str(tmp_path / "m.txt")])
+        assert rc == 1
+        _one_error_line(capsys, str(path), "empty audio")
 
     def test_truncated_wav_exit_1(self, tmp_path, capsys):
         path = tmp_path / "cut.wav"

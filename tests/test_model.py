@@ -4,27 +4,34 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import fingerprint_forward, init_segment_embeddings
+from oracles import (
+    batch_forward,
+    block_frames,
+    cross_attention_block,
+    ffn,
+    fingerprint_forward,
+    forward_stack,
+    init_segment_embeddings,
+    multi_head_attention,
+    rms_norm,
+    seg_init,
+)
 
 from vlafp import model
-from vlafp.autodiff import Tensor
+from vlafp.autodiff import Tensor, concat
 from vlafp.model import (
     ModelConfig,
     PackedBatch,
     as_tensors,
-    cross_attention_block,
-    ffn,
     fingerprint,
     fingerprint_batch,
+    fingerprint_batch_forward,
     init_parameters,
     load_checkpoint,
-    multi_head_attention,
     pack_segments,
-    rms_norm,
     save_checkpoint,
-    seg_init,
-    block_frames,
 )
+from vlafp.training import supcon_loss
 
 DESK = ModelConfig()
 SMALL = ModelConfig(f_bins=6, d=8, n_blocks=2, n_heads=2, d_head=4)
@@ -215,6 +222,96 @@ class TestSegInit:
             np.testing.assert_allclose(got[i], want, atol=1e-12)
 
 
+def jittered_params(cfg, seed):
+    """init_parameters with every norm gain moved off 1, so the gains count."""
+    rng = np.random.default_rng(seed)
+    params = init_parameters(cfg, seed=seed)
+    return {k: v + rng.normal(0.0, 0.1, v.shape) if k.endswith(".gain") else v for k, v in params.items()}
+
+
+class TestLayersMatchReference:
+    """Each layer of the numpy forward, without a tape, against its Tensor reference.
+
+    Inputs are n = 3 stacks of L frames (x, width d; mel, width f_bins) and
+    their H segment embeddings (s); w is the head-fused numpy parameters and
+    tp the per-head Tensors.
+    """
+
+    LAYERS = {
+        "rms_norm": (
+            lambda i, w: model._rms_norm(i["x"], w["block1.ffn_norm.gain"], DESK.eps, None),
+            lambda i, tp: rms_norm(Tensor(i["x"]), tp["block1.ffn_norm.gain"], DESK.eps),
+        ),
+        "self_attention": (
+            lambda i, w: model._attention(i["x"], i["x"], w, "block1.attn", DESK, None),
+            lambda i, tp: multi_head_attention(
+                Tensor(i["x"]), Tensor(i["x"]), tp, "block1.attn", DESK.n_heads, DESK.d_head
+            ),
+        ),
+        "cross_attention": (
+            lambda i, w: model._attention(i["s"], i["x"], w, "block1.cross", DESK, None),
+            lambda i, tp: multi_head_attention(
+                Tensor(i["s"]), Tensor(i["x"]), tp, "block1.cross", DESK.n_heads, DESK.d_head
+            ),
+        ),
+        "ffn": (
+            lambda i, w: model._ffn(i["x"], w, "block1.ffn", None),
+            lambda i, tp: ffn(
+                Tensor(i["x"]), tp["block1.ffn.w1"], tp["block1.ffn.w2"], tp["block1.ffn.w3"]
+            ),
+        ),
+        "block_frames": (
+            lambda i, w: model._block_frames(i["x"], w, 1, DESK, None),
+            lambda i, tp: block_frames(Tensor(i["x"]), tp, 1, DESK),
+        ),
+        "seg_init": (
+            lambda i, w: model._seg_init(i["x"], w, DESK, None),
+            lambda i, tp: seg_init(Tensor(i["x"]), tp, DESK),
+        ),
+        "cross_block": (
+            lambda i, w: model._cross_block(i["s"], i["x"], w, 1, DESK, None),
+            lambda i, tp: cross_attention_block(Tensor(i["s"]), Tensor(i["x"]), tp, 1, DESK),
+        ),
+        "forward_stack": (
+            lambda i, w: model._forward_stack(i["mel"], w, DESK),
+            lambda i, tp: concat([z.reshape(1, -1) for z in forward_stack(i["mel"], tp, DESK)], axis=0),
+        ),
+    }
+
+    @pytest.mark.parametrize("length", [1, 28])
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    def test_same_bytes_at_desk_size(self, layer, length):
+        rng = np.random.default_rng(length)
+        params = jittered_params(DESK, seed=11)
+        inputs = {
+            "x": rng.standard_normal((3, length, DESK.d)),
+            "mel": rng.standard_normal((3, length, DESK.f_bins)),
+            "s": rng.standard_normal((3, DESK.n_heads, DESK.d)),
+        }
+        ours, reference = self.LAYERS[layer]
+        got = ours(inputs, model._fuse_heads(params, DESK))
+        want = reference(inputs, as_tensors(params)).data
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_cross_block_with_zero_wo_is_identity(self, rng):
+        params = init_parameters(DESK, seed=0)
+        params["block0.cross.wo"] = np.zeros_like(params["block0.cross.wo"])
+        s = rng.standard_normal((2, DESK.n_heads, DESK.d))
+        frames = rng.standard_normal((2, 6, DESK.d))
+        out = model._cross_block(s, frames, model._fuse_heads(params, DESK), 0, DESK, None)
+        assert np.array_equal(out, s)
+
+    def test_single_frame_pool_is_that_frame(self, rng):
+        params = init_parameters(DESK, seed=3)
+        h1 = rng.standard_normal((2, 1, DESK.d))
+        s0 = model._seg_init(h1, model._fuse_heads(params, DESK), DESK, None)
+        for h in range(DESK.n_heads):
+            np.testing.assert_allclose(
+                s0[:, h], h1[:, 0] @ params[f"seg_init.ws.{h}"], rtol=0, atol=1e-12
+            )
+
+
 class TestFingerprint:
     def test_unit_norm(self, rng):
         params = init_parameters(DESK, seed=0)
@@ -307,9 +404,9 @@ class TestPackedBatch:
         seen = []
         forward_stack = model._forward_stack
 
-        def record(x, tp, cfg):
+        def record(x, *rest):
             seen.append(x.shape[:2])
-            return forward_stack(x, tp, cfg)
+            return forward_stack(x, *rest)
 
         monkeypatch.setattr(model, "_forward_stack", record)
         lengths = [100] * 7 + [3, 260, 260]
@@ -334,10 +431,56 @@ class TestPackedBatch:
         rng = np.random.default_rng(seed)
         params = init_parameters(SMALL, seed=5)
         mels = [rng.standard_normal((t, SMALL.f_bins)) for t in lengths]
-        packed = fingerprint_batch(pack_segments(mels), params, SMALL)
+        batch = pack_segments(mels)
+        packed = fingerprint_batch(batch, params, SMALL)
         assert len(packed) == len(mels)
+        reference = batch_forward(batch, as_tensors(params), SMALL)
+        assert np.stack(packed).tobytes() == np.stack([z.data for z in reference]).tobytes()
         for z, mel in zip(packed, mels):
             np.testing.assert_allclose(z, oracle_vector(mel, params, SMALL), rtol=0, atol=1e-12)
+
+    def test_constructs_no_tensor(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fingerprint_batch built a Tensor")
+
+        monkeypatch.setattr(Tensor, "__init__", refuse)
+        mels = [rng.standard_normal((t, DESK.f_bins)) for t in (3, 28, 28)]
+        assert len(fingerprint_batch(pack_segments(mels), init_parameters(DESK, seed=0), DESK)) == 3
+
+
+class TestBackward:
+    """The hand-written backward against the Tensor graph's, through the contrastive loss."""
+
+    @staticmethod
+    def gradients(forward, batch, params, cfg, positive_sets):
+        tp = as_tensors(params, requires_grad=True)
+        zs = forward(batch, tp, cfg)
+        supcon_loss(concat([z.reshape(1, -1) for z in zs], axis=0), positive_sets, 0.05).backward()
+        return {name: t.grad for name, t in tp.items()}
+
+    def test_every_parameter_matches_the_tensor_graph(self):
+        rng = np.random.default_rng(8)
+        params = init_parameters(DESK, seed=8)
+        # 15 groups of 4, lengths mixed within and across groups, 1 frame included
+        lengths = rng.choice([1, 16, 28, 28, 28, 40, 93], size=60)
+        batch = pack_segments([rng.standard_normal((t, DESK.f_bins)) for t in lengths])
+        pos = {i: [j for j in range(60) if j // 4 == i // 4 and j != i] for i in range(60)}
+        got = self.gradients(fingerprint_batch_forward, batch, params, DESK, pos)
+        want = self.gradients(batch_forward, batch, params, DESK, pos)
+        assert set(got) == set(want) == set(params)
+        for name in params:
+            assert got[name] is not None, f"no gradient reached {name}"
+            assert got[name].shape == params[name].shape, name
+            scale = np.abs(want[name]).max()
+            assert scale > 0.0, name
+            assert np.abs(got[name] - want[name]).max() <= 1e-10 * scale, name
+
+    def test_forward_values_are_the_inference_bytes(self, rng):
+        params = init_parameters(SMALL, seed=2)
+        batch = pack_segments([rng.standard_normal((t, SMALL.f_bins)) for t in (4, 9, 4, 1)])
+        zs = fingerprint_batch_forward(batch, as_tensors(params, requires_grad=True), SMALL)
+        inference = fingerprint_batch(batch, params, SMALL)
+        assert np.stack([z.data for z in zs]).tobytes() == np.stack(inference).tobytes()
 
 
 class TestCheckpoint:

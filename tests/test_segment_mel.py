@@ -89,3 +89,14 @@ def test_stretched_positive_keeps_row_0_and_drops_skipped_frames(skipping_source
         n_dropped += frames.n_frames - len(keep)
         assert same_bytes(positive, mel_from_frames(frames.select(keep), MEL_CFG).data)
     assert n_dropped > 0
+
+
+@pytest.mark.parametrize("method", ["fixed", "main"])
+@pytest.mark.parametrize("factor", [0.8, 1.2])
+def test_every_frame_source_positive_keeps_every_stretched_frame(small_corpus, method, factor):
+    sources = training_sources(small_corpus[:2], seg_config(method), MEL_CFG)
+    assert all(len(s.rows) == stft(s.waveform).n_frames for s in sources)
+    _, positives = batch_mels(sources, stretch_only(factor))
+    for src, positive in zip(sources, positives, strict=True):
+        stretched = time_stretch(src.waveform, factor)
+        assert same_bytes(positive, mel_from_frames(stft(stretched), MEL_CFG).data)

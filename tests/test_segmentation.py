@@ -245,6 +245,10 @@ class TestFixed:
         with pytest.raises(ValueError):
             segment_fixed(Waveform(np.ones(FS), FS), 0.5, 1.0)
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="empty input"):
+            segment_fixed(Waveform(np.zeros(0), FS), 1.0, 0.5)
+
 
 class TestPeltConstantSeries:
     @pytest.mark.parametrize("level", [0.0, 0.1])
