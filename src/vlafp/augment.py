@@ -9,7 +9,7 @@ import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
 from .audio import Waveform
-from .dsp import DEFAULT_HOP, DEFAULT_WINDOW, hann_window
+from .dsp import DEFAULT_HOP, DEFAULT_WINDOW, hann_window, stft
 
 
 @dataclass(frozen=True)
@@ -30,26 +30,24 @@ class AugmentConfig:
             raise ValueError(f"bad snr_range_db {self.snr_range_db}")
 
 
-def _istft_overlap_add(frames: np.ndarray, window_size: int, hop: int, length: int) -> np.ndarray:
-    win = hann_window(window_size)
+def _istft_overlap_add(frames: np.ndarray, length: int) -> np.ndarray:
+    win = hann_window(DEFAULT_WINDOW)
     n_frames = frames.shape[0]
-    total = (n_frames - 1) * hop + window_size
+    total = (n_frames - 1) * DEFAULT_HOP + DEFAULT_WINDOW
     acc = np.zeros(total)
     norm = np.zeros(total)
     for i in range(n_frames):
-        chunk = np.fft.irfft(frames[i], n=window_size)
-        acc[i * hop : i * hop + window_size] += chunk * win
-        norm[i * hop : i * hop + window_size] += win**2
+        chunk = np.fft.irfft(frames[i], n=DEFAULT_WINDOW)
+        acc[i * DEFAULT_HOP : i * DEFAULT_HOP + DEFAULT_WINDOW] += chunk * win
+        norm[i * DEFAULT_HOP : i * DEFAULT_HOP + DEFAULT_WINDOW] += win**2
     out = acc / np.maximum(norm, 1e-8)
     if out.shape[0] >= length:
         return out[:length]
     return np.concatenate([out, np.zeros(length - out.shape[0])])
 
 
-def time_stretch(
-    w: Waveform, factor: float, window_size: int = DEFAULT_WINDOW, hop: int = DEFAULT_HOP
-) -> Waveform:
-    """Phase-vocoder time stretch: factor > 1 speeds up, < 1 slows down.
+def time_stretch(w: Waveform, factor: float) -> Waveform:
+    """Phase-vocoder time stretch on the one STFT grid: factor > 1 speeds up, < 1 slows down.
 
     Pitch is preserved; output length is round(len(w) / factor).
     """
@@ -62,13 +60,9 @@ def time_stretch(
     if factor == 1.0:
         return Waveform(x.copy(), w.sample_rate)
 
-    pad = np.concatenate([x, np.zeros(window_size)])
-    n = (pad.shape[0] - window_size) // hop + 1
-    idx = np.arange(window_size)[None, :] + hop * np.arange(n)[:, None]
-    spec = np.fft.rfft(pad[idx] * hann_window(window_size)[None, :], axis=1)
-
-    steps = np.arange(0.0, n - 1, factor)
-    omega = 2.0 * np.pi * hop * np.arange(spec.shape[1]) / window_size
+    spec = stft(Waveform(np.concatenate([x, np.zeros(DEFAULT_WINDOW)]), w.sample_rate)).frames
+    steps = np.arange(0.0, spec.shape[0] - 1, factor)
+    omega = 2.0 * np.pi * DEFAULT_HOP * np.arange(spec.shape[1]) / DEFAULT_WINDOW
     phase = np.angle(spec[0])
     out = np.empty((steps.shape[0], spec.shape[1]), dtype=np.complex128)
     for k, step in enumerate(steps):
@@ -79,7 +73,7 @@ def time_stretch(
         dphi = np.angle(spec[i + 1]) - np.angle(spec[i]) - omega
         dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
         phase = phase + omega + dphi
-    return Waveform(_istft_overlap_add(out, window_size, hop, target), w.sample_rate)
+    return Waveform(_istft_overlap_add(out, target), w.sample_rate)
 
 
 def _noise_excerpt(noise: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
-Elementwise arithmetic, (batched) matmul, exp/log/sqrt/sigmoid, axis
-reductions, basic-slice indexing, reshape/swapaxes/concatenate: what the
-contrastive loss and the model's Tensor reference (tests/oracles.py) use.
+Elementwise arithmetic, (batched) matmul, exp/log, axis reductions,
+basic-slice indexing, reshape/swapaxes/concatenate: what the contrastive
+loss uses. The model's Tensor reference (tests/oracles.py) builds its other
+operations on Tensor._result.
 The model itself enters the graph as one node with a hand-written
 backward (model.fingerprint_batch_forward). Gradients accumulate into
 .grad on tensors created with requires_grad=True.
@@ -11,7 +12,6 @@ backward (model.fingerprint_batch_forward). Gradients accumulate into
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -164,15 +164,6 @@ class Tensor:
 
         return Tensor._result(a.data @ b.data, (a, b), backward)
 
-    def pow_const(self, p: float) -> "Tensor":
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(g * p * a.data ** (p - 1))
-
-        return Tensor._result(a.data**p, (a,), backward)
-
     # -- elementwise nonlinearities ---------------------------------------
 
     def exp(self) -> "Tensor":
@@ -193,26 +184,6 @@ class Tensor:
                 a._accum(g / a.data)
 
         return Tensor._result(np.log(a.data), (a,), backward)
-
-    def sqrt(self) -> "Tensor":
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(g * 0.5 / out_data)
-
-        return Tensor._result(out_data, (a,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        a = self
-        out_data = expit(a.data)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accum(g * out_data * (1.0 - out_data))
-
-        return Tensor._result(out_data, (a,), backward)
 
     # -- reductions and shape ops -----------------------------------------
 
@@ -293,20 +264,3 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         np.concatenate([t.data for t in parts], axis=axis), tuple(parts), backward
     )
 
-
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Shift-stable softmax over the last axis, fused forward and backward."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    y = np.exp(shifted)
-    y /= y.sum(axis=-1, keepdims=True)
-
-    def backward(g):
-        if x.requires_grad:
-            dot = (g * y).sum(axis=-1, keepdims=True)
-            x._accum(y * (g - dot))
-
-    return Tensor._result(y, (x,), backward)
-
-
-def silu(x: Tensor) -> Tensor:
-    return x * x.sigmoid()

@@ -25,11 +25,9 @@ SILENT_DB = -np.inf
 
 @dataclass(frozen=True)
 class StftFrames:
-    """Complex STFT frames, one row per frame (window_size//2 + 1 bins)."""
+    """Complex STFT frames on the one grid, one row per frame (DEFAULT_WINDOW//2 + 1 bins)."""
 
     frames: np.ndarray
-    window_size: int
-    hop: int
     sample_rate: int
 
     @property
@@ -60,11 +58,6 @@ class MelSpectrogram:
     """T x F log-power (dB) mel matrix, clamped to its top MEL_DYNAMIC_RANGE_DB."""
 
     data: np.ndarray
-    n_mels: int
-    fmin: float
-    fmax: float
-    hop: int
-    sample_rate: int
 
     @property
     def n_frames(self) -> int:
@@ -76,29 +69,27 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def frame_count(n_samples: int, window_size: int, hop: int) -> int:
-    """Number of full analysis frames; sub-window input yields one padded frame."""
-    if n_samples < window_size:
+def frame_count(n: int) -> int:
+    """Number of full analysis frames in n samples; sub-window input yields one padded frame."""
+    if n < DEFAULT_WINDOW:
         return 1
-    return (n_samples - window_size) // hop + 1
+    return (n - DEFAULT_WINDOW) // DEFAULT_HOP + 1
 
 
-def stft(w: Waveform, window_size: int = DEFAULT_WINDOW, hop: int = DEFAULT_HOP) -> StftFrames:
-    """Short-time Fourier transform with a Hann window.
+def stft(w: Waveform) -> StftFrames:
+    """Short-time Fourier transform with a Hann window, on the one grid.
 
-    Frame i covers samples [i*hop, i*hop + window_size); no centering.
-    Input shorter than one window is zero-padded to a single frame.
+    Frame i covers samples [i*DEFAULT_HOP, i*DEFAULT_HOP + DEFAULT_WINDOW);
+    no centering. Input shorter than one window is zero-padded to a single frame.
     """
-    if not (window_size >= hop > 0):
-        raise ValueError(f"need window_size >= hop > 0, got {window_size}, {hop}")
     x = w.samples
     if x.shape[0] == 0:
         raise ValueError("empty input")
-    if x.shape[0] < window_size:
-        x = np.concatenate([x, np.zeros(window_size - x.shape[0])])
-    frames = np.lib.stride_tricks.sliding_window_view(x, window_size)[::hop]
-    frames = frames * hann_window(window_size)
-    return StftFrames(np.fft.rfft(frames, axis=1), window_size, hop, w.sample_rate)
+    if x.shape[0] < DEFAULT_WINDOW:
+        x = np.concatenate([x, np.zeros(DEFAULT_WINDOW - x.shape[0])])
+    frames = np.lib.stride_tricks.sliding_window_view(x, DEFAULT_WINDOW)[::DEFAULT_HOP]
+    frames = frames * hann_window(DEFAULT_WINDOW)
+    return StftFrames(np.fft.rfft(frames, axis=1), w.sample_rate)
 
 
 def spectral_entropy(frame: np.ndarray) -> float:
@@ -159,9 +150,9 @@ def mel_filterbank(
 
 
 @functools.lru_cache(maxsize=16)
-def _shared_mel_filterbank(n_mels: int, n_fft: int, sample_rate: int) -> np.ndarray:
-    """The MEL_FMIN..MEL_FMAX filterbank, built once per shape and read-only."""
-    fb = mel_filterbank(n_mels, n_fft, sample_rate, MEL_FMIN, MEL_FMAX)
+def _shared_mel_filterbank(n_mels: int, sample_rate: int) -> np.ndarray:
+    """The MEL_FMIN..MEL_FMAX filterbank on the grid's bins, built once per shape and read-only."""
+    fb = mel_filterbank(n_mels, DEFAULT_WINDOW, sample_rate, MEL_FMIN, MEL_FMAX)
     fb.flags.writeable = False
     return fb
 
@@ -172,11 +163,11 @@ def mel_from_frames(frames: StftFrames, cfg: MelConfig) -> MelSpectrogram:
     The dB range is clamped against these frames' own maximum, so a
     segment's mel is this function of its selected rows alone.
     """
-    fb = _shared_mel_filterbank(cfg.n_mels, frames.window_size, frames.sample_rate)
+    fb = _shared_mel_filterbank(cfg.n_mels, frames.sample_rate)
     mel_power = frames.power() @ fb.T
     db = 10.0 * np.log10(mel_power + EPS)
     db = np.maximum(db, db.max() - MEL_DYNAMIC_RANGE_DB)
-    return MelSpectrogram(db, cfg.n_mels, MEL_FMIN, MEL_FMAX, frames.hop, frames.sample_rate)
+    return MelSpectrogram(db)
 
 
 def mel_spectrogram(w: Waveform, cfg: MelConfig = MelConfig()) -> MelSpectrogram:
@@ -186,25 +177,24 @@ def mel_spectrogram(w: Waveform, cfg: MelConfig = MelConfig()) -> MelSpectrogram
     return mel_from_frames(stft(w), cfg)
 
 
-def frame_rms_db(w: Waveform, frame_len: int) -> np.ndarray:
-    """Per-frame RMS in dB relative to the waveform's peak absolute sample.
+def frame_rms_db(w: Waveform) -> np.ndarray:
+    """Per-hop RMS in dB relative to the waveform's peak absolute sample.
 
-    Non-overlapping frames of frame_len samples (trailing partial frame
-    included). Zero frames and all-zero input map to -inf (silent).
+    Non-overlapping frames of DEFAULT_HOP samples (trailing partial frame
+    included), so there are never fewer levels than STFT frames. Zero
+    frames and all-zero input map to -inf (silent).
     """
-    if frame_len <= 0:
-        raise ValueError(f"frame_len must be positive, got {frame_len}")
     x = w.samples
-    n = max(1, int(np.ceil(x.shape[0] / frame_len)))
+    n = max(1, int(np.ceil(x.shape[0] / DEFAULT_HOP)))
     peak = w.peak
     out = np.full(n, SILENT_DB)
     if peak == 0.0:
         return out
-    n_full = x.shape[0] // frame_len
+    n_full = x.shape[0] // DEFAULT_HOP
     # A row mean sums each frame exactly as a mean over that frame alone.
-    ms = np.mean(x[: n_full * frame_len].reshape(n_full, frame_len) ** 2, axis=1)
+    ms = np.mean(x[: n_full * DEFAULT_HOP].reshape(n_full, DEFAULT_HOP) ** 2, axis=1)
     if n > n_full:
-        ms = np.append(ms, np.mean(x[n_full * frame_len :] ** 2))
+        ms = np.append(ms, np.mean(x[n_full * DEFAULT_HOP :] ** 2))
     rms = np.sqrt(ms)
     live = rms > 0.0
     out[live] = 20.0 * np.log10(rms[live] / peak)

@@ -188,8 +188,8 @@ def dtr_evaluate(
         windows = segment_fixed(q.waveform, window_s, hop_s)
         matches = []
         for win in windows:
-            chunk = q.waveform.slice_samples(win.start_sample, win.n_samples, pad=True)
-            hits = database_index.search_top_k(embed(chunk), 1)
+            span, _ = win.span(q.waveform)  # a window's rows are all of its frames
+            hits = database_index.search_top_k(embed(span), 1)
             if hits:
                 matches.append((hits[0][0].audio_id, hits[0][1]))
         retrieved = majority_vote(matches) if matches else -1

@@ -93,17 +93,12 @@ def pack_segments(mels: list[np.ndarray]) -> PackedBatch:
     return PackedBatch(np.concatenate(mels, axis=0), tuple(spans))
 
 
-def init_parameters(cfg: ModelConfig, seed: int = 0) -> Parameters:
-    """Weights ~ N(0, 0.02^2); biases at 0; norm gains at 1."""
-    rng = np.random.default_rng(seed)
+def _parameters(cfg: ModelConfig, w, zeros, ones) -> dict:
+    """Every parameter by name, made by w (weights), zeros (bias) and ones (gains) in draw order.
 
-    def w(*shape):
-        return rng.normal(0.0, INIT_STD, size=shape)
-
-    params: Parameters = {
-        "w0": w(cfg.f_bins, cfg.d),
-        "b0": np.zeros(cfg.d),
-    }
+    init_parameters fills them; load_checkpoint checks a file's names and shapes against them.
+    """
+    params = {"w0": w(cfg.f_bins, cfg.d), "b0": zeros(cfg.d)}
     for l in range(cfg.n_blocks):
         for h in range(cfg.n_heads):
             params[f"block{l}.attn.wq.{h}"] = w(cfg.d, cfg.d_head)
@@ -114,16 +109,22 @@ def init_parameters(cfg: ModelConfig, seed: int = 0) -> Parameters:
             params[f"block{l}.cross.wv.{h}"] = w(cfg.d, cfg.d_head)
         params[f"block{l}.attn.wo"] = w(cfg.n_heads * cfg.d_head, cfg.d)
         params[f"block{l}.cross.wo"] = w(cfg.n_heads * cfg.d_head, cfg.d)
-        params[f"block{l}.attn_norm.gain"] = np.ones(cfg.d)
-        params[f"block{l}.ffn_norm.gain"] = np.ones(cfg.d)
-        params[f"block{l}.cross_qnorm.gain"] = np.ones(cfg.d)
-        params[f"block{l}.cross_kvnorm.gain"] = np.ones(cfg.d)
+        params[f"block{l}.attn_norm.gain"] = ones(cfg.d)
+        params[f"block{l}.ffn_norm.gain"] = ones(cfg.d)
+        params[f"block{l}.cross_qnorm.gain"] = ones(cfg.d)
+        params[f"block{l}.cross_kvnorm.gain"] = ones(cfg.d)
         params[f"block{l}.ffn.w1"] = w(cfg.d, cfg.ffn_hidden)
         params[f"block{l}.ffn.w3"] = w(cfg.d, cfg.ffn_hidden)
         params[f"block{l}.ffn.w2"] = w(cfg.ffn_hidden, cfg.d)
     for h in range(cfg.n_heads):
         params[f"seg_init.ws.{h}"] = w(cfg.d, cfg.d)
     return params
+
+
+def init_parameters(cfg: ModelConfig, seed: int = 0) -> Parameters:
+    """Weights ~ N(0, 0.02^2); biases at 0; norm gains at 1."""
+    rng = np.random.default_rng(seed)
+    return _parameters(cfg, lambda *shape: rng.normal(0.0, INIT_STD, size=shape), np.zeros, np.ones)
 
 
 def as_tensors(params: Parameters, requires_grad: bool = False) -> dict[str, Tensor]:
@@ -478,8 +479,27 @@ def save_checkpoint(path: str | Path, params: Parameters, cfg: ModelConfig) -> N
             fh.write(arr.tobytes())
 
 
+def _check_tensors(params: Parameters, cfg: ModelConfig) -> None:
+    """Exactly the tensors init_parameters(cfg) makes, in its shapes, every value finite."""
+
+    def shape(*dims):
+        return dims
+
+    want = _parameters(cfg, shape, shape, shape)
+    for name in sorted(want.keys() | params.keys()):
+        if name not in params:
+            raise ValueError(f"missing tensor {name!r}")
+        if name not in want:
+            raise ValueError(f"unexpected tensor {name!r}")
+        if params[name].shape != want[name]:
+            raise ValueError(f"tensor {name!r} has shape {params[name].shape}, expected {want[name]}")
+        if not np.all(np.isfinite(params[name])):
+            raise ValueError(f"tensor {name!r} has non-finite values")
+
+
 def load_checkpoint(path: str | Path) -> tuple[Parameters, ModelConfig]:
-    """Read a `.vlfp` file; a short or malformed one is a ValueError naming the path."""
+    """Read a `.vlfp` file; a short or malformed one, or tensors that do not match
+    the header's model, is a ValueError naming the path."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -509,7 +529,10 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, ModelConfig]:
                 (rank,) = struct.unpack("<I", read(4))
                 shape = struct.unpack(f"<{rank}I", read(4 * rank))
                 data = np.frombuffer(read(4 * math.prod(shape)), dtype="<f4")
+                if name in params:
+                    raise ValueError(f"duplicate tensor {name!r}")
                 params[name] = data.reshape(shape).astype(np.float64)
+            _check_tensors(params, cfg)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return params, cfg

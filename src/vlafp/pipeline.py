@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .audio import Waveform
-from .dsp import DEFAULT_HOP, DEFAULT_WINDOW, MelConfig, frame_count, mel_from_frames, mel_spectrogram, stft
+from .dsp import MelConfig, mel_from_frames, mel_spectrogram, stft
 from .index import FingerprintIndex, IndexEntry
 from .model import ModelConfig, Parameters, fingerprint, fingerprint_batch, pack_segments
 from .segmentation import Segment, SegmenterConfig, segment, segment_fixed
@@ -22,23 +22,11 @@ def segment_audio(
 
 
 def segment_mels(w: Waveform, segments: list[Segment], mel_cfg: MelConfig) -> list[np.ndarray]:
-    """Materialize each segment's mel matrix.
-
-    A frame-grid segment's mel is mel_from_frames of its own rows of the
-    audio's STFT (computed once per audio), so the dB clamp follows the
-    segment's maximum; sample windows get their own mel (zero-padded to the
-    window length).
-    """
-    frames = None
+    """Each segment's mel: mel_from_frames of its rows of its span's STFT (Segment.span)."""
     out = []
     for seg in segments:
-        if seg.frame_indices is not None:
-            if frames is None:
-                frames = stft(w)
-            out.append(mel_from_frames(frames.select(seg.frame_indices), mel_cfg).data)
-        else:
-            chunk = w.slice_samples(seg.start_sample, seg.n_samples, pad=True)
-            out.append(mel_spectrogram(chunk, mel_cfg).data)
+        span, rows = seg.span(w)
+        out.append(mel_from_frames(stft(span).select(rows), mel_cfg).data)
     return out
 
 
@@ -93,28 +81,14 @@ def training_sources(
     fixed_window_s: float = 1.0,
     fixed_hop_s: float = 0.5,
 ) -> list[SourceSegment]:
-    """Clean training segments: each one's span of samples and its rows in the span's STFT.
+    """Clean training segments: each one's span and rows from Segment.span.
 
-    A frame-grid span runs from the start of the segment's first frame to
-    the end of its last, so its STFT frames are the audio's frames
-    first..last and the rows are the segment's frames among them. A fixed
-    window is its zero-padded sample window, every frame a row. The frame
-    grid is dsp's one grid; mel_cfg sets none of it.
+    mel_cfg sets nothing here; the anchor's mel is built from the rows in
+    training.build_batch, as segment_mels builds it at index time.
     """
     sources = []
-    every_row: dict[int, tuple[int, ...]] = {}  # every frame of a fixed window, built once per length
     for aid, w in corpus:
         for seg in segment_audio(w, seg_cfg, aid, fixed_window_s, fixed_hop_s):
-            if seg.frame_indices is not None:
-                first, last = seg.frame_indices[0], seg.frame_indices[-1]
-                n = (last - first) * DEFAULT_HOP + DEFAULT_WINDOW
-                span = w.slice_samples(first * DEFAULT_HOP, n, pad=True)
-                rows = tuple(f - first for f in seg.frame_indices)
-            else:
-                n = seg.n_samples
-                span = w.slice_samples(seg.start_sample, n, pad=True)
-                if n not in every_row:
-                    every_row[n] = tuple(range(frame_count(n, DEFAULT_WINDOW, DEFAULT_HOP)))
-                rows = every_row[n]
+            span, rows = seg.span(w)
             sources.append(SourceSegment(aid, span, seg.start_time, seg.duration, rows))
     return sources

@@ -78,6 +78,23 @@ class Segment:
             raise ValueError("sample-window segment has no frame coordinates")
         return len(self.frame_indices)
 
+    def span(self, w: Waveform) -> tuple[Waveform, tuple[int, ...]]:
+        """The segment's span of w's samples and its rows within the span's STFT.
+
+        A frame-grid span runs from the start of the first frame to the end
+        of the last, so its STFT frames are w's frames first..last and the
+        rows are the segment's frames among them. A sample window is its
+        zero-padded window, every frame a row. A segment's mel is
+        mel_from_frames(stft(span).select(rows)) in training, indexing and
+        querying alike.
+        """
+        if self.frame_indices is None:
+            span = w.slice_samples(self.start_sample, self.n_samples, pad=True)
+            return span, tuple(range(frame_count(self.n_samples)))
+        first, last = self.frame_indices[0], self.frame_indices[-1]
+        span = w.slice_samples(first * DEFAULT_HOP, (last - first) * DEFAULT_HOP + DEFAULT_WINDOW, pad=True)
+        return span, tuple(f - first for f in self.frame_indices)
+
 
 class EntropyStats:
     """Running mean/std of window entropy, Welford-updated (population std)."""
@@ -177,10 +194,8 @@ def segment_no_silence(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> 
     silence threshold (relative to the waveform's peak)."""
     frames = stft(w)
     entropies = spectral_entropies(frames)
-    levels = frame_rms_db(w, DEFAULT_HOP)[: frames.n_frames]
-    if levels.shape[0] < frames.n_frames:
-        levels = np.concatenate([levels, np.full(frames.n_frames - levels.shape[0], -np.inf)])
-    silent = levels < SILENCE_THRESHOLD_DB
+    # One level per hop: never fewer than the STFT's frames.
+    silent = frame_rms_db(w)[: frames.n_frames] < SILENCE_THRESHOLD_DB
     groups = _zscore_partition(
         entropies,
         cfg.min_frames(w.sample_rate),
@@ -201,7 +216,7 @@ def segment_waveform(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> li
         raise ValueError("empty input")
     # Frame i's chunk is samples [i*hop, (i+1)*hop); only input shorter
     # than one hop gives a shorter (single) chunk.
-    n = frame_count(len(w), DEFAULT_WINDOW, DEFAULT_HOP)
+    n = frame_count(len(w))
     width = min(len(w), DEFAULT_HOP)
     values = waveform_entropies(w.samples[: n * width].reshape(n, width))
     groups = _zscore_partition(
@@ -249,7 +264,8 @@ def segment_fixed(
     """Overlapping fixed-length sample windows (zero-padded tail).
 
     The audio is padded up to a whole number of windows, so a k-second
-    audio under a 1 s window / 0.5 s hop yields exactly 2k-1 windows.
+    audio under a 1 s window / 0.5 s hop yields exactly 2k-1 windows. A
+    window must hold at least one STFT hop and the hop at least one sample.
     """
     if not (window_s >= hop_s > 0):
         raise ValueError(f"need window >= hop > 0, got {window_s}, {hop_s}")
@@ -258,6 +274,10 @@ def segment_fixed(
     fs = w.sample_rate
     w_n = round(window_s * fs)
     h_n = round(hop_s * fs)
+    if w_n < DEFAULT_HOP:
+        raise ValueError(f"window {window_s} s is {w_n} samples, shorter than one hop ({DEFAULT_HOP} samples)")
+    if h_n < 1:
+        raise ValueError(f"hop {hop_s} s rounds to 0 samples at {fs} Hz")
     padded = max(w_n, math.ceil(len(w) / w_n) * w_n)
     count = (padded - w_n) // h_n + 1
     return [

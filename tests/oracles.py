@@ -3,8 +3,9 @@
 import math
 
 import numpy as np
+from scipy.special import expit
 
-from vlafp.autodiff import Tensor, concat, silu, softmax_lastdim
+from vlafp.autodiff import Tensor, concat
 from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, mel_spectrogram
 from vlafp.model import MAX_ATTENTION_CELLS, ModelConfig, PackedBatch
 
@@ -132,10 +133,48 @@ def exhaustive_best_f1(scores, labels):
 # its hand-written backward (equal gradients within rounding).
 
 
+def sqrt(x: Tensor) -> Tensor:
+    out = np.sqrt(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accum(g * 0.5 / out)
+
+    return Tensor._result(out, (x,), backward)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = expit(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accum(g * out * (1.0 - out))
+
+    return Tensor._result(out, (x,), backward)
+
+
+def silu(x: Tensor) -> Tensor:
+    return x * sigmoid(x)
+
+
+def softmax_lastdim(x: Tensor) -> Tensor:
+    """Shift-stable softmax over the last axis, fused forward and backward."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    y = np.exp(shifted)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        if x.requires_grad:
+            dot = (g * y).sum(axis=-1, keepdims=True)
+            x._accum(y * (g - dot))
+
+    return Tensor._result(y, (x,), backward)
+
+
 def rms_norm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     """x / sqrt(mean(x^2) + eps) over the last axis, scaled by gain."""
     ms = (x * x).mean(axis=-1, keepdims=True)
-    return x / (ms + eps).sqrt() * gain
+    return x / sqrt(ms + eps) * gain
 
 
 def multi_head_attention(
@@ -222,7 +261,7 @@ def cross_attention_block(
 
 def l2_normalize(x: Tensor) -> Tensor:
     norm = (x * x).sum() + 1e-24
-    return x / norm.sqrt()
+    return x / sqrt(norm)
 
 
 def forward_stack(x: np.ndarray, tp: dict[str, Tensor], cfg: ModelConfig) -> list[Tensor]:

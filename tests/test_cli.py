@@ -18,7 +18,7 @@ from scipy.io import wavfile
 import vlafp
 from vlafp.cli import THREAD_VARS, main
 from vlafp.index import FingerprintIndex, IndexEntry
-from vlafp.model import load_checkpoint
+from vlafp.model import load_checkpoint, save_checkpoint
 from vlafp.segmentation import read_manifest
 
 
@@ -305,6 +305,53 @@ class TestHostileInput:
         path.write_bytes(np.random.default_rng(0).integers(0, 256, 100, dtype=np.uint8).tobytes())
         assert main(["inspect", str(path)]) == 1
         _one_error_line(capsys, str(path))
+
+
+    @pytest.mark.parametrize(
+        "edit,needle",
+        [
+            (lambda p: p.pop("w0"), "missing tensor 'w0'"),
+            (lambda p: p.update({"block0.ffn.w1": p["block0.ffn.w1"][:, :-1]}), "tensor 'block0.ffn.w1' has shape"),
+            (lambda p: p["b0"].__setitem__(0, np.nan), "tensor 'b0' has non-finite values"),
+        ],
+        ids=["missing", "shape", "nan"],
+    )
+    @pytest.mark.parametrize("command", ["fingerprint", "inspect"])
+    def test_checkpoint_tensors_not_matching_the_header(self, corpus_dir, ckpt, tmp_path, capsys, command, edit, needle):
+        params, cfg = load_checkpoint(ckpt)
+        edit(params)
+        path = tmp_path / "bad.vlfp"
+        save_checkpoint(path, params, cfg)
+        out = tmp_path / "fp.vlix"
+        if command == "inspect":
+            argv = ["inspect", str(path)]
+        else:
+            argv = ["fingerprint", "--audio", str(corpus_dir), "--ckpt", str(path), "--out", str(out)]
+        assert main(argv) == 1
+        _one_error_line(capsys, str(path), needle)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "window,hop,needle",
+        [("0.01", "0.01", "shorter than one hop"), ("1", "0.00001", "rounds to 0 samples")],
+        ids=["window-below-one-hop", "hop-below-one-sample"],
+    )
+    @pytest.mark.parametrize("command", ["segment", "train", "fingerprint", "eval dtr", "eval cbr"])
+    def test_fixed_window_without_a_hop_exit_1(
+        self, corpus_dir, ckpt, tmp_path, capsys, command, window, hop, needle
+    ):
+        out = tmp_path / "out"
+        flags = {
+            "segment": ["--audio", str(corpus_dir), "--method", "fixed"],
+            "train": ["--corpus", str(corpus_dir), "--method", "fixed", "--epochs", "1"],
+            "fingerprint": ["--audio", str(corpus_dir), "--ckpt", str(ckpt), "--method", "fixed"],
+            "eval dtr": ["--audio", str(corpus_dir), "--ckpt", str(ckpt)],
+            "eval cbr": ["--audio", str(corpus_dir), "--ckpt", str(ckpt), "--method", "fixed", "--others", "3"],
+        }[command]
+        rc = main(command.split() + flags + ["--window", window, "--hop", hop, "--out", str(out)])
+        assert rc == 1
+        _one_error_line(capsys, needle)
+        assert not out.exists()
 
 
 class TestEvalCommands:

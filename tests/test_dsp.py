@@ -15,6 +15,7 @@ from vlafp.dsp import (
     MEL_FMAX,
     MEL_FMIN,
     MelConfig,
+    frame_count,
     frame_rms_db,
     mel_filterbank,
     mel_from_frames,
@@ -62,19 +63,19 @@ def chunk_lists(draw, max_chunks=8):
 class TestStft:
     def test_frame_count_8000_samples(self, noise_wave):
         w = Waveform(noise_wave.samples[:8000], FS)
-        assert stft(w, 1024, 256).n_frames == (8000 - 1024) // 256 + 1 == 28
+        assert stft(w).n_frames == frame_count(8000) == (8000 - 1024) // 256 + 1 == 28
 
     def test_zero_input_single_padded_frame(self):
-        out = stft(Waveform(np.zeros(1024), FS), 1024, 256)
+        out = stft(Waveform(np.zeros(1024), FS))
         assert out.n_frames == 1
         assert np.allclose(out.frames, 0.0)
 
     def test_short_input_zero_padded(self):
-        out = stft(Waveform(np.ones(100), FS), 1024, 256)
-        assert out.n_frames == 1
+        out = stft(Waveform(np.ones(100), FS))
+        assert out.n_frames == frame_count(100) == 1
 
     def test_sine_peak_bin(self, tone_1k):
-        out = stft(tone_1k, 1024, 256)
+        out = stft(tone_1k)
         expected_bin = round(1000 * 1024 / FS)
         assert np.all(np.abs(out.frames).argmax(axis=1) == expected_bin)
 
@@ -122,17 +123,20 @@ class TestSpectralEntropy:
 
 
 class TestStftFraming:
-    @given(
-        st.integers(0, 1500).map(lambda k: 2 * k + 1),
-        st.sampled_from([(1024, 256), (64, 16), (15, 4), (8, 8)]),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(st.integers(0, 6000).map(lambda k: 2 * k + 1), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_equals_gathered_frames_on_odd_lengths(self, n, grid, seed):
-        window, hop = grid
+    def test_equals_gathered_frames_on_odd_lengths(self, n, seed):
         x = np.random.default_rng(seed).standard_normal(n)
-        got = stft(Waveform(x, FS), window, hop).frames
-        assert np.array_equal(got, stft_gather(x, window, hop))
+        got = stft(Waveform(x, FS)).frames
+        assert got.shape[0] == frame_count(n)
+        assert np.array_equal(got, stft_gather(x, DEFAULT_WINDOW, DEFAULT_HOP))
+
+    @given(st.integers(1, 20_000))
+    @settings(max_examples=60, deadline=None)
+    def test_no_fewer_hop_levels_than_frames(self, n):
+        # segment_no_silence reads one level per STFT frame without padding.
+        w = Waveform(np.random.default_rng(n).standard_normal(n), FS)
+        assert frame_rms_db(w).shape[0] >= stft(w).n_frames
 
 
 class TestMel:
@@ -171,13 +175,13 @@ class TestMel:
 
     def test_shared_filterbank_is_read_only_and_exact(self, noise_wave):
         frames = stft(noise_wave)
-        fb = mel_filterbank(64, frames.window_size, FS, MEL_FMIN, MEL_FMAX)
+        fb = mel_filterbank(64, DEFAULT_WINDOW, FS, MEL_FMIN, MEL_FMAX)
         db = 10.0 * np.log10(frames.power() @ fb.T + EPS)
         want = np.maximum(db, db.max() - MEL_DYNAMIC_RANGE_DB)
         for _ in range(2):
             assert np.array_equal(mel_from_frames(frames, MelConfig(n_mels=64)).data, want)
-        shared = _shared_mel_filterbank(64, frames.window_size, FS)
-        assert shared is _shared_mel_filterbank(64, frames.window_size, FS)
+        shared = _shared_mel_filterbank(64, FS)
+        assert shared is _shared_mel_filterbank(64, FS)
         with pytest.raises(ValueError, match="read-only"):
             shared[0, 0] = 1.0
 
@@ -186,9 +190,9 @@ class TestMel:
         rows = [0, 3, 4, 20]
         picked = frames.select(rows)
         assert np.array_equal(picked.frames, frames.frames[rows])
-        assert (picked.window_size, picked.hop, picked.sample_rate) == (1024, 256, FS)
+        assert picked.sample_rate == FS
         got = mel_from_frames(picked, MelConfig(n_mels=64)).data
-        db = 10.0 * np.log10(frames.power()[rows] @ _shared_mel_filterbank(64, 1024, FS).T + EPS)
+        db = 10.0 * np.log10(frames.power()[rows] @ _shared_mel_filterbank(64, FS).T + EPS)
         assert np.array_equal(got, np.maximum(db, db.max() - MEL_DYNAMIC_RANGE_DB))
 
     def test_row_count_superadditive(self, noise_wave):
@@ -201,37 +205,38 @@ class TestMel:
 
 class TestFrameRms:
     def test_constant_amplitude_is_zero_db(self):
-        out = frame_rms_db(Waveform(np.ones(1000), FS), 100)
+        out = frame_rms_db(Waveform(np.ones(1000), FS))
+        assert out.shape == (4,)
         assert np.allclose(out, 0.0)
 
     def test_minus_60_db(self):
-        x = np.concatenate([np.full(100, 0.001), np.full(100, 1.0)])
-        out = frame_rms_db(Waveform(x, FS), 100)
+        x = np.concatenate([np.full(DEFAULT_HOP, 0.001), np.full(DEFAULT_HOP, 1.0)])
+        out = frame_rms_db(Waveform(x, FS))
         assert out[0] == pytest.approx(-60.0, abs=1e-9)
         assert out[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_frame_is_minus_inf(self):
-        x = np.concatenate([np.zeros(100), np.ones(100)])
-        out = frame_rms_db(Waveform(x, FS), 100)
+        x = np.concatenate([np.zeros(DEFAULT_HOP), np.ones(DEFAULT_HOP)])
+        out = frame_rms_db(Waveform(x, FS))
         assert np.isneginf(out[0])
 
     def test_all_zero_flagged_silent(self):
-        out = frame_rms_db(Waveform(np.zeros(500), FS), 100)
+        out = frame_rms_db(Waveform(np.zeros(500), FS))
         assert np.all(np.isneginf(out))
 
     def test_values_never_positive(self, noise_wave):
-        out = frame_rms_db(noise_wave, 256)
+        out = frame_rms_db(noise_wave)
         assert np.all(out[np.isfinite(out)] <= 1e-12)
 
-    @given(chunk_lists(max_chunks=12), st.sampled_from([1, 7, 100, 256]), st.integers(0, 255))
+    @given(chunk_lists(max_chunks=12), st.integers(0, 255))
     @settings(max_examples=60, deadline=None)
-    def test_equals_per_frame_loop(self, chunks, frame_len, tail):
-        # Chunk widths and frame_len differ, so frames straddle chunk kinds;
+    def test_equals_per_frame_loop(self, chunks, tail):
+        # Chunk widths and the hop differ, so frames straddle chunk kinds;
         # the extra tail leaves a sub-frame remainder, or input shorter than a frame.
         x = np.concatenate(chunks)
         x = x[: max(1, x.shape[0] - tail)]
-        got = frame_rms_db(Waveform(x, FS), frame_len)
-        assert np.array_equal(got, frame_rms_db_loop(x, frame_len))
+        got = frame_rms_db(Waveform(x, FS))
+        assert np.array_equal(got, frame_rms_db_loop(x, DEFAULT_HOP))
 
 
 class TestWaveformEntropy:

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -544,6 +545,38 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated") as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "edit,needle",
+        [
+            (lambda p: p.pop("w0"), "missing tensor 'w0'"),
+            (lambda p: p.update(extra=np.zeros(3)), "unexpected tensor 'extra'"),
+            (lambda p: p.update({"block0.ffn.w1": p["block0.ffn.w1"].T}), "tensor 'block0.ffn.w1' has shape"),
+            (lambda p: p["b0"].__setitem__(0, np.nan), "tensor 'b0' has non-finite values"),
+            (lambda p: p["block1.attn.wo"].__setitem__((0, 0), np.inf), "tensor 'block1.attn.wo' has non-finite"),
+        ],
+        ids=["missing", "unexpected", "shape", "nan", "inf"],
+    )
+    def test_tensors_must_match_the_header(self, tmp_path, edit, needle):
+        params = init_parameters(SMALL, seed=9)
+        edit(params)
+        path = tmp_path / "model.vlfp"
+        save_checkpoint(path, params, SMALL)
+        with pytest.raises(ValueError, match=re.escape(needle)) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    def test_duplicate_tensor_rejected(self, tmp_path):
+        path = tmp_path / "model.vlfp"
+        save_checkpoint(path, init_parameters(SMALL, seed=9), SMALL)
+        data = bytearray(path.read_bytes())
+        # w0 is the last record (records are sorted by name): repeat it.
+        last = 4 + len(b"w0") + 4 + 8 + 4 * SMALL.f_bins * SMALL.d
+        count_at = 4 + struct.calcsize("<8I2d")
+        struct.pack_into("<I", data, count_at, struct.unpack_from("<I", data, count_at)[0] + 1)
+        path.write_bytes(bytes(data) + bytes(data[-last:]))
+        with pytest.raises(ValueError, match="duplicate tensor"):
+            load_checkpoint(path)
 
     def test_every_truncation_rejected(self, tmp_path):
         full = tmp_path / "full.vlfp"

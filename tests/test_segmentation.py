@@ -208,6 +208,26 @@ class TestFrameGrid:
                 # The span's STFT is the audio's frames first..last, bit for bit.
                 assert np.array_equal(stft(src.waveform).frames, audio_frames[first : last + 1])
 
+    @pytest.mark.parametrize("method", METHODS + ("fixed",))
+    def test_segment_span_selects_the_segments_frames(self, small_corpus, method):
+        for aid, w in small_corpus[:2]:
+            if method == "fixed":
+                segs = segment_fixed(w, 1.0, 0.5, audio_id=aid)
+            else:
+                segs = segment(w, SegmenterConfig(method=method, theta=default_theta(method)), aid)
+            audio_frames = stft(w).frames
+            for i, seg in enumerate(segs):
+                span, rows = seg.span(w)
+                frames = stft(span).frames
+                if method == "fixed":
+                    assert np.array_equal(span.samples, w.slice_samples(i * FS // 2, FS, pad=True).samples)
+                    assert rows == tuple(range(frames.shape[0]))
+                    continue
+                first, last = seg.frame_indices[0], seg.frame_indices[-1]
+                assert len(span) == (last - first) * DEFAULT_HOP + DEFAULT_WINDOW
+                assert rows == tuple(f - first for f in seg.frame_indices)
+                assert np.array_equal(frames[list(rows)], audio_frames[list(seg.frame_indices)])
+
     def test_waveform_method_short_and_empty_input(self):
         cfg = SegmenterConfig(method="waveform", theta=4.0)
         segs = segment_waveform(Waveform(np.ones(50), FS), cfg)
@@ -248,6 +268,14 @@ class TestFixed:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty input"):
             segment_fixed(Waveform(np.zeros(0), FS), 1.0, 0.5)
+
+    def test_window_needs_one_hop_and_hop_one_sample(self):
+        w = Waveform(np.ones(FS), FS)
+        assert len(segment_fixed(w, DEFAULT_HOP / FS, DEFAULT_HOP / FS)) == math.ceil(FS / DEFAULT_HOP)
+        with pytest.raises(ValueError, match="shorter than one hop"):
+            segment_fixed(w, (DEFAULT_HOP - 1) / FS, 0.01)
+        with pytest.raises(ValueError, match="rounds to 0 samples"):
+            segment_fixed(w, 1.0, 0.00001)
 
 
 class TestPeltConstantSeries:
