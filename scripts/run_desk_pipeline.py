@@ -3,6 +3,11 @@
 
 Writes all artifacts under --workdir and prints the headline numbers.
 Finishes in a few minutes on one CPU core.
+
+The model is trained with the desk recipe: noise and IR pools seeded 11 and
+12, training seeded 0. At the default sizes and with one BLAS thread,
+model.vlfp is bench/desk.vlfp byte for byte. --seed seeds the corpus, the
+queries and the broadcast.
 """
 
 import argparse
@@ -39,13 +44,13 @@ def main() -> int:
     corpus = generate(SynthSpec(n_audios=args.n_audios, seed=args.seed))
     mel_cfg = MelConfig(n_mels=64)
     model_cfg = ModelConfig()
-    bg = make_noise_pool(24, 3.0, fs, args.seed + 11)
-    ir = make_ir_pool(12, 0.25, fs, args.seed + 12)
+    bg = make_noise_pool(24, 3.0, fs, 11)
+    ir = make_ir_pool(12, 0.25, fs, 12)
     aug = AugmentConfig(enable_ts=False, bg_pool=bg, ir_pool=ir)
 
     print(f"[{time.time()-t0:6.1f}s] training on fixed 1 s segments ...")
     sources = training_sources(corpus, None, mel_cfg)
-    tc = TrainConfig(epochs=args.epochs, lr=args.lr, seed=args.seed)
+    tc = TrainConfig(epochs=args.epochs, lr=args.lr, seed=0)
     params, history = train(
         sources, model_cfg, tc, aug, mel_cfg,
         log=lambda e, l: print(f"  epoch {e}: mean loss {l:.2f}", flush=True),

@@ -180,12 +180,6 @@ def cmd_segment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    corpus, _ = load_corpus(args.corpus, args.rate)
-    mel_cfg = MelConfig(n_mels=args.mel_bands)
-    model_cfg = model_config_from_args(args)
-    seg_cfg = seg_config_from_args(args)
-    sources = training_sources(corpus, seg_cfg, mel_cfg, args.window, args.hop)
-    aug_cfg = make_aug_config(args, args.rate)
     train_cfg = TrainConfig(
         tau=args.tau,
         batch_items=args.batch,
@@ -194,6 +188,12 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
     )
+    corpus, _ = load_corpus(args.corpus, args.rate)
+    mel_cfg = MelConfig(n_mels=args.mel_bands)
+    model_cfg = model_config_from_args(args)
+    seg_cfg = seg_config_from_args(args)
+    sources = training_sources(corpus, seg_cfg, mel_cfg, args.window, args.hop)
+    aug_cfg = make_aug_config(args, args.rate)
     params, history = train(
         sources,
         model_cfg,

@@ -48,24 +48,18 @@ def _check_vectors(vectors: np.ndarray) -> None:
 class FingerprintIndex:
     """Append-only store of unit vectors with provenance and exact top-k search.
 
-    The entries are one array of `record_dtype(dim)`, filled to `len(self)`
-    and grown by doubling, so `insert` is amortised O(1).
+    The entries are `records`, one array of `record_dtype(dim)`; `insert`
+    appends to it by concatenation, so build an index in one call.
     """
 
     def __init__(self, dim: int):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self._buf = np.empty(0, record_dtype(dim))
-        self._n = 0
+        self.records = np.empty(0, record_dtype(dim))
 
     def __len__(self) -> int:
-        return self._n
-
-    @property
-    def records(self) -> np.ndarray:
-        """The entries as a `record_dtype(dim)` array; a view, not to be written."""
-        return self._buf[: self._n]
+        return len(self.records)
 
     def insert(self, entry: IndexEntry) -> None:
         self._append([entry])
@@ -83,8 +77,7 @@ class FingerprintIndex:
         """Index over an array of `record_dtype(dim)` after checking its vectors."""
         index = cls(records.dtype["vector"].shape[0])
         _check_vectors(records["vector"])
-        index._buf = records
-        index._n = len(records)
+        index.records = records
         return index
 
     def _append(self, entries: list[IndexEntry]) -> None:
@@ -98,18 +91,13 @@ class FingerprintIndex:
         for name, values, bits in (("audio_id", audio_ids, 64), ("segment_ord", segment_ords, 32)):
             if min(values) < 0 or max(values) >= 1 << bits:
                 raise ValueError(f"{name} outside the u{bits} range in {min(values)}..{max(values)}")
-        end = self._n + len(entries)
-        if end > len(self._buf):
-            grown = np.empty(max(end, 2 * len(self._buf)), self._buf.dtype)
-            grown[: self._n] = self.records
-            self._buf = grown
-        rows = self._buf[self._n : end]
+        rows = np.empty(len(entries), self.records.dtype)
         rows["audio_id"] = audio_ids
         rows["segment_ord"] = segment_ords
         rows["start_time"] = [e.start_time for e in entries]
         rows["duration"] = [e.duration for e in entries]
         rows["vector"] = vectors
-        self._n = end
+        self.records = np.concatenate([self.records, rows]) if len(self) else rows
 
     def entry(self, i: int) -> IndexEntry:
         r = self.records[i]

@@ -62,35 +62,29 @@ class Fingerprint:
 
 @dataclass(frozen=True)
 class PackedBatch:
-    """Variable-length segments concatenated frame-wise, with per-segment spans."""
+    """The mel matrices of variable-length segments, one (T, F) array each, in order."""
 
-    frames: np.ndarray  # (T_total, F)
-    spans: tuple[tuple[int, int], ...]  # (offset, length), ordered
+    mels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        prev_end = 0
-        for off, length in self.spans:
-            if length < 1:
-                raise ValueError(f"empty span at offset {off}")
-            if off < prev_end:
-                raise ValueError("spans must be ordered and non-overlapping")
-            prev_end = off + length
-        if prev_end > self.frames.shape[0]:
-            raise ValueError("span extends past packed frames")
+        for mel in self.mels:
+            if mel.ndim != 2 or mel.shape[0] < 1:
+                raise ValueError(f"expected (T, F) mel with T >= 1, got shape {mel.shape}")
 
     @property
     def n_segments(self) -> int:
-        return len(self.spans)
+        return len(self.mels)
+
+    @property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """(offset, length) of each mel with the mels laid end to end."""
+        lengths = [mel.shape[0] for mel in self.mels]
+        return tuple(zip(np.cumsum([0] + lengths[:-1]).tolist(), lengths))
 
 
 def pack_segments(mels: list[np.ndarray]) -> PackedBatch:
-    """Concatenate per-segment mel matrices into one PackedBatch."""
-    spans = []
-    offset = 0
-    for m in mels:
-        spans.append((offset, m.shape[0]))
-        offset += m.shape[0]
-    return PackedBatch(np.concatenate(mels, axis=0), tuple(spans))
+    """One PackedBatch of per-segment mel matrices."""
+    return PackedBatch(tuple(mels))
 
 
 def _parameters(cfg: ModelConfig, w, zeros, ones) -> dict:
@@ -358,27 +352,26 @@ def _backward_stack(dz: np.ndarray, w: Parameters, cfg: ModelConfig, tape: list,
 
 
 def _stacks(batch: PackedBatch):
-    """(span indices, (n, L, F) stack) for each group of equal-length spans.
+    """(segment indices, (n, L, F) stack) for each group of equal-length mels.
 
     A group whose self-attention would exceed MAX_ATTENTION_CELLS comes in
     chunks, so no attention crosses a segment boundary and nothing needs a
     mask.
     """
-    groups: dict[int, list[int]] = {}  # length -> span indices
-    for i, (_, length) in enumerate(batch.spans):
-        groups.setdefault(length, []).append(i)
+    groups: dict[int, list[int]] = {}  # length -> segment indices
+    for i, mel in enumerate(batch.mels):
+        groups.setdefault(mel.shape[0], []).append(i)
     for length, members in groups.items():
         per_chunk = max(1, MAX_ATTENTION_CELLS // (length * length))
         for start in range(0, len(members), per_chunk):
             chunk = members[start : start + per_chunk]
-            offsets = [batch.spans[i][0] for i in chunk]
-            yield chunk, np.stack([batch.frames[off : off + length] for off in offsets])
+            yield chunk, np.stack([batch.mels[i] for i in chunk])
 
 
 def _forward_batch(batch: PackedBatch, w: Parameters, cfg: ModelConfig, tapes: list | None = None) -> np.ndarray:
-    """(n_segments, d) unit fingerprints in span order, forwarded stack by stack.
+    """(n_segments, d) unit fingerprints in batch order, forwarded stack by stack.
 
-    Given tapes, appends one (span indices, tape) pair per stack.
+    Given tapes, appends one (segment indices, tape) pair per stack.
     """
     z = np.empty((batch.n_segments, cfg.d))
     for chunk, x in _stacks(batch):
@@ -391,8 +384,8 @@ def _forward_batch(batch: PackedBatch, w: Parameters, cfg: ModelConfig, tapes: l
 
 def fingerprint_batch_forward(
     batch: PackedBatch, tp: dict[str, Tensor], cfg: ModelConfig
-) -> list[Tensor]:
-    """Forward a packed batch as one autodiff node; fingerprint Tensors in span order.
+) -> Tensor:
+    """Forward a packed batch as one autodiff node: the (n_segments, d) fingerprints.
 
     The node's backward is _backward_stack over every stack, with the fused
     head gradients split back onto the per-head tensors of tp.
@@ -409,16 +402,15 @@ def fingerprint_batch_forward(
             if tp[name].requires_grad:
                 tp[name]._accum(grad)
 
-    node = Tensor._result(z, tuple(tp.values()), backward)
-    return [node[i] for i in range(batch.n_segments)]
+    return Tensor._result(z, tuple(tp.values()), backward)
 
 
 def fingerprint_batch(batch: PackedBatch, params: Parameters, cfg: ModelConfig) -> list[np.ndarray]:
-    """Inference-mode forward of a packed batch; per-segment unit vectors in span order."""
-    frames = batch.frames
-    if frames.ndim != 2 or frames.shape[1] != cfg.f_bins:
-        raise ValueError(f"expected (T, {cfg.f_bins}) mel frames, got shape {frames.shape}")
-    if not np.all(np.isfinite(frames)):
+    """Inference-mode forward of a packed batch; per-segment unit vectors in batch order."""
+    for mel in batch.mels:
+        if mel.shape[1] != cfg.f_bins:
+            raise ValueError(f"expected (T, {cfg.f_bins}) mel frames, got shape {mel.shape}")
+    if not all(np.isfinite(mel).all() for mel in batch.mels):
         raise ValueError("non-finite values in mel input")
     return list(_forward_batch(batch, _fuse_heads(params, cfg), cfg))
 
@@ -432,10 +424,7 @@ def fingerprint(
     duration: float = 0.0,
 ) -> Fingerprint:
     """Fingerprint a single mel segment: a packed batch of one."""
-    mel = np.asarray(mel, dtype=np.float64)
-    if mel.ndim != 2 or mel.shape[0] < 1:
-        raise ValueError(f"expected (T, F) mel with T >= 1, got shape {mel.shape}")
-    (z,) = fingerprint_batch(pack_segments([mel]), params, cfg)
+    (z,) = fingerprint_batch(pack_segments([np.asarray(mel, dtype=np.float64)]), params, cfg)
     return Fingerprint(z, audio_id, start_time, duration)
 
 

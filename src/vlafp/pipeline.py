@@ -9,7 +9,6 @@ from .dsp import MelConfig, mel_from_frames, mel_spectrogram, stft
 from .index import FingerprintIndex, IndexEntry
 from .model import ModelConfig, Parameters, fingerprint, fingerprint_batch, pack_segments
 from .segmentation import Segment, SegmenterConfig, segment, segment_fixed
-from .training import SourceSegment
 
 
 def segment_audio(
@@ -80,15 +79,12 @@ def training_sources(
     mel_cfg: MelConfig,
     fixed_window_s: float = 1.0,
     fixed_hop_s: float = 0.5,
-) -> list[SourceSegment]:
-    """Clean training segments: each one's span and rows from Segment.span.
+) -> list[tuple[Waveform, tuple[int, ...]]]:
+    """Clean training segments: each one's (span, rows) pair from Segment.span.
 
     mel_cfg sets nothing here; the anchor's mel is built from the rows in
     training.build_batch, as segment_mels builds it at index time.
     """
-    sources = []
-    for aid, w in corpus:
-        for seg in segment_audio(w, seg_cfg, aid, fixed_window_s, fixed_hop_s):
-            span, rows = seg.span(w)
-            sources.append(SourceSegment(aid, span, seg.start_time, seg.duration, rows))
-    return sources
+    return [
+        seg.span(w) for aid, w in corpus for seg in segment_audio(w, seg_cfg, aid, fixed_window_s, fixed_hop_s)
+    ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from . import dsp
 from .audio import Waveform
 from .augment import AugmentConfig, augment_chain_with_draws
-from .autodiff import Tensor, concat
+from .autodiff import Tensor
 from .dsp import MelConfig
 from .model import (
     ModelConfig,
@@ -25,6 +24,11 @@ from .model import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# A clean training segment as Segment.span gives it: its span of samples and
+# its rows within the span's STFT, increasing from 0; a contiguous segment or
+# a fixed window has every frame as a row.
+Source = tuple[Waveform, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -41,26 +45,16 @@ class TrainConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.n_pos < 1:
             raise ValueError(f"n_pos must be >= 1, got {self.n_pos}")
+        if self.batch_items < 1 + self.n_pos:
+            raise ValueError(
+                f"batch_items must hold one anchor and its {self.n_pos} positives, got {self.batch_items}"
+            )
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
     @property
     def groups_per_batch(self) -> int:
-        return max(1, self.batch_items // (1 + self.n_pos))
-
-
-@dataclass(frozen=True)
-class SourceSegment:
-    """A clean training segment: its span of samples, provenance, and rows.
-
-    rows are the segment's frames within the span's STFT, increasing from 0
-    (the span starts at the segment's first frame); a contiguous segment or
-    a fixed window has every frame as a row.
-    """
-
-    audio_id: int
-    waveform: Waveform
-    start_time: float
-    duration: float
-    rows: tuple[int, ...]
+        return self.batch_items // (1 + self.n_pos)
 
 
 def supcon_loss(
@@ -110,19 +104,16 @@ def supcon_loss_value_and_grad(
 class BuiltBatch:
     packed: PackedBatch
     positive_sets: dict[int, list[int]]
-    group_ids: list[int]  # per item, index of its anchor group
-    sources: list[SourceSegment]  # per item, the originating segment
 
 
 def build_batch(
-    sources: list[SourceSegment],
+    sources: list[Source],
     train_cfg: TrainConfig,
     aug_cfg: AugmentConfig,
     mel_cfg: MelConfig,
     rng: np.random.Generator,
-    chosen: list[int] | None = None,
 ) -> BuiltBatch:
-    """Assemble anchor groups: each clean segment plus n_pos augmented copies.
+    """One anchor group per source, in order: the clean segment plus n_pos augmented copies.
 
     The anchor's mel is mel_from_frames of its rows of the span's STFT, as
     at index time. A positive stretched by f keeps its frame j iff source
@@ -134,41 +125,23 @@ def build_batch(
     """
     if not sources:
         raise ValueError("empty corpus")
-    n_groups = train_cfg.groups_per_batch
-    if chosen is None:
-        if len(sources) < n_groups:
-            warnings.warn(
-                f"corpus has {len(sources)} segments < {n_groups} requested anchors; "
-                "building a smaller batch"
-            )
-            n_groups = len(sources)
-        chosen = list(rng.choice(len(sources), size=n_groups, replace=False))
-
     mels: list[np.ndarray] = []
-    group_ids: list[int] = []
-    item_sources: list[SourceSegment] = []
-    for g, src_idx in enumerate(chosen):
-        src = sources[src_idx]
-        frames = dsp.stft(src.waveform)
+    for span, rows in sources:
+        frames = dsp.stft(span)
         is_row = np.zeros(frames.n_frames, dtype=bool)
-        is_row[list(src.rows)] = True
-        mels.append(dsp.mel_from_frames(frames.select(src.rows), mel_cfg).data)
-        group_ids.append(g)
-        item_sources.append(src)
+        is_row[list(rows)] = True
+        mels.append(dsp.mel_from_frames(frames.select(rows), mel_cfg).data)
         for _ in range(train_cfg.n_pos):
-            distorted, draws = augment_chain_with_draws(src.waveform, aug_cfg, rng)
+            distorted, draws = augment_chain_with_draws(span, aug_cfg, rng)
             factor = 1.0 if draws.ts_factor is None else draws.ts_factor
             stretched = dsp.stft(distorted)
             source = np.rint(np.arange(stretched.n_frames) * factor).astype(np.intp)
             keep = np.flatnonzero(is_row[np.minimum(source, frames.n_frames - 1)])
             mels.append(dsp.mel_from_frames(stretched.select(keep), mel_cfg).data)
-            group_ids.append(g)
-            item_sources.append(src)
 
-    positive_sets: dict[int, list[int]] = {}
-    for i, g in enumerate(group_ids):
-        positive_sets[i] = [j for j, gj in enumerate(group_ids) if gj == g and j != i]
-    return BuiltBatch(pack_segments(mels), positive_sets, group_ids, item_sources)
+    size = 1 + train_cfg.n_pos  # group g is items g*size .. g*size + size - 1
+    positive_sets = {i: [j for j in range(i - i % size, i - i % size + size) if j != i] for i in range(len(mels))}
+    return BuiltBatch(pack_segments(mels), positive_sets)
 
 
 class Adam:
@@ -203,9 +176,8 @@ def train_step(
 ) -> float:
     """One forward/backward/update pass; returns the batch loss."""
     tp = as_tensors(params, requires_grad=True)
-    zs = fingerprint_batch_forward(batch.packed, tp, model_cfg)
-    z_mat = concat([z.reshape(1, -1) for z in zs], axis=0)
-    loss = supcon_loss(z_mat, batch.positive_sets, train_cfg.tau)
+    z = fingerprint_batch_forward(batch.packed, tp, model_cfg)
+    loss = supcon_loss(z, batch.positive_sets, train_cfg.tau)
     loss.backward()
     grads = {k: t.grad for k, t in tp.items() if t.grad is not None}
     optimizer.step(grads)
@@ -213,7 +185,7 @@ def train_step(
 
 
 def train(
-    sources: list[SourceSegment],
+    sources: list[Source],
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     aug_cfg: AugmentConfig,
@@ -237,8 +209,8 @@ def train(
         order = rng.permutation(len(sources))
         losses = []
         for start in range(0, len(order), per_batch):
-            chunk = [int(i) for i in order[start : start + per_batch]]
-            batch = build_batch(sources, train_cfg, aug_cfg, mel_cfg, rng, chosen=chunk)
+            chunk = [sources[i] for i in order[start : start + per_batch]]
+            batch = build_batch(chunk, train_cfg, aug_cfg, mel_cfg, rng)
             loss = train_step(params, optimizer, batch, model_cfg, train_cfg)
             if not np.isfinite(loss):
                 norms = {k: float(np.linalg.norm(v)) for k, v in params.items()}

@@ -280,22 +280,21 @@ def forward_stack(x: np.ndarray, tp: dict[str, Tensor], cfg: ModelConfig) -> lis
 def batch_forward(
     batch: PackedBatch, tp: dict[str, Tensor], cfg: ModelConfig
 ) -> list[Tensor]:
-    """Forward every segment of a packed batch; fingerprint Tensors in span order.
+    """Forward every segment of a packed batch; fingerprint Tensors in batch order.
 
     Segments of equal length run together as one (n, L, F) stack, so no
     attention crosses a segment boundary and nothing needs a mask. A stack
     whose self-attention would exceed MAX_ATTENTION_CELLS runs in chunks.
     """
-    groups: dict[int, list[int]] = {}  # length -> span indices
-    for i, (_, length) in enumerate(batch.spans):
-        groups.setdefault(length, []).append(i)
+    groups: dict[int, list[int]] = {}  # length -> segment indices
+    for i, mel in enumerate(batch.mels):
+        groups.setdefault(mel.shape[0], []).append(i)
     out: list[Tensor] = [None] * batch.n_segments
     for length, members in groups.items():
         per_chunk = max(1, MAX_ATTENTION_CELLS // (length * length))
         for start in range(0, len(members), per_chunk):
             chunk = members[start : start + per_chunk]
-            offsets = [batch.spans[i][0] for i in chunk]
-            x = np.stack([batch.frames[off : off + length] for off in offsets])
+            x = np.stack([batch.mels[i] for i in chunk])
             for i, z in zip(chunk, forward_stack(x, tp, cfg)):
                 out[i] = z
     return out

@@ -4,6 +4,7 @@ bench/tracing.py is read and executed here, never imported as a package
 module, so the benchmark directory gains no files when this test runs.
 """
 
+import importlib
 import types
 from pathlib import Path
 
@@ -19,6 +20,10 @@ def load_tracing() -> types.ModuleType:
 
 def test_every_patch_site_installs_and_is_removed():
     tracing = load_tracing()
+    # Import every patched module first, as the benchmark's workloads do: a
+    # module first imported while install() runs would bind a wrapper.
+    for name in tracing.VLAFP_MODULES:
+        importlib.import_module(name)
     handle = tracing.install(tracing.Tracer())
     try:
         assert tracing.leftover_wrappers()

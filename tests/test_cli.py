@@ -169,6 +169,18 @@ class TestTrainArtifacts:
         assert len(hist) == 2
         assert (Path(str(ckpt) + ".manifest.json")).exists()
 
+    @pytest.mark.parametrize(
+        "flags,needle",
+        [(["--epochs", "0"], "epochs must be >= 1, got 0"), (["--batch", "3"], "3 positives, got 3")],
+        ids=["no-epochs", "batch-below-one-group"],
+    )
+    def test_config_that_cannot_train_exit_1(self, corpus_dir, tmp_path, capsys, flags, needle):
+        out = tmp_path / "model.vlfp"
+        rc = main(["train", "--corpus", str(corpus_dir), "--method", "fixed", "--out", str(out)] + flags)
+        assert rc == 1
+        _one_error_line(capsys, needle)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFingerprintIndexQuery:
     def test_full_flow(self, corpus_dir, ckpt, tmp_path, capsys):

@@ -31,8 +31,7 @@ def contiguous(seg):
 def batch_mels(sources, aug):
     """Anchor and positive mels of one n_pos=1 batch over every source, in item order."""
     cfg = TrainConfig(n_pos=1)
-    batch = build_batch(sources, cfg, aug, MEL_CFG, np.random.default_rng(0), chosen=list(range(len(sources))))
-    mels = [batch.packed.frames[off : off + n] for off, n in batch.packed.spans]
+    mels = build_batch(sources, cfg, aug, MEL_CFG, np.random.default_rng(0)).packed.mels
     return mels[::2], mels[1::2]
 
 
@@ -62,7 +61,9 @@ def test_training_index_and_oracle_mels_are_byte_equal(small_corpus, method):
 def skipping_sources(small_corpus):
     """nosilence training sources whose rows skip silent frames."""
     cfg = seg_config("nosilence")
-    sources = [s for s in training_sources(small_corpus, cfg, MEL_CFG) if s.rows[-1] != len(s.rows) - 1]
+    sources = [
+        (span, rows) for span, rows in training_sources(small_corpus, cfg, MEL_CFG) if rows[-1] != len(rows) - 1
+    ]
     assert sources
     return sources
 
@@ -81,10 +82,10 @@ def test_unit_stretch_positive_equals_anchor(skipping_sources):
 def test_stretched_positive_keeps_row_0_and_drops_skipped_frames(skipping_sources, factor):
     _, positives = batch_mels(skipping_sources, stretch_only(factor))
     n_dropped = 0
-    for src, positive in zip(skipping_sources, positives, strict=True):
-        n_source = stft(src.waveform).n_frames
-        frames = stft(time_stretch(src.waveform, factor))
-        keep = [j for j in range(frames.n_frames) if min(round(j * factor), n_source - 1) in src.rows]
+    for (span, rows), positive in zip(skipping_sources, positives, strict=True):
+        n_source = stft(span).n_frames
+        frames = stft(time_stretch(span, factor))
+        keep = [j for j in range(frames.n_frames) if min(round(j * factor), n_source - 1) in rows]
         assert keep[0] == 0
         n_dropped += frames.n_frames - len(keep)
         assert same_bytes(positive, mel_from_frames(frames.select(keep), MEL_CFG).data)
@@ -95,8 +96,8 @@ def test_stretched_positive_keeps_row_0_and_drops_skipped_frames(skipping_source
 @pytest.mark.parametrize("factor", [0.8, 1.2])
 def test_every_frame_source_positive_keeps_every_stretched_frame(small_corpus, method, factor):
     sources = training_sources(small_corpus[:2], seg_config(method), MEL_CFG)
-    assert all(len(s.rows) == stft(s.waveform).n_frames for s in sources)
+    assert all(len(rows) == stft(span).n_frames for span, rows in sources)
     _, positives = batch_mels(sources, stretch_only(factor))
-    for src, positive in zip(sources, positives, strict=True):
-        stretched = time_stretch(src.waveform, factor)
+    for (span, _), positive in zip(sources, positives, strict=True):
+        stretched = time_stretch(span, factor)
         assert same_bytes(positive, mel_from_frames(stft(stretched), MEL_CFG).data)

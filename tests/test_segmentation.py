@@ -199,14 +199,14 @@ class TestFrameGrid:
             segs = segment(w, cfg, aid)
             audio_frames = stft(w).frames
             sources = training_sources([(aid, w)], cfg, mel_cfg)
-            for seg, mel, src in zip(segs, segment_mels(w, segs, mel_cfg), sources, strict=True):
+            for seg, mel, (span, rows) in zip(segs, segment_mels(w, segs, mel_cfg), sources, strict=True):
                 first, last = seg.frame_indices[0], seg.frame_indices[-1]
                 assert mel.shape == (seg.n_frames, 32)
                 assert seg.start_time == pytest.approx(first * DEFAULT_HOP / FS)
-                assert len(src.waveform) == (last - first) * DEFAULT_HOP + DEFAULT_WINDOW
-                assert src.rows == tuple(i - first for i in seg.frame_indices)
+                assert len(span) == (last - first) * DEFAULT_HOP + DEFAULT_WINDOW
+                assert rows == tuple(i - first for i in seg.frame_indices)
                 # The span's STFT is the audio's frames first..last, bit for bit.
-                assert np.array_equal(stft(src.waveform).frames, audio_frames[first : last + 1])
+                assert np.array_equal(stft(span).frames, audio_frames[first : last + 1])
 
     @pytest.mark.parametrize("method", METHODS + ("fixed",))
     def test_segment_span_selects_the_segments_frames(self, small_corpus, method):

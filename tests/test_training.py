@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from vlafp.audio import Waveform
 from vlafp.augment import AugmentConfig, make_ir_pool, make_noise_pool
 from vlafp.autodiff import Tensor
 from vlafp.dsp import MelConfig
@@ -12,7 +11,6 @@ from vlafp.training import (
     ADAM_BETA2,
     ADAM_EPS,
     Adam,
-    SourceSegment,
     TrainConfig,
     build_batch,
     supcon_loss,
@@ -116,37 +114,27 @@ class TestBuildBatch:
     def test_group_sizes(self, tiny_setup):
         sources, mel_cfg, aug, _ = tiny_setup
         cfg = TrainConfig(batch_items=16, n_pos=3, seed=0)
-        batch = build_batch(sources, cfg, aug, mel_cfg, np.random.default_rng(0))
+        batch = build_batch(sources[:4], cfg, aug, mel_cfg, np.random.default_rng(0))
         assert batch.packed.n_segments == 16
-        for i, g in enumerate(batch.group_ids):
+        for i in range(16):
             assert len(batch.positive_sets[i]) == 3
 
     @pytest.mark.parametrize("n_pos", [1, 2, 3, 4, 5])
     def test_n_pos_sweep(self, tiny_setup, n_pos):
         sources, mel_cfg, aug, _ = tiny_setup
         cfg = TrainConfig(batch_items=2 * (1 + n_pos), n_pos=n_pos, seed=0)
-        batch = build_batch(sources, cfg, aug, mel_cfg, np.random.default_rng(0))
+        batch = build_batch(sources[:2], cfg, aug, mel_cfg, np.random.default_rng(0))
         assert batch.packed.n_segments == 2 * (1 + n_pos)
 
     def test_same_seed_same_batch(self, tiny_setup):
         sources, mel_cfg, aug, _ = tiny_setup
         cfg = TrainConfig(batch_items=8, n_pos=1, seed=0)
-        a = build_batch(sources, cfg, aug, mel_cfg, np.random.default_rng(3))
-        b = build_batch(sources, cfg, aug, mel_cfg, np.random.default_rng(3))
-        assert np.array_equal(a.packed.frames, b.packed.frames)
+        a = build_batch(sources[:4], cfg, aug, mel_cfg, np.random.default_rng(3))
+        b = build_batch(sources[:4], cfg, aug, mel_cfg, np.random.default_rng(3))
+        assert len(a.packed.mels) == len(b.packed.mels) == 8
+        for x, y in zip(a.packed.mels, b.packed.mels):
+            assert np.array_equal(x, y)
         assert a.positive_sets == b.positive_sets
-
-    def test_small_corpus_warns(self, tiny_setup):
-        _, mel_cfg, aug, _ = tiny_setup
-        few = [
-            SourceSegment(
-                0, Waveform(np.random.default_rng(0).standard_normal(FS) * 0.2, FS), 0.0, 1.0, tuple(range(28))
-            )
-        ]
-        cfg = TrainConfig(batch_items=60, n_pos=3, seed=0)
-        with pytest.warns(UserWarning, match="smaller batch"):
-            batch = build_batch(few, cfg, aug, mel_cfg, np.random.default_rng(0))
-        assert batch.packed.n_segments == 4
 
     def test_empty_corpus_rejected(self, tiny_setup):
         _, mel_cfg, aug, _ = tiny_setup
@@ -241,3 +229,9 @@ class TestAdam:
             TrainConfig(tau=0.0)
         with pytest.raises(ValueError):
             TrainConfig(n_pos=0)
+        with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
+            TrainConfig(epochs=0)
+        for batch_items in (0, 3):
+            with pytest.raises(ValueError, match=f"3 positives, got {batch_items}"):
+                TrainConfig(batch_items=batch_items, n_pos=3)
+        assert TrainConfig(batch_items=4, n_pos=3).groups_per_batch == 1
