@@ -22,7 +22,7 @@ from vlafp.dsp import MelConfig
 from vlafp.evaluation import cbr_evaluate, dtr_evaluate, make_dtr_queries, simulate_broadcast
 from vlafp.model import ModelConfig, init_parameters, save_checkpoint
 from vlafp.pipeline import build_index, fingerprint_segments, make_embedder, training_sources
-from vlafp.segmentation import SegmenterConfig, segment
+from vlafp.segmentation import FIXED_WINDOWS, SegmenterConfig, segment
 from vlafp.synth import SynthSpec, generate
 from vlafp.training import TrainConfig, train
 
@@ -49,7 +49,7 @@ def main() -> int:
     aug = AugmentConfig(enable_ts=False, bg_pool=bg, ir_pool=ir)
 
     print(f"[{time.time()-t0:6.1f}s] training on fixed 1 s segments ...")
-    sources = training_sources(corpus, None, mel_cfg)
+    sources = training_sources(corpus, FIXED_WINDOWS, mel_cfg)
     tc = TrainConfig(epochs=args.epochs, lr=args.lr, seed=0)
     params, history = train(
         sources, model_cfg, tc, aug, mel_cfg,
@@ -58,7 +58,7 @@ def main() -> int:
     save_checkpoint(work / "model.vlfp", params, model_cfg)
 
     print(f"[{time.time()-t0:6.1f}s] DTR evaluation ...")
-    index = build_index(corpus, None, mel_cfg, params, model_cfg)
+    index = build_index(corpus, FIXED_WINDOWS, mel_cfg, params, model_cfg)
     index.save(work / "dtr_db.vlix")
     embed = make_embedder(params, model_cfg, mel_cfg)
     rng = np.random.default_rng(args.seed + 99)
@@ -69,7 +69,7 @@ def main() -> int:
 
     baseline = init_parameters(model_cfg, seed=args.seed + 1000)
     rng = np.random.default_rng(args.seed + 99)
-    base_idx = build_index(corpus, None, mel_cfg, baseline, model_cfg)
+    base_idx = build_index(corpus, FIXED_WINDOWS, mel_cfg, baseline, model_cfg)
     base_embed = make_embedder(baseline, model_cfg, mel_cfg)
     base_qs = make_dtr_queries(corpus, [1.0], aug, rng, queries_per_target=1)
     base = dtr_evaluate(base_idx, base_qs, base_embed)

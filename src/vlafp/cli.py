@@ -10,6 +10,7 @@ import math
 import os
 import platform
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,8 @@ from .dsp import MelConfig
 from .evaluation import cbr_evaluate, dtr_evaluate, make_dtr_queries, simulate_broadcast
 from .index import FingerprintIndex
 from .model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
-from .pipeline import build_index, fingerprint_segments, make_embedder, segment_audio, training_sources
-from .segmentation import SegmenterConfig, default_theta, write_manifest
+from .pipeline import build_index, fingerprint_segments, make_embedder, training_sources
+from .segmentation import FIXED_WINDOWS, METHODS, SegmenterConfig, default_theta, segment, write_manifest
 from .synth import SynthSpec, generate
 from .training import TrainConfig, train
 
@@ -90,9 +91,7 @@ def make_aug_config(args, sample_rate: int) -> AugmentConfig:
     )
 
 
-def seg_config_from_args(args) -> SegmenterConfig | None:
-    if args.method == "fixed":
-        return None
+def seg_config_from_args(args) -> SegmenterConfig:
     theta = args.theta if args.theta is not None else default_theta(args.method)
     return SegmenterConfig(
         t_min=args.tmin,
@@ -101,6 +100,8 @@ def seg_config_from_args(args) -> SegmenterConfig | None:
         method=args.method,
         pelt_jump=getattr(args, "pelt_jump", 1),
         pelt_penalty=getattr(args, "pelt_penalty", None),
+        window_s=args.window,
+        hop_s=args.hop,
     )
 
 
@@ -168,10 +169,9 @@ def cmd_synth(args) -> int:
 def cmd_segment(args) -> int:
     corpus, files = load_corpus(args.audio, args.rate)
     cfg = seg_config_from_args(args)
-    per_audio = [segment_audio(w, cfg, aid, args.window, args.hop) for aid, w in corpus]
+    per_audio = [segment(w, cfg, aid) for aid, w in corpus]
     segments = [s for segs in per_audio for s in segs]
-    theta = cfg.theta if cfg is not None else 0.0
-    write_manifest(args.out, segments, args.method, theta)
+    write_manifest(args.out, segments, cfg)
     write_run_manifest(args.out, "segment", args)
     print(f"{len(segments)} segments from {len(corpus)} audios -> {args.out}")
     for path, segs in zip(files, per_audio):
@@ -192,7 +192,7 @@ def cmd_train(args) -> int:
     mel_cfg = MelConfig(n_mels=args.mel_bands)
     model_cfg = model_config_from_args(args)
     seg_cfg = seg_config_from_args(args)
-    sources = training_sources(corpus, seg_cfg, mel_cfg, args.window, args.hop)
+    sources = training_sources(corpus, seg_cfg, mel_cfg)
     aug_cfg = make_aug_config(args, args.rate)
     params, history = train(
         sources,
@@ -219,7 +219,7 @@ def cmd_fingerprint(args) -> int:
     params, model_cfg = load_checkpoint(args.ckpt)
     mel_cfg = MelConfig(n_mels=model_cfg.f_bins)
     seg_cfg = seg_config_from_args(args)
-    index = build_index(corpus, seg_cfg, mel_cfg, params, model_cfg, args.window, args.hop)
+    index = build_index(corpus, seg_cfg, mel_cfg, params, model_cfg)
     index.save(args.out)
     write_run_manifest(args.out, "fingerprint", args)
     print(f"{len(index)} fingerprints -> {args.out}")
@@ -268,11 +268,8 @@ def cmd_eval_cbr(args) -> int:
     others = [w for aid, w in corpus if aid != args.commercial_id]
     sim = simulate_broadcast(commercial, others, aug_cfg, rng, n_others=args.others)
 
-    commercial_index = build_index(
-        [(args.commercial_id, commercial)], seg_cfg, mel_cfg, params, model_cfg,
-        args.window, args.hop,
-    )
-    broadcast_segs = segment_audio(sim.stream, seg_cfg, -1, args.window, args.hop)
+    commercial_index = build_index([(args.commercial_id, commercial)], seg_cfg, mel_cfg, params, model_cfg)
+    broadcast_segs = segment(sim.stream, seg_cfg, -1)
     entries = fingerprint_segments(sim.stream, broadcast_segs, mel_cfg, params, model_cfg)
     scored_segments = [(seg, e.vector) for seg, e in zip(broadcast_segs, entries)]
     report = cbr_evaluate(commercial_index, scored_segments, sim.span)
@@ -324,15 +321,14 @@ def cmd_eval_dtr(args) -> int:
         )
     targets = corpus[:n_targets]
     database = corpus if args.dummies is None else corpus[: n_targets + args.dummies]
-    index = build_index(
-        database, None, mel_cfg, params, model_cfg, args.window, args.hop
-    )
+    windows = replace(FIXED_WINDOWS, window_s=args.window, hop_s=args.hop)
+    index = build_index(database, windows, mel_cfg, params, model_cfg)
     durations = [float(d) for d in args.durations.split(",")]
     queries = make_dtr_queries(
         targets, durations, aug_cfg, rng, queries_per_target=args.queries_per_target
     )
     embed = make_embedder(params, model_cfg, mel_cfg)
-    report = dtr_evaluate(index, queries, embed, args.window, args.hop)
+    report = dtr_evaluate(index, queries, embed, windows.window_s, windows.hop_s)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -402,11 +398,7 @@ def _add_common(p, rate=True):
 
 
 def _add_segmentation(p):
-    p.add_argument(
-        "--method",
-        choices=["main", "nosilence", "pelt", "waveform", "fixed"],
-        default="main",
-    )
+    p.add_argument("--method", choices=METHODS, default="main")
     p.add_argument("--theta", type=_theta, default=None, help='z-score threshold; "inf" allowed')
     p.add_argument("--tmin", type=float, default=0.5)
     p.add_argument("--tmax", type=float, default=5.0)

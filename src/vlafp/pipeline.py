@@ -8,16 +8,8 @@ from .audio import Waveform
 from .dsp import MelConfig, mel_from_frames, mel_spectrogram, stft
 from .index import FingerprintIndex, IndexEntry
 from .model import ModelConfig, Parameters, fingerprint, fingerprint_batch, pack_segments
-from .segmentation import Segment, SegmenterConfig, segment, segment_fixed
-
-
-def segment_audio(
-    w: Waveform, seg_cfg: SegmenterConfig | None, audio_id: int, window_s: float, hop_s: float
-) -> list[Segment]:
-    """One audio's segments; seg_cfg None means fixed sample windows of window_s every hop_s."""
-    if seg_cfg is None:
-        return segment_fixed(w, window_s, hop_s, audio_id=audio_id)
-    return segment(w, seg_cfg, audio_id=audio_id)
+from .segmentation import FIXED_WINDOWS, Segment, SegmenterConfig, segment
+from .segmentation import segment_fixed  # noqa: F401  bench/tracing.py patches pipeline.segment_fixed
 
 
 def segment_mels(w: Waveform, segments: list[Segment], mel_cfg: MelConfig) -> list[np.ndarray]:
@@ -52,13 +44,12 @@ def build_index(
     mel_cfg: MelConfig,
     params: Parameters,
     model_cfg: ModelConfig,
-    fixed_window_s: float = 1.0,
-    fixed_hop_s: float = 0.5,
 ) -> FingerprintIndex:
-    """Segment and fingerprint a corpus; seg_cfg None means fixed windows."""
+    """Segment and fingerprint a corpus."""
     entries = []
     for aid, w in corpus:
-        segs = segment_audio(w, seg_cfg, aid, fixed_window_s, fixed_hop_s)
+        # None means FIXED_WINDOWS: bench/ and test_acceptance still pass None.
+        segs = segment(w, seg_cfg or FIXED_WINDOWS, aid)
         entries += fingerprint_segments(w, segs, mel_cfg, params, model_cfg)
     return FingerprintIndex.build(entries) if entries else FingerprintIndex(model_cfg.d)
 
@@ -77,14 +68,11 @@ def training_sources(
     corpus: list[tuple[int, Waveform]],
     seg_cfg: SegmenterConfig | None,
     mel_cfg: MelConfig,
-    fixed_window_s: float = 1.0,
-    fixed_hop_s: float = 0.5,
 ) -> list[tuple[Waveform, tuple[int, ...]]]:
     """Clean training segments: each one's (span, rows) pair from Segment.span.
 
     mel_cfg sets nothing here; the anchor's mel is built from the rows in
     training.build_batch, as segment_mels builds it at index time.
     """
-    return [
-        seg.span(w) for aid, w in corpus for seg in segment_audio(w, seg_cfg, aid, fixed_window_s, fixed_hop_s)
-    ]
+    # None means FIXED_WINDOWS: bench/ and test_acceptance still pass None.
+    return [seg.span(w) for aid, w in corpus for seg in segment(w, seg_cfg or FIXED_WINDOWS, aid)]

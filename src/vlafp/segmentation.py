@@ -1,4 +1,4 @@
-"""Variable-length segmentation via entropy z-scores, plus the three variants."""
+"""Variable-length segmentation via entropy z-scores, its three variants, and fixed windows."""
 
 from __future__ import annotations
 
@@ -20,7 +20,9 @@ from .dsp import (
 )
 from .pelt import default_penalty, pelt_changepoints
 
-METHODS = ("main", "nosilence", "pelt", "waveform")
+# The frame-grid methods, then fixed sample windows: every --method choice.
+VARIABLE_METHODS = ("main", "nosilence", "pelt", "waveform")
+METHODS = VARIABLE_METHODS + ("fixed",)
 SILENCE_THRESHOLD_DB = -60.0
 # Below this the window entropy is effectively constant; the next frame is
 # treated as in-regime (z = 0) rather than dividing by ~0.
@@ -28,22 +30,26 @@ MIN_STD = 1e-9
 
 
 def default_theta(method: str) -> float:
-    """Per-method z-score threshold default (waveform entropy runs hotter)."""
-    return 4.0 if method == "waveform" else 1.0
+    """Per-method z-score threshold default (waveform entropy runs hotter; fixed reads none)."""
+    return {"waveform": 4.0, "fixed": 0.0}.get(method, 1.0)
 
 
 @dataclass(frozen=True)
 class SegmenterConfig:
+    """A segmentation method and its settings; window_s and hop_s are read by "fixed" alone."""
+
     t_min: float = 0.5
     t_max: float = 5.0
     theta: float = 1.0
     method: str = "main"
     pelt_penalty: float | None = None
     pelt_jump: int = 1
+    window_s: float = 1.0
+    hop_s: float = 0.5
 
     def __post_init__(self):
-        if not (0 < self.t_min <= self.t_max):
-            raise ValueError(f"need 0 < t_min <= t_max, got {self.t_min}, {self.t_max}")
+        if not (0 < self.t_min <= self.t_max < math.inf):
+            raise ValueError(f"need 0 < t_min <= t_max < inf, got {self.t_min}, {self.t_max}")
         if not (self.theta >= 0):
             raise ValueError(f"theta must be >= 0 (inf allowed), got {self.theta}")
         if self.method not in METHODS:
@@ -267,8 +273,8 @@ def segment_fixed(
     audio under a 1 s window / 0.5 s hop yields exactly 2k-1 windows. A
     window must hold at least one STFT hop and the hop at least one sample.
     """
-    if not (window_s >= hop_s > 0):
-        raise ValueError(f"need window >= hop > 0, got {window_s}, {hop_s}")
+    if not (math.inf > window_s >= hop_s > 0):
+        raise ValueError(f"need finite window >= hop > 0, got {window_s}, {hop_s}")
     if len(w) == 0:
         raise ValueError("empty input")
     fs = w.sample_rate
@@ -302,14 +308,20 @@ def segment(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segmen
         return segment_pelt(w, cfg, audio_id)
     if cfg.method == "waveform":
         return segment_waveform(w, cfg, audio_id)
+    if cfg.method == "fixed":
+        return segment_fixed(w, cfg.window_s, cfg.hop_s, audio_id)
     raise ValueError(f"unknown method {cfg.method!r}")
 
 
-def write_manifest(path: str | Path, segments: list[Segment], method: str, theta: float) -> None:
+# 1 s windows every 0.5 s: the fixed-length baseline the variable methods replace.
+FIXED_WINDOWS = SegmenterConfig(method="fixed", theta=default_theta("fixed"))
+
+
+def write_manifest(path: str | Path, segments: list[Segment], cfg: SegmenterConfig) -> None:
     """Line-delimited records: audio_id,start_time_s,duration_s,method,theta."""
     with open(path, "w") as fh:
         for s in segments:
-            fh.write(f"{s.audio_id},{s.start_time:.6f},{s.duration:.6f},{method},{theta}\n")
+            fh.write(f"{s.audio_id},{s.start_time:.6f},{s.duration:.6f},{cfg.method},{cfg.theta}\n")
 
 
 def read_manifest(path: str | Path) -> list[tuple[int, float, float, str, float]]:

@@ -19,7 +19,7 @@ import vlafp
 from vlafp.cli import THREAD_VARS, main
 from vlafp.index import FingerprintIndex, IndexEntry
 from vlafp.model import load_checkpoint, save_checkpoint
-from vlafp.segmentation import read_manifest
+from vlafp.segmentation import METHODS, read_manifest
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +104,7 @@ class TestSegment:
         assert rc == 1
         assert "nope" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["main", "nosilence", "pelt", "waveform", "fixed"])
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("suffix", [".wav", ".f32"])
     def test_non_finite_sample_exit_1(self, tmp_path, capsys, method, suffix):
         data = np.zeros(2 * 8000, dtype="<f4")
@@ -118,7 +118,7 @@ class TestSegment:
         assert rc == 1
         _one_error_line(capsys, str(path), "non-finite")
 
-    @pytest.mark.parametrize("method", ["main", "nosilence", "pelt", "waveform", "fixed"])
+    @pytest.mark.parametrize("method", METHODS)
     def test_unparsable_wav_exit_1(self, tmp_path, capsys, method):
         path = tmp_path / "text.wav"
         path.write_text("not a wav file at all")
@@ -126,7 +126,20 @@ class TestSegment:
         assert rc == 1
         _one_error_line(capsys, str(path), "not a readable WAV")
 
-    @pytest.mark.parametrize("method", ["main", "nosilence", "pelt", "waveform", "fixed"])
+    @pytest.mark.parametrize(
+        "rate,shape,needle",
+        [(16000, (16000,), "sample rate 16000 != expected 8000"), (8000, (8000, 2), "mono only, got 2 channels")],
+        ids=["wrong-rate", "stereo"],
+    )
+    @pytest.mark.parametrize("method", METHODS)
+    def test_wrong_rate_or_stereo_wav_exit_1(self, tmp_path, capsys, method, rate, shape, needle):
+        path = tmp_path / "bad.wav"
+        wavfile.write(str(path), rate, np.zeros(shape, dtype=np.float32))
+        rc = main(["segment", "--audio", str(path), "--method", method, "--out", str(tmp_path / "m.txt")])
+        assert rc == 1
+        _one_error_line(capsys, str(path), needle)
+
+    @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("suffix", [".wav", ".f32"])
     def test_empty_audio_exit_1(self, tmp_path, capsys, method, suffix):
         path = tmp_path / f"empty{suffix}"
@@ -345,8 +358,12 @@ class TestHostileInput:
 
     @pytest.mark.parametrize(
         "window,hop,needle",
-        [("0.01", "0.01", "shorter than one hop"), ("1", "0.00001", "rounds to 0 samples")],
-        ids=["window-below-one-hop", "hop-below-one-sample"],
+        [
+            ("0.01", "0.01", "shorter than one hop"),
+            ("1", "0.00001", "rounds to 0 samples"),
+            ("inf", "0.5", "need finite window >= hop > 0"),
+        ],
+        ids=["window-below-one-hop", "hop-below-one-sample", "infinite-window"],
     )
     @pytest.mark.parametrize("command", ["segment", "train", "fingerprint", "eval dtr", "eval cbr"])
     def test_fixed_window_without_a_hop_exit_1(
@@ -363,6 +380,15 @@ class TestHostileInput:
         rc = main(command.split() + flags + ["--window", window, "--hop", hop, "--out", str(out)])
         assert rc == 1
         _one_error_line(capsys, needle)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("durations", [["--tmax", "inf"], ["--tmin", "inf", "--tmax", "inf"]], ids=["tmax", "both"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_finite_duration_exit_1(self, corpus_dir, tmp_path, capsys, method, durations):
+        out = tmp_path / "m.txt"
+        rc = main(["segment", "--audio", str(corpus_dir), "--method", method, "--out", str(out)] + durations)
+        assert rc == 1
+        _one_error_line(capsys, "need 0 < t_min <= t_max < inf")
         assert not out.exists()
 
 

@@ -9,7 +9,7 @@ from vlafp.dsp import MelConfig
 from vlafp.index import FingerprintIndex, IndexEntry, expected_file_size
 from vlafp.model import ModelConfig, init_parameters
 from vlafp.pipeline import build_index, fingerprint_segments
-from vlafp.segmentation import segment_fixed
+from vlafp.segmentation import FIXED_WINDOWS, segment_fixed
 from vlafp.synth import SynthSpec, generate
 
 
@@ -245,13 +245,13 @@ class TestBuildIndex:
             segs = segment_fixed(w, 1.0, 0.5, audio_id=aid)
             for entry in fingerprint_segments(w, segs, mel_cfg, params, model_cfg):
                 one_by_one.insert(entry)
-        built = build_index(corpus, None, mel_cfg, params, model_cfg)
+        built = build_index(corpus, FIXED_WINDOWS, mel_cfg, params, model_cfg)
         assert len(built) == 3 * 5
         assert built.records.tobytes() == one_by_one.records.tobytes()
 
     def test_empty_corpus_gives_empty_index(self, tiny):
         _, mel_cfg, params, model_cfg = tiny
-        index = build_index([], None, mel_cfg, params, model_cfg)
+        index = build_index([], FIXED_WINDOWS, mel_cfg, params, model_cfg)
         assert (len(index), index.dim) == (0, 12)
 
 

@@ -12,15 +12,15 @@ from oracles import span_mel
 
 from vlafp.augment import AugmentConfig, time_stretch
 from vlafp.dsp import MelConfig, mel_from_frames, stft
-from vlafp.pipeline import segment_audio, segment_mels, training_sources
-from vlafp.segmentation import METHODS, SegmenterConfig, default_theta
+from vlafp.pipeline import segment_mels, training_sources
+from vlafp.segmentation import METHODS, SegmenterConfig, default_theta, segment
 from vlafp.training import TrainConfig, build_batch
 
 MEL_CFG = MelConfig(n_mels=64)
 
 
 def seg_config(method):
-    return None if method == "fixed" else SegmenterConfig(method=method, theta=default_theta(method))
+    return SegmenterConfig(method=method, theta=default_theta(method))
 
 
 def contiguous(seg):
@@ -39,13 +39,13 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("method", METHODS + ("fixed",))
+@pytest.mark.parametrize("method", METHODS)
 def test_training_index_and_oracle_mels_are_byte_equal(small_corpus, method):
     cfg = seg_config(method)
     no_aug = AugmentConfig(enable_ts=False, enable_bg=False, enable_ir=False)
     n_segments = n_contiguous = 0
     for aid, w in small_corpus:
-        segs = segment_audio(w, cfg, aid, 1.0, 0.5)
+        segs = segment(w, cfg, aid)
         anchors, _ = batch_mels(training_sources([(aid, w)], cfg, MEL_CFG), no_aug)
         for seg, anchor, index_mel in zip(segs, anchors, segment_mels(w, segs, MEL_CFG), strict=True):
             n_segments += 1

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import segment_waveform_span
 
 from vlafp.audio import Waveform
 from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, MelConfig, stft
 from vlafp.pipeline import segment_mels, training_sources
 from vlafp.segmentation import (
+    FIXED_WINDOWS,
     METHODS,
     SILENCE_THRESHOLD_DB,
+    VARIABLE_METHODS,
     EntropyStats,
     SegmenterConfig,
     _zscore_partition,
@@ -180,6 +183,7 @@ class TestWaveformMethod:
     def test_default_theta_is_4(self):
         assert default_theta("waveform") == 4.0
         assert default_theta("main") == 1.0
+        assert default_theta("fixed") == FIXED_WINDOWS.theta == 0.0
 
     def test_reconstruction(self, small_corpus):
         aid, w = small_corpus[2]
@@ -191,7 +195,7 @@ class TestWaveformMethod:
 class TestFrameGrid:
     """Segments, their index-side mel rows and their training rows share one frame grid."""
 
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", VARIABLE_METHODS)
     def test_mel_rows_and_span_follow_the_grid(self, small_corpus, method):
         mel_cfg = MelConfig(n_mels=32)
         cfg = SegmenterConfig(method=method, theta=default_theta(method))
@@ -208,25 +212,24 @@ class TestFrameGrid:
                 # The span's STFT is the audio's frames first..last, bit for bit.
                 assert np.array_equal(stft(span).frames, audio_frames[first : last + 1])
 
-    @pytest.mark.parametrize("method", METHODS + ("fixed",))
+    @pytest.mark.parametrize("method", METHODS)
     def test_segment_span_selects_the_segments_frames(self, small_corpus, method):
+        cfg = SegmenterConfig(method=method, theta=default_theta(method))
         for aid, w in small_corpus[:2]:
-            if method == "fixed":
-                segs = segment_fixed(w, 1.0, 0.5, audio_id=aid)
-            else:
-                segs = segment(w, SegmenterConfig(method=method, theta=default_theta(method)), aid)
-            audio_frames = stft(w).frames
-            for i, seg in enumerate(segs):
+            for seg in segment(w, cfg, aid):
                 span, rows = seg.span(w)
+                start = round(seg.start_time * FS)
+                # The span is the reference span, and it starts where the segment does.
+                assert np.array_equal(span.samples, segment_waveform_span(w, seg).samples)
+                assert np.array_equal(span.samples, w.slice_samples(start, len(span), pad=True).samples)
+                # The rows run, increasing, from the span's first frame to its last,
+                # and row r is w's frame r hops after the segment's start.
                 frames = stft(span).frames
-                if method == "fixed":
-                    assert np.array_equal(span.samples, w.slice_samples(i * FS // 2, FS, pad=True).samples)
-                    assert rows == tuple(range(frames.shape[0]))
-                    continue
-                first, last = seg.frame_indices[0], seg.frame_indices[-1]
-                assert len(span) == (last - first) * DEFAULT_HOP + DEFAULT_WINDOW
-                assert rows == tuple(f - first for f in seg.frame_indices)
-                assert np.array_equal(frames[list(rows)], audio_frames[list(seg.frame_indices)])
+                assert rows[0] == 0 and rows[-1] == len(frames) - 1
+                assert all(a < b for a, b in zip(rows, rows[1:]))
+                for r in rows:
+                    frame = w.slice_samples(start + r * DEFAULT_HOP, DEFAULT_WINDOW, pad=True)
+                    assert np.array_equal(frames[r], stft(frame).frames[0])
 
     def test_waveform_method_short_and_empty_input(self):
         cfg = SegmenterConfig(method="waveform", theta=4.0)
@@ -237,7 +240,7 @@ class TestFrameGrid:
 
 
 class TestTails:
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", VARIABLE_METHODS)
     def test_only_the_last_segment_may_be_short(self, small_corpus, method):
         cfg = SegmenterConfig(method=method, theta=default_theta(method))
         for aid, w in small_corpus:
@@ -264,6 +267,9 @@ class TestFixed:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             segment_fixed(Waveform(np.ones(FS), FS), 0.5, 1.0)
+        for window, hop in [(math.inf, 0.5), (math.inf, math.inf), (math.nan, 0.5), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match="need finite window >= hop > 0"):
+                segment_fixed(Waveform(np.ones(FS), FS), window, hop)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty input"):
@@ -276,6 +282,12 @@ class TestFixed:
             segment_fixed(w, (DEFAULT_HOP - 1) / FS, 0.01)
         with pytest.raises(ValueError, match="rounds to 0 samples"):
             segment_fixed(w, 1.0, 0.00001)
+
+    @pytest.mark.parametrize("window,hop", [(1.0, 0.5), (2.0, 1.0), (0.5, 0.5)])
+    def test_segment_sends_fixed_to_segment_fixed(self, small_corpus, window, hop):
+        cfg = SegmenterConfig(method="fixed", window_s=window, hop_s=hop)
+        for aid, w in small_corpus:
+            assert segment(w, cfg, aid) == segment_fixed(w, window, hop, aid)
 
 
 class TestPeltConstantSeries:
@@ -295,7 +307,7 @@ class TestPeltConstantSeries:
 class TestDispatchAndManifest:
     def test_dispatch_by_method(self, small_corpus):
         aid, w = small_corpus[0]
-        for method in ("main", "nosilence", "pelt", "waveform"):
+        for method in METHODS:
             segs = segment(w, SegmenterConfig(method=method), aid)
             assert len(segs) >= 1
 
@@ -303,7 +315,7 @@ class TestDispatchAndManifest:
         aid, w = small_corpus[0]
         segs = segment_main(w, SegmenterConfig(theta=1.0), aid)
         path = tmp_path / "segments.txt"
-        write_manifest(path, segs, "main", 1.0)
+        write_manifest(path, segs, SegmenterConfig(theta=1.0))
         records = read_manifest(path)
         assert len(records) == len(segs)
         for rec, s in zip(records, segs):
@@ -320,7 +332,21 @@ class TestDispatchAndManifest:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SegmenterConfig(t_min=2.0, t_max=1.0)
+        for t_min, t_max in [(0.5, math.inf), (math.inf, math.inf), (math.nan, 5.0), (0.5, math.nan)]:
+            with pytest.raises(ValueError, match="need 0 < t_min <= t_max < inf"):
+                SegmenterConfig(t_min=t_min, t_max=t_max)
         with pytest.raises(ValueError):
             SegmenterConfig(theta=-1.0)
         with pytest.raises(ValueError):
             SegmenterConfig(method="bogus")
+
+
+class TestLevelInvariance:
+    """Scaling the audio by a gain moves no boundary, above the floor dsp.spectral_entropies documents."""
+
+    @pytest.mark.parametrize("gain", [1e-3, 1e-1, 10.0, 1e3])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_segments_do_not_depend_on_level(self, small_corpus, method, gain):
+        cfg = SegmenterConfig(method=method, theta=default_theta(method))
+        for aid, w in small_corpus:
+            assert segment(Waveform(w.samples * gain, FS), cfg, aid) == segment(w, cfg, aid)

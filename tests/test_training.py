@@ -18,6 +18,7 @@ from vlafp.training import (
     train,
 )
 from vlafp.pipeline import training_sources
+from vlafp.segmentation import FIXED_WINDOWS
 
 FS = 8000
 TAU = 0.05
@@ -105,7 +106,7 @@ def tiny_setup():
         bg_pool=make_noise_pool(3, 1.0, FS, 1),
         ir_pool=make_ir_pool(3, 0.1, FS, 2),
     )
-    sources = training_sources(corpus, None, mel_cfg)
+    sources = training_sources(corpus, FIXED_WINDOWS, mel_cfg)
     model_cfg = ModelConfig(f_bins=32, d=16, n_blocks=1, n_heads=2, d_head=8)
     return sources, mel_cfg, aug, model_cfg
 
