@@ -24,10 +24,11 @@ class AugmentConfig:
 
     def __post_init__(self):
         lo, hi = self.ts_range
-        if not (0 < lo <= hi):
-            raise ValueError(f"bad ts_range {self.ts_range}")
-        if self.snr_range_db[0] > self.snr_range_db[1]:
-            raise ValueError(f"bad snr_range_db {self.snr_range_db}")
+        if not (0 < lo <= hi < np.inf):
+            raise ValueError(f"need 0 < ts_range low <= high < inf, got {self.ts_range}")
+        lo, hi = self.snr_range_db
+        if not (-np.inf < lo <= hi < np.inf):
+            raise ValueError(f"need finite snr_range_db low <= high, got {self.snr_range_db}")
 
 
 def _istft_overlap_add(frames: np.ndarray, length: int) -> np.ndarray:

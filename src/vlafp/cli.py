@@ -328,7 +328,7 @@ def cmd_eval_dtr(args) -> int:
         targets, durations, aug_cfg, rng, queries_per_target=args.queries_per_target
     )
     embed = make_embedder(params, model_cfg, mel_cfg)
-    report = dtr_evaluate(index, queries, embed, windows.window_s, windows.hop_s)
+    report = dtr_evaluate(index, queries, embed, windows)
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -13,7 +13,8 @@ import numpy as np
 from .audio import Waveform
 from .augment import AugmentConfig, ChainDraws, augment_chain_with_draws
 from .index import FingerprintIndex
-from .segmentation import Segment, segment_fixed
+from .segmentation import FIXED_WINDOWS, Segment, SegmenterConfig, Source, segment
+from .segmentation import segment_fixed  # noqa: F401  bench/tracing.py patches evaluation.segment_fixed
 
 
 @dataclass(frozen=True)
@@ -177,25 +178,24 @@ def majority_vote(matches: list[tuple[int, float]]) -> int:
 def dtr_evaluate(
     database_index: FingerprintIndex,
     queries: list[DtrQuery],
-    embed: Callable[[Waveform], np.ndarray],
-    window_s: float = 1.0,
-    hop_s: float = 0.5,
+    embed: Callable[[Source], np.ndarray],
+    seg_cfg: SegmenterConfig = FIXED_WINDOWS,
 ) -> DtrReport:
-    """Fingerprint 2k-1 overlapping windows per k-second query, take each
-    window's top-1 match, and retrieve the majority audio."""
+    """Cut each query as its index was cut (seg_cfg), take each segment's
+    top-1 match, and retrieve the majority audio. FIXED_WINDOWS gives 2k-1
+    one-second windows for a k-second query."""
     results = []
     for q in queries:
-        windows = segment_fixed(q.waveform, window_s, hop_s)
+        segments = segment(q.waveform, seg_cfg)
         matches = []
-        for win in windows:
-            span, _ = win.span(q.waveform)  # a window's rows are all of its frames
-            hits = database_index.search_top_k(embed(span), 1)
+        for seg in segments:
+            hits = database_index.search_top_k(embed(seg.span(q.waveform)), 1)
             if hits:
                 matches.append((hits[0][0].audio_id, hits[0][1]))
         retrieved = majority_vote(matches) if matches else -1
         results.append(
             DtrQueryResult(
-                q.target_id, q.duration_s, retrieved, retrieved == q.target_id, len(windows)
+                q.target_id, q.duration_s, retrieved, retrieved == q.target_id, len(segments)
             )
         )
     durations = sorted({r.duration_s for r in results})

@@ -37,6 +37,8 @@ class ModelConfig:
         dims = (self.f_bins, self.d, self.n_blocks, self.n_heads, self.d_head)
         if any(v < 1 for v in dims):
             raise ValueError(f"all dimensions must be >= 1, got {dims}")
+        if not (0 < self.ffn_alpha < math.inf):
+            raise ValueError(f"ffn_alpha must be finite and > 0, got {self.ffn_alpha}")
 
     @property
     def ffn_hidden(self) -> int:
@@ -52,12 +54,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Unit-L2 segment descriptor with provenance."""
+    """Unit-L2 segment descriptor; provenance lives in index.IndexEntry."""
 
     vector: np.ndarray
-    audio_id: int
-    start_time: float
-    duration: float
 
 
 @dataclass(frozen=True)
@@ -415,17 +414,10 @@ def fingerprint_batch(batch: PackedBatch, params: Parameters, cfg: ModelConfig) 
     return list(_forward_batch(batch, _fuse_heads(params, cfg), cfg))
 
 
-def fingerprint(
-    mel: np.ndarray,
-    params: Parameters,
-    cfg: ModelConfig,
-    audio_id: int = 0,
-    start_time: float = 0.0,
-    duration: float = 0.0,
-) -> Fingerprint:
+def fingerprint(mel: np.ndarray, params: Parameters, cfg: ModelConfig) -> Fingerprint:
     """Fingerprint a single mel segment: a packed batch of one."""
     (z,) = fingerprint_batch(pack_segments([np.asarray(mel, dtype=np.float64)]), params, cfg)
-    return Fingerprint(z, audio_id, start_time, duration)
+    return Fingerprint(z)
 
 
 # -- checkpoint I/O --------------------------------------------------------

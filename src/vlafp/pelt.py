@@ -54,13 +54,13 @@ def pelt_changepoints(
     first minimum wins ties, and a candidate whose cost without the penalty
     exceeds the optimum by more than PRUNE_SLACK is dropped for good.
     """
-    if penalty <= 0:
+    if not (penalty > 0):
         raise ValueError(f"penalty must be positive, got {penalty}")
     if min_size < 1 or jump < 1:
         raise ValueError("min_size and jump must be >= 1")
     x = np.asarray(series, dtype=np.float64)
     n = x.shape[0]
-    if n < 2 * min_size:
+    if n < 2 * min_size or penalty == np.inf:  # an infinite penalty admits one segment
         return [n]
 
     s1 = np.concatenate([[0.0], np.cumsum(x)])

@@ -5,20 +5,22 @@ from __future__ import annotations
 import numpy as np
 
 from .audio import Waveform
-from .dsp import MelConfig, mel_from_frames, mel_spectrogram, stft
+from .dsp import MelConfig, mel_from_frames, stft
 from .index import FingerprintIndex, IndexEntry
 from .model import ModelConfig, Parameters, fingerprint, fingerprint_batch, pack_segments
-from .segmentation import FIXED_WINDOWS, Segment, SegmenterConfig, segment
+from .segmentation import FIXED_WINDOWS, Segment, SegmenterConfig, Source, segment
 from .segmentation import segment_fixed  # noqa: F401  bench/tracing.py patches pipeline.segment_fixed
 
 
+def source_mel(source: Source, mel_cfg: MelConfig) -> np.ndarray:
+    """A segment's mel from its (span, rows) pair: mel_from_frames of its rows of the span's STFT."""
+    span, rows = source
+    return mel_from_frames(stft(span).select(rows), mel_cfg).data
+
+
 def segment_mels(w: Waveform, segments: list[Segment], mel_cfg: MelConfig) -> list[np.ndarray]:
-    """Each segment's mel: mel_from_frames of its rows of its span's STFT (Segment.span)."""
-    out = []
-    for seg in segments:
-        span, rows = seg.span(w)
-        out.append(mel_from_frames(stft(span).select(rows), mel_cfg).data)
-    return out
+    """Each segment's mel, from Segment.span."""
+    return [source_mel(seg.span(w), mel_cfg) for seg in segments]
 
 
 def fingerprint_segments(
@@ -54,12 +56,12 @@ def build_index(
     return FingerprintIndex.build(entries) if entries else FingerprintIndex(model_cfg.d)
 
 
+# One segment per call, not a batch: bench/'s dtr workload counts 2k-1 calls per k-second query.
 def make_embedder(params: Parameters, model_cfg: ModelConfig, mel_cfg: MelConfig):
-    """Waveform -> unit fingerprint vector, for query-side evaluation."""
+    """Source -> unit fingerprint vector of one query segment, with the index's mel and model."""
 
-    def embed(w: Waveform) -> np.ndarray:
-        mel = mel_spectrogram(w, mel_cfg).data
-        return fingerprint(mel, params, model_cfg).vector
+    def embed(source: Source) -> np.ndarray:
+        return fingerprint(source_mel(source, mel_cfg), params, model_cfg).vector
 
     return embed
 
@@ -68,11 +70,11 @@ def training_sources(
     corpus: list[tuple[int, Waveform]],
     seg_cfg: SegmenterConfig | None,
     mel_cfg: MelConfig,
-) -> list[tuple[Waveform, tuple[int, ...]]]:
+) -> list[Source]:
     """Clean training segments: each one's (span, rows) pair from Segment.span.
 
-    mel_cfg sets nothing here; the anchor's mel is built from the rows in
-    training.build_batch, as segment_mels builds it at index time.
+    mel_cfg sets nothing here; training.build_batch takes the anchor's mel
+    with source_mel, as segment_mels does at index time.
     """
     # None means FIXED_WINDOWS: bench/ and test_acceptance still pass None.
     return [seg.span(w) for aid, w in corpus for seg in segment(w, seg_cfg or FIXED_WINDOWS, aid)]

@@ -29,6 +29,12 @@ SILENCE_THRESHOLD_DB = -60.0
 MIN_STD = 1e-9
 
 
+# A segment as Segment.span gives it: its span of samples and its rows within
+# the span's STFT, increasing from 0; a contiguous segment or a fixed window
+# has every frame as a row.
+Source = tuple[Waveform, tuple[int, ...]]
+
+
 def default_theta(method: str) -> float:
     """Per-method z-score threshold default (waveform entropy runs hotter; fixed reads none)."""
     return {"waveform": 4.0, "fixed": 0.0}.get(method, 1.0)
@@ -54,6 +60,8 @@ class SegmenterConfig:
             raise ValueError(f"theta must be >= 0 (inf allowed), got {self.theta}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        if self.pelt_penalty is not None and not (self.pelt_penalty > 0):
+            raise ValueError(f"pelt_penalty must be > 0 (inf allowed), got {self.pelt_penalty}")
 
     def min_frames(self, sample_rate: int) -> int:
         return max(1, math.ceil(self.t_min * sample_rate / DEFAULT_HOP))
@@ -84,15 +92,15 @@ class Segment:
             raise ValueError("sample-window segment has no frame coordinates")
         return len(self.frame_indices)
 
-    def span(self, w: Waveform) -> tuple[Waveform, tuple[int, ...]]:
+    def span(self, w: Waveform) -> Source:
         """The segment's span of w's samples and its rows within the span's STFT.
 
         A frame-grid span runs from the start of the first frame to the end
         of the last, so its STFT frames are w's frames first..last and the
         rows are the segment's frames among them. A sample window is its
-        zero-padded window, every frame a row. A segment's mel is
-        mel_from_frames(stft(span).select(rows)) in training, indexing and
-        querying alike.
+        zero-padded window, every frame a row. pipeline.source_mel turns
+        the pair into the segment's mel in training, indexing and querying
+        alike.
         """
         if self.frame_indices is None:
             span = w.slice_samples(self.start_sample, self.n_samples, pad=True)

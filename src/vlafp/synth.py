@@ -25,8 +25,8 @@ class SynthSpec:
         if self.n_audios < 1:
             raise ValueError(f"n_audios must be >= 1, got {self.n_audios}")
         lo, hi = self.duration_range
-        if not (0 < lo <= hi):
-            raise ValueError(f"bad duration_range {self.duration_range}")
+        if not (0 < lo <= hi < np.inf):
+            raise ValueError(f"need 0 < duration low <= high < inf, got {self.duration_range}")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .audio import Waveform
 from .augment import AugmentConfig, augment_chain_with_draws
 from .autodiff import Tensor
 from .dsp import MelConfig
@@ -20,15 +19,12 @@ from .model import (
     init_parameters,
     pack_segments,
 )
+from .pipeline import source_mel
+from .segmentation import Source
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# A clean training segment as Segment.span gives it: its span of samples and
-# its rows within the span's STFT, increasing from 0; a contiguous segment or
-# a fixed window has every frame as a row.
-Source = tuple[Waveform, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -115,10 +111,10 @@ def build_batch(
 ) -> BuiltBatch:
     """One anchor group per source, in order: the clean segment plus n_pos augmented copies.
 
-    The anchor's mel is mel_from_frames of its rows of the span's STFT, as
-    at index time. A positive stretched by f keeps its frame j iff source
-    frame min(round(j * f), K - 1) is a row, K being the span's frame count:
-    frame 0 always, and every frame for contiguous rows.
+    The anchor's mel is source_mel, as at index time. A positive stretched
+    by f keeps its frame j iff source frame min(round(j * f), K - 1) is a
+    row, K being the span's frame count: frame 0 always, and every frame
+    for contiguous rows.
 
     Every group member acts as an anchor in turn with the rest of its group
     as positives; all other batch items are its negatives.
@@ -127,16 +123,16 @@ def build_batch(
         raise ValueError("empty corpus")
     mels: list[np.ndarray] = []
     for span, rows in sources:
-        frames = dsp.stft(span)
-        is_row = np.zeros(frames.n_frames, dtype=bool)
+        n_frames = dsp.frame_count(len(span))
+        is_row = np.zeros(n_frames, dtype=bool)
         is_row[list(rows)] = True
-        mels.append(dsp.mel_from_frames(frames.select(rows), mel_cfg).data)
+        mels.append(source_mel((span, rows), mel_cfg))
         for _ in range(train_cfg.n_pos):
             distorted, draws = augment_chain_with_draws(span, aug_cfg, rng)
             factor = 1.0 if draws.ts_factor is None else draws.ts_factor
             stretched = dsp.stft(distorted)
             source = np.rint(np.arange(stretched.n_frames) * factor).astype(np.intp)
-            keep = np.flatnonzero(is_row[np.minimum(source, frames.n_frames - 1)])
+            keep = np.flatnonzero(is_row[np.minimum(source, n_frames - 1)])
             mels.append(dsp.mel_from_frames(stretched.select(keep), mel_cfg).data)
 
     size = 1 + train_cfg.n_pos  # group g is items g*size .. g*size + size - 1

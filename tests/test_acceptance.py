@@ -237,6 +237,7 @@ def test_07_index_exactness(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.slow
 def test_08_desk_scale_learning_signal(desk_corpus):
     with criterion(8, "desk-scale learning signal (DTR)"):
         start = time.monotonic()

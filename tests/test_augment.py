@@ -173,3 +173,9 @@ class TestChain:
             AugmentConfig(ts_range=(0.0, 1.0))
         with pytest.raises(ValueError):
             AugmentConfig(snr_range_db=(10.0, 1.0))
+        for snr in [(1.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan)]:
+            with pytest.raises(ValueError, match="need finite snr_range_db"):
+                AugmentConfig(snr_range_db=snr)
+        for ts in [(1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)]:
+            with pytest.raises(ValueError, match="need 0 < ts_range"):
+                AugmentConfig(ts_range=ts)

@@ -72,6 +72,12 @@ class TestSynth:
             "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         }
 
+    def test_infinite_duration_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert main(["synth", "--n", "1", "--dur", "inf", "--out", str(out)]) == 1
+        _one_error_line(capsys, "need 0 < duration low <= high < inf")
+        assert not out.exists()
+
 
 class TestSegment:
     def test_theta_limit_counts(self, corpus_dir, tmp_path):
@@ -166,6 +172,13 @@ class TestSegment:
         assert main(["segment", "--audio", str(path), "--method", "pelt", "--out", str(out)]) == 0
         assert len(read_manifest(out)) == 2  # one span, split only by t_max
 
+    def test_nan_pelt_penalty_exit_1(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "m.txt"
+        argv = ["segment", "--audio", str(corpus_dir), "--method", "pelt", "--pelt-penalty", "nan", "--out", str(out)]
+        assert main(argv) == 1
+        _one_error_line(capsys, "pelt_penalty must be > 0 (inf allowed), got nan")
+        assert not out.exists()
+
     def test_unknown_flag_exit_2(self, corpus_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["segment", "--audio", str(corpus_dir), "--bogus", "1", "--out", str(tmp_path / "m")])
@@ -184,8 +197,14 @@ class TestTrainArtifacts:
 
     @pytest.mark.parametrize(
         "flags,needle",
-        [(["--epochs", "0"], "epochs must be >= 1, got 0"), (["--batch", "3"], "3 positives, got 3")],
-        ids=["no-epochs", "batch-below-one-group"],
+        [
+            (["--epochs", "0"], "epochs must be >= 1, got 0"),
+            (["--batch", "3"], "3 positives, got 3"),
+            (["--snr", "1:inf"], "need finite snr_range_db"),
+            (["--aug", "ts", "--ts", "1:inf"], "need 0 < ts_range"),
+            (["--alpha", "0"], "ffn_alpha must be finite and > 0, got 0.0"),
+        ],
+        ids=["no-epochs", "batch-below-one-group", "infinite-snr", "infinite-stretch", "zero-alpha"],
     )
     def test_config_that_cannot_train_exit_1(self, corpus_dir, tmp_path, capsys, flags, needle):
         out = tmp_path / "model.vlfp"
@@ -299,6 +318,8 @@ class TestHostileInput:
             (["--targets", "4", "--dummies", "-3"], "--dummies must be >= 0"),
             (["--targets", "7"], "--targets 7 exceeds the corpus of 6 audios"),
             (["--targets", "4", "--dummies", "3"], "--dummies 3 exceeds the 2 audios left after 4 targets"),
+            (["--snr", "1:inf"], "need finite snr_range_db"),
+            (["--snr", "nan:1"], "need finite snr_range_db"),
         ],
         ids=[
             "no-targets",
@@ -308,6 +329,8 @@ class TestHostileInput:
             "negative-dummies",
             "targets-beyond-corpus",
             "dummies-beyond-corpus",
+            "infinite-snr",
+            "nan-snr",
         ],
     )
     def test_eval_dtr_without_queries_exit_1(self, corpus_dir, ckpt, tmp_path, capsys, flags, needle):
@@ -530,6 +553,13 @@ class TestInspectAndInit:
         assert main(["inspect", str(ck)]) == 0
         out = capsys.readouterr().out
         assert "model checkpoint" in out
+
+    @pytest.mark.parametrize("alpha", ["0", "-1", "nan"])
+    def test_init_bad_alpha_exit_1(self, tmp_path, capsys, alpha):
+        out = tmp_path / "r.vlfp"
+        assert main(["init", "--alpha", alpha, "--out", str(out)]) == 1
+        _one_error_line(capsys, "ffn_alpha must be finite and > 0")
+        assert not out.exists()
 
     def test_inspect_index(self, tmp_path, capsys):
         idx = FingerprintIndex(4)

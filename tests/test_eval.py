@@ -15,7 +15,7 @@ from vlafp.evaluation import (
     sweep_thresholds,
 )
 from vlafp.index import FingerprintIndex, IndexEntry
-from vlafp.segmentation import Segment
+from vlafp.segmentation import Segment, SegmenterConfig, segment
 
 FS = 8000
 
@@ -115,6 +115,21 @@ class TestDtr:
             w = Waveform(np.random.default_rng(0).standard_normal(k * FS) * 0.1, FS)
             rep = dtr_evaluate(basis_index, [DtrQuery(0, float(k), w)], embed)
             assert rep.results[0].n_lookups == 2 * k - 1
+
+    def test_query_is_cut_like_its_index(self, basis_index, small_corpus):
+        cfg = SegmenterConfig(method="main")
+        _, w = small_corpus[0]
+        seen = []
+
+        def embed(source):
+            seen.append(source)
+            return _unit([1.0, 0, 0, 0])
+
+        rep = dtr_evaluate(basis_index, [DtrQuery(0, w.duration, w)], embed, cfg)
+        want = [seg.span(w) for seg in segment(w, cfg)]
+        assert rep.results[0].n_lookups == len(seen) == len(want) != 2 * round(w.duration) - 1
+        for (span, rows), (want_span, want_rows) in zip(seen, want, strict=True):
+            assert rows == want_rows and span.samples.tobytes() == want_span.samples.tobytes()
 
     def test_hit_and_miss(self, basis_index):
         w = Waveform(np.random.default_rng(0).standard_normal(2 * FS) * 0.1, FS)

@@ -43,6 +43,11 @@ class TestConfig:
         assert ModelConfig(f_bins=4, d=3).ffn_hidden == 8
         assert DESK.ffn_hidden == int(np.ceil(1.0 * (2 / 3) * 4 * 32))
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+    def test_ffn_alpha_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(ValueError, match="ffn_alpha must be finite and > 0"):
+            ModelConfig(ffn_alpha=alpha)
+
     def test_full_scale_dims(self):
         cfg = ModelConfig.full_scale()
         assert (cfg.d, cfg.n_blocks, cfg.n_heads, cfg.d_head, cfg.ffn_alpha) == (

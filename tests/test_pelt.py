@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -50,10 +51,17 @@ class TestPeltOracle:
         assert pelt_changepoints(np.arange(5.0), penalty=1.0, min_size=3) == [5]
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            pelt_changepoints(np.ones(10), penalty=0.0)
+        for penalty in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                pelt_changepoints(np.ones(10), penalty=penalty)
         with pytest.raises(ValueError):
             pelt_changepoints(np.ones(10), penalty=1.0, min_size=0)
+
+    def test_infinite_penalty_is_one_segment(self, rng):
+        series = np.concatenate([np.zeros(20), np.full(20, 5.0)]) + rng.normal(0, 0.1, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pelt_changepoints(series, np.inf) == pelt_changepoints(series, 1e12) == [40]
 
     def test_default_penalty_positive(self, rng):
         assert default_penalty(rng.standard_normal(100)) > 0

@@ -1,8 +1,9 @@
-"""A segment's mel has one definition: its rows of the audio's STFT, then mel_from_frames.
+"""A segment's mel has one definition: pipeline.source_mel of its Segment.span.
 
-Training (the build_batch anchor), indexing and querying (segment_mels) give
-the same bytes for every segment, and the re-sliced span oracle agrees on
-contiguous segments and fixed windows.
+Training (the build_batch anchor) and indexing (segment_mels) give the same
+bytes for every segment, the re-sliced span oracle agrees on contiguous
+segments and fixed windows, and a segment embedded as a query fingerprints
+to the vector its index entry stores.
 """
 
 import numpy as np
@@ -12,8 +13,10 @@ from oracles import span_mel
 
 from vlafp.augment import AugmentConfig, time_stretch
 from vlafp.dsp import MelConfig, mel_from_frames, stft
-from vlafp.pipeline import segment_mels, training_sources
+from vlafp.model import ModelConfig, init_parameters
+from vlafp.pipeline import fingerprint_segments, make_embedder, segment_mels, training_sources
 from vlafp.segmentation import METHODS, SegmenterConfig, default_theta, segment
+from vlafp.synth import SynthSpec, generate
 from vlafp.training import TrainConfig, build_batch
 
 MEL_CFG = MelConfig(n_mels=64)
@@ -101,3 +104,24 @@ def test_every_frame_source_positive_keeps_every_stretched_frame(small_corpus, m
     for (span, _), positive in zip(sources, positives, strict=True):
         stretched = time_stretch(span, factor)
         assert same_bytes(positive, mel_from_frames(stft(stretched), MEL_CFG).data)
+
+
+@pytest.fixture(scope="module", params=["mixture", "tone_silence"])
+def recipe_audio(request):
+    ((aid, w),) = generate(SynthSpec(n_audios=1, duration_range=(8.0, 8.0), recipe=request.param, seed=5))
+    return request.param, aid, w
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_query_and_index_fingerprints_are_bit_equal(recipe_audio, method):
+    recipe, aid, w = recipe_audio
+    model_cfg = ModelConfig(f_bins=MEL_CFG.n_mels)
+    params = init_parameters(model_cfg, seed=0)
+    segs = segment(w, seg_config(method), aid)
+    embed = make_embedder(params, model_cfg, MEL_CFG)
+    entries = fingerprint_segments(w, segs, MEL_CFG, params, model_cfg)
+    for seg, entry in zip(segs, entries, strict=True):
+        assert same_bytes(np.float32(embed(seg.span(w))), entry.vector)
+    # tone_silence reaches nosilence segments whose rows skip silent frames.
+    if (method, recipe) == ("nosilence", "tone_silence"):
+        assert not all(contiguous(seg) for seg in segs)

@@ -339,6 +339,10 @@ class TestDispatchAndManifest:
             SegmenterConfig(theta=-1.0)
         with pytest.raises(ValueError):
             SegmenterConfig(method="bogus")
+        for penalty in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="pelt_penalty must be > 0"):
+                SegmenterConfig(method="pelt", pelt_penalty=penalty)
+        SegmenterConfig(method="pelt", pelt_penalty=math.inf)
 
 
 class TestLevelInvariance:

@@ -52,6 +52,9 @@ class TestGenerate:
             SynthSpec(n_audios=0)
         with pytest.raises(ValueError):
             SynthSpec(duration_range=(3.0, 1.0))
+        for dur in [(1.0, np.inf), (np.inf, np.inf), (np.nan, 1.0)]:
+            with pytest.raises(ValueError, match="need 0 < duration"):
+                SynthSpec(duration_range=dur)
         with pytest.raises(ValueError):
             generate(SynthSpec(recipe="nope"))
 
