@@ -9,7 +9,7 @@ import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
 from .audio import Waveform
-from .dsp import DEFAULT_HOP, DEFAULT_WINDOW, hann_window, stft
+from .dsp import DEFAULT_HOP, DEFAULT_WINDOW, HANN, stft
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,14 @@ class AugmentConfig:
 
 
 def _istft_overlap_add(frames: np.ndarray, length: int) -> np.ndarray:
-    win = hann_window(DEFAULT_WINDOW)
     n_frames = frames.shape[0]
     total = (n_frames - 1) * DEFAULT_HOP + DEFAULT_WINDOW
     acc = np.zeros(total)
     norm = np.zeros(total)
     for i in range(n_frames):
         chunk = np.fft.irfft(frames[i], n=DEFAULT_WINDOW)
-        acc[i * DEFAULT_HOP : i * DEFAULT_HOP + DEFAULT_WINDOW] += chunk * win
-        norm[i * DEFAULT_HOP : i * DEFAULT_HOP + DEFAULT_WINDOW] += win**2
+        acc[i * DEFAULT_HOP : i * DEFAULT_HOP + DEFAULT_WINDOW] += chunk * HANN
+        norm[i * DEFAULT_HOP : i * DEFAULT_HOP + DEFAULT_WINDOW] += HANN**2
     out = acc / np.maximum(norm, 1e-8)
     if out.shape[0] >= length:
         return out[:length]

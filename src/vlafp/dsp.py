@@ -64,9 +64,10 @@ class MelSpectrogram:
         return self.data.shape[0]
 
 
-def hann_window(n: int) -> np.ndarray:
-    # Periodic Hann, constant-overlap-add at 75% overlap.
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+# The grid's periodic Hann window, constant-overlap-add at 75% overlap; built
+# once and read-only, for stft and the time-stretch resynthesis alike.
+HANN = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(DEFAULT_WINDOW) / DEFAULT_WINDOW)
+HANN.flags.writeable = False
 
 
 def frame_count(n: int) -> int:
@@ -88,7 +89,7 @@ def stft(w: Waveform) -> StftFrames:
     if x.shape[0] < DEFAULT_WINDOW:
         x = np.concatenate([x, np.zeros(DEFAULT_WINDOW - x.shape[0])])
     frames = np.lib.stride_tricks.sliding_window_view(x, DEFAULT_WINDOW)[::DEFAULT_HOP]
-    frames = frames * hann_window(DEFAULT_WINDOW)
+    frames = frames * HANN
     return StftFrames(np.fft.rfft(frames, axis=1), w.sample_rate)
 
 

@@ -27,6 +27,8 @@ SILENCE_THRESHOLD_DB = -60.0
 # Below this the window entropy is effectively constant; the next frame is
 # treated as in-regime (z = 0) rather than dividing by ~0.
 MIN_STD = 1e-9
+# Frames per analysis block, so that no entropy-series temporary grows with the stream.
+ANALYSIS_BLOCK_FRAMES = 512
 
 
 # A segment as Segment.span gives it: its span of samples and its rows within
@@ -194,9 +196,21 @@ def _frame_segment(audio_id: int, indices: list[int], sample_rate: int) -> Segme
     )
 
 
+def spectral_entropy_series(w: Waveform) -> np.ndarray:
+    """spectral_entropies(stft(w)) bit for bit, in blocks of frames cut as Segment.span cuts a span."""
+    if len(w) == 0:
+        raise ValueError("empty input")
+    out = np.empty(frame_count(len(w)))
+    for s in range(0, len(out), ANALYSIS_BLOCK_FRAMES):
+        k = min(ANALYSIS_BLOCK_FRAMES, len(out) - s)
+        block = w.slice_samples(s * DEFAULT_HOP, (k - 1) * DEFAULT_HOP + DEFAULT_WINDOW, pad=True)
+        out[s : s + k] = spectral_entropies(stft(block))
+    return out
+
+
 def segment_main(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segment]:
     """Spectral-entropy z-score segmentation over the audio's STFT frames."""
-    entropies = spectral_entropies(stft(w))
+    entropies = spectral_entropy_series(w)
     groups = _zscore_partition(
         entropies, cfg.min_frames(w.sample_rate), cfg.max_frames(w.sample_rate), cfg.theta
     )
@@ -206,10 +220,9 @@ def segment_main(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[S
 def segment_no_silence(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segment]:
     """Like segment_main, but the fill phase skips frames quieter than the
     silence threshold (relative to the waveform's peak)."""
-    frames = stft(w)
-    entropies = spectral_entropies(frames)
+    entropies = spectral_entropy_series(w)
     # One level per hop: never fewer than the STFT's frames.
-    silent = frame_rms_db(w)[: frames.n_frames] < SILENCE_THRESHOLD_DB
+    silent = frame_rms_db(w)[: len(entropies)] < SILENCE_THRESHOLD_DB
     groups = _zscore_partition(
         entropies,
         cfg.min_frames(w.sample_rate),
@@ -232,7 +245,9 @@ def segment_waveform(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> li
     # than one hop gives a shorter (single) chunk.
     n = frame_count(len(w))
     width = min(len(w), DEFAULT_HOP)
-    values = waveform_entropies(w.samples[: n * width].reshape(n, width))
+    chunks = w.samples[: n * width].reshape(n, width)
+    starts = range(0, n, ANALYSIS_BLOCK_FRAMES)
+    values = np.concatenate([waveform_entropies(chunks[s : s + ANALYSIS_BLOCK_FRAMES]) for s in starts])
     groups = _zscore_partition(
         values, cfg.min_frames(w.sample_rate), cfg.max_frames(w.sample_rate), cfg.theta
     )
@@ -262,7 +277,7 @@ def segment_pelt(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[S
     cfg.pelt_penalty None means the series' default penalty. Segments
     exceeding t_max are split into near-equal parts afterwards.
     """
-    entropies = spectral_entropies(stft(w))
+    entropies = spectral_entropy_series(w)
     pen = cfg.pelt_penalty if cfg.pelt_penalty is not None else default_penalty(entropies)
     bps = pelt_changepoints(
         entropies, penalty=pen, min_size=cfg.min_frames(w.sample_rate), jump=cfg.pelt_jump

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import segment_waveform_span
 
+from vlafp import segmentation
 from vlafp.audio import Waveform
-from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, MelConfig, stft
+from vlafp.dsp import (
+    DEFAULT_HOP,
+    DEFAULT_WINDOW,
+    EPS,
+    MelConfig,
+    frame_count,
+    spectral_entropies,
+    stft,
+    waveform_entropies,
+)
 from vlafp.pipeline import segment_mels, training_sources
 from vlafp.segmentation import (
+    ANALYSIS_BLOCK_FRAMES,
     FIXED_WINDOWS,
     METHODS,
     SILENCE_THRESHOLD_DB,
@@ -24,6 +36,7 @@ from vlafp.segmentation import (
     segment_main,
     segment_no_silence,
     segment_waveform,
+    spectral_entropy_series,
     write_manifest,
 )
 from vlafp.synth import make_tone_noise_alternation, make_tone_silence
@@ -237,6 +250,85 @@ class TestFrameGrid:
         assert [s.frame_indices for s in segs] == [(0,)]
         with pytest.raises(ValueError, match="empty"):
             segment_waveform(Waveform(np.zeros(0), FS), cfg)
+        # frame_count(0) is 1: a block loop must not turn no samples into one frame.
+        for method in ("main", "nosilence", "pelt"):
+            with pytest.raises(ValueError, match="empty input"):
+                segment(Waveform(np.zeros(0), FS), SegmenterConfig(method=method))
+
+
+def _samples_for(frames: int, extra: int = 0) -> int:
+    return (frames - 1) * DEFAULT_HOP + DEFAULT_WINDOW + extra
+
+
+B = ANALYSIS_BLOCK_FRAMES
+# Sub-window, one-window and just-over-one-window input; then one block, one
+# block +- 1 frame and several blocks, each on a frame end and 100 samples past it.
+STREAM_LENGTHS = [1, 255, 1023, 1024, 1025] + [
+    _samples_for(f, extra) for f in (B - 1, B, B + 1, 3 * B + 5) for extra in (0, 100)
+]
+
+
+def _stream(n: int) -> Waveform:
+    """Noise with a silent head and tail and a faded stretch scaled by 1e-7, in part below EPS power."""
+    x = 0.3 * np.random.default_rng(n).standard_normal(n)
+    x[: n // 8] = 0.0
+    x[n - n // 8 :] = 0.0
+    a, b = n // 3, n // 2
+    x[a:b] *= 1e-7 * np.linspace(0.0, 1.0, b - a)
+    return Waveform(x, FS)
+
+
+class TestAnalysisBlocks:
+    """The entropy series, computed a block of frames at a time, are the whole stream's, bit for bit."""
+
+    def test_stream_has_frames_below_eps(self):
+        totals = stft(_stream(STREAM_LENGTHS[-1])).power().sum(axis=1)
+        assert np.any((totals > 0) & (totals < EPS))
+        assert np.any(totals == 0)
+
+    @pytest.mark.parametrize("n", STREAM_LENGTHS)
+    def test_spectral_series_is_the_whole_stream_series(self, n):
+        w = _stream(n)
+        assert spectral_entropy_series(w).tobytes() == spectral_entropies(stft(w)).tobytes()
+
+    @pytest.mark.parametrize("n", STREAM_LENGTHS)
+    def test_waveform_series_is_the_whole_matrix_series(self, n, monkeypatch):
+        w = _stream(n)
+        seen = []
+        partition = segmentation._zscore_partition
+
+        def record(values, *args, **kwargs):
+            seen.append(values)
+            return partition(values, *args, **kwargs)
+
+        monkeypatch.setattr(segmentation, "_zscore_partition", record)
+        segment_waveform(w, SegmenterConfig(method="waveform", theta=default_theta("waveform")))
+        frames, width = frame_count(n), min(n, DEFAULT_HOP)
+        whole = waveform_entropies(w.samples[: frames * width].reshape(frames, width))
+        assert [v.tobytes() for v in seen] == [whole.tobytes()]
+
+    @pytest.mark.parametrize("method", VARIABLE_METHODS)
+    def test_segments_do_not_depend_on_the_block_size(self, small_corpus, method, monkeypatch):
+        cfg = SegmenterConfig(method=method, theta=default_theta(method))
+        audios = [_stream(STREAM_LENGTHS[-1])] + [w for _, w in small_corpus[:2]]
+        blocked = [segment(w, cfg) for w in audios]
+        for frames in (1, 7, 10**9):  # 10**9: the whole stream in one block
+            monkeypatch.setattr(segmentation, "ANALYSIS_BLOCK_FRAMES", frames)
+            assert [segment(w, cfg) for w in audios] == blocked
+
+    @pytest.mark.parametrize("method", VARIABLE_METHODS)
+    def test_peak_memory_is_bounded_by_the_samples(self, small_corpus, method):
+        # About 120 s: the whole-stream STFT and its temporaries would take ~12x the samples.
+        w = Waveform(np.resize(np.concatenate([a.samples for _, a in small_corpus]), 120 * FS), FS)
+        cfg = SegmenterConfig(method=method, theta=default_theta(method))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            segment(w, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * w.samples.nbytes
 
 
 class TestTails:
