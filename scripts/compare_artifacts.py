@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Run the same CLI commands on two checkouts and compare every artifact byte for byte.
+
+    python scripts/compare_artifacts.py BASE CHANGE
+
+Each checkout runs, with its own src/ and its own bench/desk.vlfp, in a
+fresh temporary directory (nothing is written into either checkout):
+
+- `synth`: an 8-audio corpus, seed 5, 6 s each;
+- `fingerprint` of the corpus under all five segmentation methods;
+- `index query --k 10` of each method's fingerprints against the `fixed` index;
+- `eval dtr`;
+- `eval cbr` under `main`, `pelt` and `fixed`;
+- a 1-epoch `train` under `fixed`, `main` and `nosilence`.
+
+Every file the commands write and each command's stdout (with the
+temporary directory's path replaced) are compared. Run manifests are
+compared with their path-valued flags and their config digest removed,
+since those name each checkout's own directories. BLAS runs on one thread.
+
+Exits 0 when every artifact is identical, 1 on any difference, and 2 when a
+command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+METHODS = ("main", "nosilence", "pelt", "waveform", "fixed")
+CBR_METHODS = ("main", "pelt", "fixed")
+TRAIN_METHODS = ("fixed", "main", "nosilence")
+THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
+)
+# Run-manifest flags that hold a path, which differs between the two runs.
+PATH_FLAGS = ("audio", "corpus", "ckpt", "out", "idx", "fingerprints", "bg_dir", "ir_dir", "config")
+
+
+def commands(ckpt: str) -> list[tuple[str, list[str]]]:
+    """(step name, vlafp arguments) in run order; paths are relative to the work directory."""
+    steps = [("synth", ["synth", "--n", "8", "--dur", "6", "--seed", "5", "--out", "corpus"])]
+    for m in METHODS:
+        steps.append((f"fingerprint-{m}", ["fingerprint", "--audio", "corpus", "--ckpt", ckpt, "--method", m,
+                                           "--out", f"fp-{m}.vlix"]))
+    for m in METHODS:
+        steps.append((f"query-{m}", ["index", "query", "--idx", "fp-fixed.vlix", "--fingerprints", f"fp-{m}.vlix",
+                                     "--k", "10"]))
+    steps.append(("eval-dtr", ["eval", "dtr", "--audio", "corpus", "--ckpt", ckpt, "--durations", "1,3,6",
+                               "--out", "dtr.csv"]))
+    for m in CBR_METHODS:
+        steps.append((f"eval-cbr-{m}", ["eval", "cbr", "--audio", "corpus", "--ckpt", ckpt, "--method", m,
+                                        "--others", "7", "--out", f"cbr-{m}.csv"]))
+    for m in TRAIN_METHODS:
+        steps.append((f"train-{m}", ["train", "--corpus", "corpus", "--method", m, "--epochs", "1",
+                                     "--lr", "1e-3", "--out", f"model-{m}.vlfp"]))
+    return steps
+
+
+def run_side(checkout: Path, work: Path) -> None:
+    """Run every step of `commands` with checkout's sources; stdout goes to <work>/stdout/<step>.txt."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.update({var: "1" for var in THREAD_VARS})
+    (work / "stdout").mkdir()
+    for step, argv in commands(str(checkout / "bench" / "desk.vlfp")):
+        proc = subprocess.run([sys.executable, "-m", "vlafp.cli", *argv], cwd=work, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"error: {checkout}: step {step} exited {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+            raise SystemExit(2)
+        (work / "stdout" / f"{step}.txt").write_text(proc.stdout.replace(str(work), "<work>"))
+        print(f"  {checkout.name or checkout}: {step} done", flush=True)
+
+
+def comparable(path: Path) -> bytes:
+    """The bytes to compare: a run manifest without its path flags and digest, any other file as is."""
+    if not path.name.endswith(".manifest.json"):
+        return path.read_bytes()
+    manifest = json.loads(path.read_text())
+    manifest.pop("config_digest", None)
+    for flag in PATH_FLAGS:
+        manifest.get("flags", {}).pop(flag, None)
+    return json.dumps(manifest, sort_keys=True).encode()
+
+
+def compare(base: Path, change: Path) -> list[str]:
+    """Every difference between two work directories, one line each."""
+    def files(root: Path) -> set[Path]:
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    base_files, change_files = files(base), files(change)
+    problems = [f"only in BASE: {p}" for p in sorted(base_files - change_files)]
+    problems += [f"only in CHANGE: {p}" for p in sorted(change_files - base_files)]
+    for rel in sorted(base_files & change_files):
+        same = comparable(base / rel) == comparable(change / rel)
+        print(f"{'identical' if same else 'DIFFERS  '}  {rel}")
+        if not same:
+            problems.append(f"differs: {rel}")
+    return problems
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("base", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    args = ap.parse_args()
+    checkouts = {"base": args.base.resolve(), "change": args.change.resolve()}
+    for checkout in checkouts.values():
+        if not (checkout / "src" / "vlafp").is_dir() or not (checkout / "bench" / "desk.vlfp").is_file():
+            print(f"error: {checkout}: not a vlafp checkout with bench/desk.vlfp", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory(prefix="vlafp-compare-") as tmp:
+        for side, checkout in checkouts.items():
+            print(f"{side}: {checkout}", flush=True)
+            (Path(tmp) / side).mkdir()
+            run_side(checkout, Path(tmp) / side)
+        problems = compare(Path(tmp) / "base", Path(tmp) / "change")
+    if problems:
+        print(f"{len(problems)} difference(s):", *problems, sep="\n  ")
+        return 1
+    print("every artifact is identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

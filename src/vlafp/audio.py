@@ -43,10 +43,10 @@ class Waveform:
     def peak(self) -> float:
         return float(np.max(np.abs(self.samples))) if len(self) else 0.0
 
-    def slice_samples(self, start: int, n: int, pad: bool = False) -> "Waveform":
-        """Sample window [start, start+n); zero-padded past the end if pad."""
+    def slice_samples(self, start: int, n: int) -> "Waveform":
+        """Sample window [start, start+n), zero-padded past the end."""
         chunk = self.samples[max(start, 0) : start + n]
-        if pad and chunk.shape[0] < n:
+        if chunk.shape[0] < n:
             chunk = np.concatenate([chunk, np.zeros(n - chunk.shape[0])])
         return Waveform(chunk, self.sample_rate)
 

@@ -1,12 +1,16 @@
-"""Minimal reverse-mode automatic differentiation over numpy float64 arrays.
+"""Minimal reverse-mode automatic differentiation over numpy float64 arrays:
+the reference engine of the tests.
+
+No package module builds a Tensor. The model's training forward returns its
+own backward, and training.supcon_loss returns its gradient, both as plain
+arrays. tests/oracles.py builds the model and the contrastive loss from
+Tensor operations as the reference they are checked against; it adds its
+other operations on Tensor._result. The benchmark's tracer
+(bench/tracing.py) also looks up Tensor.backward by name.
 
 Elementwise arithmetic, (batched) matmul, exp/log, axis reductions,
-basic-slice indexing, reshape/swapaxes/concatenate: what the contrastive
-loss uses. The model's Tensor reference (tests/oracles.py) builds its other
-operations on Tensor._result.
-The model itself enters the graph as one node with a hand-written
-backward (model.fingerprint_batch_forward). Gradients accumulate into
-.grad on tensors created with requires_grad=True.
+basic-slice indexing, reshape/swapaxes/concatenate. Gradients accumulate
+into .grad on tensors created with requires_grad=True.
 """
 
 from __future__ import annotations

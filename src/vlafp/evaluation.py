@@ -16,6 +16,9 @@ from .index import FingerprintIndex
 from .segmentation import FIXED_WINDOWS, Segment, SegmenterConfig, Source, segment
 from .segmentation import segment_fixed  # noqa: F401  bench/tracing.py patches evaluation.segment_fixed
 
+# DTR query excerpts start at multiples of this many seconds, the fixed windows' hop.
+QUERY_ALIGN_S = 0.5
+
 
 @dataclass(frozen=True)
 class BroadcastSim:
@@ -212,9 +215,8 @@ def make_dtr_queries(
     aug_cfg: AugmentConfig,
     rng: np.random.Generator,
     queries_per_target: int = 1,
-    align_s: float = 0.5,
 ) -> list[DtrQuery]:
-    """Crop distorted excerpts of target audios at hop-aligned offsets."""
+    """Crop distorted excerpts of target audios at offsets that are multiples of QUERY_ALIGN_S."""
     for dur in durations_s:
         if not (math.isfinite(dur) and dur > 0):
             raise ValueError(f"query duration must be a positive number of seconds, got {dur}")
@@ -229,10 +231,10 @@ def make_dtr_queries(
                     )
                     take = w.duration
                 n = int(take * w.sample_rate)
-                max_slot = max(0, int((len(w) - n) / (align_s * w.sample_rate)))
+                max_slot = max(0, int((len(w) - n) / (QUERY_ALIGN_S * w.sample_rate)))
                 slot = int(rng.integers(0, max_slot + 1))
-                start = int(slot * align_s * w.sample_rate)
-                chunk = w.slice_samples(start, n, pad=True)
+                start = int(slot * QUERY_ALIGN_S * w.sample_rate)
+                chunk = w.slice_samples(start, n)
                 distorted, _ = augment_chain_with_draws(chunk, aug_cfg, rng)
                 queries.append(DtrQuery(aid, dur, distorted))
     return queries

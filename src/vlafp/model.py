@@ -13,8 +13,6 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .autodiff import Tensor
-
 INIT_STD = 0.02
 # Largest self-attention, in cells (n * L^2), that one stack of n equal-length
 # segments may hold; a longer group of equal lengths runs in chunks.
@@ -37,8 +35,9 @@ class ModelConfig:
         dims = (self.f_bins, self.d, self.n_blocks, self.n_heads, self.d_head)
         if any(v < 1 for v in dims):
             raise ValueError(f"all dimensions must be >= 1, got {dims}")
-        if not (0 < self.ffn_alpha < math.inf):
-            raise ValueError(f"ffn_alpha must be finite and > 0, got {self.ffn_alpha}")
+        for name in ("ffn_alpha", "eps"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     @property
     def ffn_hidden(self) -> int:
@@ -120,10 +119,6 @@ def init_parameters(cfg: ModelConfig, seed: int = 0) -> Parameters:
     return _parameters(cfg, lambda *shape: rng.normal(0.0, INIT_STD, size=shape), np.zeros, np.ones)
 
 
-def as_tensors(params: Parameters, requires_grad: bool = False) -> dict[str, Tensor]:
-    return {k: Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
-
-
 # -- forward and backward --------------------------------------------------
 #
 # The model is plain numpy over one (n, L, F) stack of equal-length segments.
@@ -131,7 +126,7 @@ def as_tensors(params: Parameters, requires_grad: bool = False) -> dict[str, Ten
 # list), and each *_backward pops them in reverse order, adds the layer's
 # weight gradients into `grads` and returns the gradient of its inputs.
 # Inference passes no tape, so every array is freed as soon as it is used.
-# The forward keeps the arithmetic of the Tensor reference in
+# The forward keeps the arithmetic of the graph reference in
 # tests/oracles.py (a mean is sum * (1/n), pooling a matmul with a 1/L row,
 # SiLU x * expit(x)), so its bytes equal the reference's.
 
@@ -381,27 +376,24 @@ def _forward_batch(batch: PackedBatch, w: Parameters, cfg: ModelConfig, tapes: l
     return z
 
 
-def fingerprint_batch_forward(
-    batch: PackedBatch, tp: dict[str, Tensor], cfg: ModelConfig
-) -> Tensor:
-    """Forward a packed batch as one autodiff node: the (n_segments, d) fingerprints.
+def fingerprint_batch_forward(batch: PackedBatch, params: Parameters, cfg: ModelConfig):
+    """Training forward of a packed batch: (z, backward).
 
-    The node's backward is _backward_stack over every stack, with the fused
-    head gradients split back onto the per-head tensors of tp.
+    z is the (n_segments, d) fingerprints in batch order. backward(dz), given
+    dz = d(objective)/dz, runs _backward_stack over every stack and returns
+    the gradient of every parameter under its per-head name.
     """
-    w = _fuse_heads({name: t.data for name, t in tp.items()}, cfg)
+    w = _fuse_heads(params, cfg)
     tapes: list = []
     z = _forward_batch(batch, w, cfg, tapes)
 
-    def backward(g):
+    def backward(dz: np.ndarray) -> Parameters:
         grads = {name: np.zeros_like(v) for name, v in w.items()}
-        for chunk, tape in tapes:  # pop from a copy: a graph may be swept more than once
-            _backward_stack(g[chunk], w, cfg, list(tape), grads)
-        for name, grad in _split_heads(grads, cfg).items():
-            if tp[name].requires_grad:
-                tp[name]._accum(grad)
+        for chunk, tape in tapes:  # pop from a copy: backward may run more than once
+            _backward_stack(dz[chunk], w, cfg, list(tape), grads)
+        return _split_heads(grads, cfg)
 
-    return Tensor._result(z, tuple(tp.values()), backward)
+    return z, backward
 
 
 def fingerprint_batch(batch: PackedBatch, params: Parameters, cfg: ModelConfig) -> list[np.ndarray]:

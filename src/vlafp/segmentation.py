@@ -105,10 +105,10 @@ class Segment:
         alike.
         """
         if self.frame_indices is None:
-            span = w.slice_samples(self.start_sample, self.n_samples, pad=True)
+            span = w.slice_samples(self.start_sample, self.n_samples)
             return span, tuple(range(frame_count(self.n_samples)))
         first, last = self.frame_indices[0], self.frame_indices[-1]
-        span = w.slice_samples(first * DEFAULT_HOP, (last - first) * DEFAULT_HOP + DEFAULT_WINDOW, pad=True)
+        span = w.slice_samples(first * DEFAULT_HOP, (last - first) * DEFAULT_HOP + DEFAULT_WINDOW)
         return span, tuple(f - first for f in self.frame_indices)
 
 
@@ -203,7 +203,7 @@ def spectral_entropy_series(w: Waveform) -> np.ndarray:
     out = np.empty(frame_count(len(w)))
     for s in range(0, len(out), ANALYSIS_BLOCK_FRAMES):
         k = min(ANALYSIS_BLOCK_FRAMES, len(out) - s)
-        block = w.slice_samples(s * DEFAULT_HOP, (k - 1) * DEFAULT_HOP + DEFAULT_WINDOW, pad=True)
+        block = w.slice_samples(s * DEFAULT_HOP, (k - 1) * DEFAULT_HOP + DEFAULT_WINDOW)
         out[s : s + k] = spectral_entropies(stft(block))
     return out
 

@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dsp
 from .augment import AugmentConfig, augment_chain_with_draws
-from .autodiff import Tensor
 from .dsp import MelConfig
 from .model import (
     ModelConfig,
     PackedBatch,
     Parameters,
-    as_tensors,
     fingerprint_batch_forward,
     init_parameters,
     pack_segments,
@@ -37,8 +36,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        for name in ("tau", "lr"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.n_pos < 1:
             raise ValueError(f"n_pos must be >= 1, got {self.n_pos}")
         if self.batch_items < 1 + self.n_pos:
@@ -54,15 +54,16 @@ class TrainConfig:
 
 
 def supcon_loss(
-    fingerprints: Tensor, positive_sets: dict[int, list[int]], tau: float
-) -> Tensor:
-    """Multi-positive contrastive loss over a batch of unit fingerprints.
+    z: np.ndarray, positive_sets: dict[int, list[int]], tau: float
+) -> tuple[float, np.ndarray]:
+    """Multi-positive contrastive loss over a batch of unit fingerprints, and its gradient.
 
     For each anchor a: -(1/|P(a)|) sum over positives of
     log( exp(z_a . z_p / tau) / sum over b != a of exp(z_a . z_b / tau) ).
-    Returns the scalar sum over anchors; gradients flow to all fingerprints.
+    Returns the sum over anchors and d(loss)/dz, both in the arithmetic
+    order of the reference graph in tests/oracles.py, so their bytes equal its.
     """
-    n = fingerprints.shape[0]
+    n = z.shape[0]
     if not positive_sets:
         raise ValueError("no anchors given")
     pos_mask = np.zeros((n, n))
@@ -78,22 +79,23 @@ def supcon_loss(
         for p in pos:
             pos_mask[a, p] = 1.0
 
-    sims = (fingerprints @ fingerprints.T) * (1.0 / tau)
-    shift = Tensor(sims.data.max(axis=-1, keepdims=True))
-    expd = (sims - shift).exp() * Tensor(1.0 - np.eye(n))
-    log_denom = expd.sum(axis=-1).log() + shift.reshape(n)
-    pos_mean = (sims * Tensor(pos_mask)).sum(axis=-1) * Tensor(1.0 / counts)
-    return ((log_denom - pos_mean) * Tensor(anchor_mask)).sum()
+    scale = 1.0 / tau
+    sims = (z @ z.T) * scale
+    shift = sims.max(axis=-1, keepdims=True)
+    expd = np.exp(sims - shift)
+    not_self = 1.0 - np.eye(n)
+    denom = (expd * not_self).sum(axis=-1)
+    log_denom = np.log(denom) + shift.reshape(n)
+    inv_counts = 1.0 / counts
+    pos_mean = (sims * pos_mask).sum(axis=-1) * inv_counts
+    loss = ((log_denom - pos_mean) * anchor_mask).sum()
 
-
-def supcon_loss_value_and_grad(
-    fingerprints: np.ndarray, positive_sets: dict[int, list[int]], tau: float
-) -> tuple[float, np.ndarray]:
-    """Convenience wrapper for plain arrays: loss value and d(loss)/d(fingerprints)."""
-    z = Tensor(np.asarray(fingerprints, dtype=np.float64), requires_grad=True)
-    loss = supcon_loss(z, positive_sets, tau)
-    loss.backward()
-    return loss.item(), z.grad
+    # sims is reached by two paths, the log-sum-exp and the positive mean;
+    # z by two more, one per side of the Gram matrix.
+    dsims = ((anchor_mask / denom)[:, None] * not_self) * expd
+    dsims = dsims + ((-anchor_mask) * inv_counts)[:, None] * pos_mask
+    dm = dsims * scale
+    return float(loss), dm @ z + (z.T @ dm).T
 
 
 @dataclass
@@ -171,13 +173,10 @@ def train_step(
     train_cfg: TrainConfig,
 ) -> float:
     """One forward/backward/update pass; returns the batch loss."""
-    tp = as_tensors(params, requires_grad=True)
-    z = fingerprint_batch_forward(batch.packed, tp, model_cfg)
-    loss = supcon_loss(z, batch.positive_sets, train_cfg.tau)
-    loss.backward()
-    grads = {k: t.grad for k, t in tp.items() if t.grad is not None}
-    optimizer.step(grads)
-    return loss.item()
+    z, backward = fingerprint_batch_forward(batch.packed, params, model_cfg)
+    loss, dz = supcon_loss(z, batch.positive_sets, train_cfg.tau)
+    optimizer.step(backward(dz))
+    return loss
 
 
 def train(

@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from vlafp.autodiff import Tensor, concat
 from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, mel_spectrogram
-from vlafp.model import MAX_ATTENTION_CELLS, ModelConfig, PackedBatch
+from vlafp.model import MAX_ATTENTION_CELLS, ModelConfig, PackedBatch, Parameters
 
 
 def dp_oracle(series, penalty, min_size=1, jump=1):
@@ -128,9 +128,47 @@ def exhaustive_best_f1(scores, labels):
 
 # -- the model on the Tensor graph -----------------------------------------
 #
-# The layers as Tensor operations, each op a graph node with its own
-# backward: the reference for vlafp.model's numpy forward (equal bytes) and
-# its hand-written backward (equal gradients within rounding).
+# The layers and the contrastive loss as Tensor operations, each op a graph
+# node with its own backward: the reference for vlafp.model's numpy forward
+# (equal bytes), its hand-written backward (equal gradients within rounding)
+# and vlafp.training.supcon_loss (equal value and gradient bytes).
+
+
+def as_tensors(params: Parameters, requires_grad: bool = False) -> dict[str, Tensor]:
+    return {k: Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
+
+
+def supcon_loss(
+    fingerprints: Tensor, positive_sets: dict[int, list[int]], tau: float
+) -> Tensor:
+    """Multi-positive contrastive loss over a batch of unit fingerprints.
+
+    For each anchor a: -(1/|P(a)|) sum over positives of
+    log( exp(z_a . z_p / tau) / sum over b != a of exp(z_a . z_b / tau) ).
+    Returns the scalar sum over anchors; gradients flow to all fingerprints.
+    """
+    n = fingerprints.shape[0]
+    if not positive_sets:
+        raise ValueError("no anchors given")
+    pos_mask = np.zeros((n, n))
+    anchor_mask = np.zeros(n)
+    counts = np.ones(n)
+    for a, pos in positive_sets.items():
+        if len(pos) == 0:
+            raise ValueError(f"anchor {a} has an empty positive set")
+        if a in pos:
+            raise ValueError(f"anchor {a} lists itself as a positive")
+        anchor_mask[a] = 1.0
+        counts[a] = float(len(pos))
+        for p in pos:
+            pos_mask[a, p] = 1.0
+
+    sims = (fingerprints @ fingerprints.T) * (1.0 / tau)
+    shift = Tensor(sims.data.max(axis=-1, keepdims=True))
+    expd = (sims - shift).exp() * Tensor(1.0 - np.eye(n))
+    log_denom = expd.sum(axis=-1).log() + shift.reshape(n)
+    pos_mean = (sims * Tensor(pos_mask)).sum(axis=-1) * Tensor(1.0 / counts)
+    return ((log_denom - pos_mean) * Tensor(anchor_mask)).sum()
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -335,8 +373,8 @@ def segment_waveform_span(w, seg):
         first, last = seg.frame_indices[0], seg.frame_indices[-1]
         start = first * DEFAULT_HOP
         n = (last - first) * DEFAULT_HOP + DEFAULT_WINDOW
-        return w.slice_samples(start, n, pad=True)
-    return w.slice_samples(seg.start_sample, seg.n_samples, pad=True)
+        return w.slice_samples(start, n)
+    return w.slice_samples(seg.start_sample, seg.n_samples)
 
 
 def span_mel(w, seg, mel_cfg):

@@ -25,7 +25,7 @@ class TestWaveform:
 
     def test_slice_with_padding(self):
         w = Waveform(np.arange(10.0), FS)
-        chunk = w.slice_samples(8, 5, pad=True)
+        chunk = w.slice_samples(8, 5)
         np.testing.assert_allclose(chunk.samples, [8.0, 9.0, 0.0, 0.0, 0.0])
 
 

@@ -203,8 +203,16 @@ class TestTrainArtifacts:
             (["--snr", "1:inf"], "need finite snr_range_db"),
             (["--aug", "ts", "--ts", "1:inf"], "need 0 < ts_range"),
             (["--alpha", "0"], "ffn_alpha must be finite and > 0, got 0.0"),
+            (["--tau", "inf"], "tau must be finite and > 0, got inf"),
+            (["--tau", "nan"], "tau must be finite and > 0, got nan"),
+            (["--lr", "0"], "lr must be finite and > 0, got 0.0"),
+            (["--lr", "-1"], "lr must be finite and > 0, got -1.0"),
+            (["--lr", "nan"], "lr must be finite and > 0, got nan"),
         ],
-        ids=["no-epochs", "batch-below-one-group", "infinite-snr", "infinite-stretch", "zero-alpha"],
+        ids=[
+            "no-epochs", "batch-below-one-group", "infinite-snr", "infinite-stretch", "zero-alpha",
+            "infinite-tau", "nan-tau", "zero-lr", "negative-lr", "nan-lr",
+        ],
     )
     def test_config_that_cannot_train_exit_1(self, corpus_dir, tmp_path, capsys, flags, needle):
         out = tmp_path / "model.vlfp"
@@ -347,6 +355,22 @@ class TestHostileInput:
         path.write_bytes(bytes(data))
         assert main(["inspect", str(path)]) == 1
         _one_error_line(capsys, str(path), "widths must be equal")
+
+    @pytest.mark.parametrize("eps", [math.nan, -1.0], ids=["nan", "negative"])
+    @pytest.mark.parametrize("command", ["fingerprint", "inspect"])
+    def test_checkpoint_eps_not_finite_and_positive(self, corpus_dir, ckpt, tmp_path, capsys, command, eps):
+        data = bytearray(Path(ckpt).read_bytes())
+        struct.pack_into("<d", data, 4 + 8 * 4 + 8, eps)  # the header's last double, after ffn_alpha
+        path = tmp_path / "eps.vlfp"
+        path.write_bytes(bytes(data))
+        out = tmp_path / "fp.vlix"
+        if command == "inspect":
+            argv = ["inspect", str(path)]
+        else:
+            argv = ["fingerprint", "--audio", str(corpus_dir), "--ckpt", str(path), "--out", str(out)]
+        assert main(argv) == 1
+        _one_error_line(capsys, str(path), "eps must be finite and > 0")
+        assert not out.exists()
 
     def test_inspect_unknown_binary_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "noise.bin"

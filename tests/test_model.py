@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    as_tensors,
     batch_forward,
     block_frames,
     cross_attention_block,
@@ -16,6 +17,7 @@ from oracles import (
     multi_head_attention,
     rms_norm,
     seg_init,
+    supcon_loss,
 )
 
 from vlafp import model
@@ -23,7 +25,6 @@ from vlafp.autodiff import Tensor, concat
 from vlafp.model import (
     ModelConfig,
     PackedBatch,
-    as_tensors,
     fingerprint,
     fingerprint_batch,
     fingerprint_batch_forward,
@@ -32,7 +33,7 @@ from vlafp.model import (
     pack_segments,
     save_checkpoint,
 )
-from vlafp.training import supcon_loss
+from vlafp import training
 
 DESK = ModelConfig()
 SMALL = ModelConfig(f_bins=6, d=8, n_blocks=2, n_heads=2, d_head=4)
@@ -47,6 +48,11 @@ class TestConfig:
     def test_ffn_alpha_must_be_finite_and_positive(self, alpha):
         with pytest.raises(ValueError, match="ffn_alpha must be finite and > 0"):
             ModelConfig(ffn_alpha=alpha)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite and > 0"):
+            ModelConfig(eps=eps)
 
     def test_full_scale_dims(self):
         cfg = ModelConfig.full_scale()
@@ -468,13 +474,6 @@ class TestPackedBatch:
 class TestBackward:
     """The hand-written backward against the Tensor graph's, through the contrastive loss."""
 
-    @staticmethod
-    def gradients(forward, batch, params, cfg, positive_sets):
-        tp = as_tensors(params, requires_grad=True)
-        zs = forward(batch, tp, cfg)
-        supcon_loss(concat([z.reshape(1, -1) for z in zs], axis=0), positive_sets, 0.05).backward()
-        return {name: t.grad for name, t in tp.items()}
-
     def test_every_parameter_matches_the_tensor_graph(self):
         rng = np.random.default_rng(8)
         params = init_parameters(DESK, seed=8)
@@ -482,8 +481,12 @@ class TestBackward:
         lengths = rng.choice([1, 16, 28, 28, 28, 40, 93], size=60)
         batch = pack_segments([rng.standard_normal((t, DESK.f_bins)) for t in lengths])
         pos = {i: [j for j in range(60) if j // 4 == i // 4 and j != i] for i in range(60)}
-        got = self.gradients(fingerprint_batch_forward, batch, params, DESK, pos)
-        want = self.gradients(batch_forward, batch, params, DESK, pos)
+        z, backward = fingerprint_batch_forward(batch, params, DESK)
+        got = backward(training.supcon_loss(z, pos, 0.05)[1])
+        tp = as_tensors(params, requires_grad=True)
+        zs = batch_forward(batch, tp, DESK)
+        supcon_loss(concat([zi.reshape(1, -1) for zi in zs], axis=0), pos, 0.05).backward()
+        want = {name: t.grad for name, t in tp.items()}
         assert set(got) == set(want) == set(params)
         for name in params:
             assert got[name] is not None, f"no gradient reached {name}"
@@ -495,9 +498,9 @@ class TestBackward:
     def test_forward_values_are_the_inference_bytes(self, rng):
         params = init_parameters(SMALL, seed=2)
         batch = pack_segments([rng.standard_normal((t, SMALL.f_bins)) for t in (4, 9, 4, 1)])
-        zs = fingerprint_batch_forward(batch, as_tensors(params, requires_grad=True), SMALL)
+        z, _ = fingerprint_batch_forward(batch, params, SMALL)
         inference = fingerprint_batch(batch, params, SMALL)
-        assert np.stack([z.data for z in zs]).tobytes() == np.stack(inference).tobytes()
+        assert z.tobytes() == np.stack(inference).tobytes()
 
 
 class TestCheckpoint:
@@ -549,6 +552,18 @@ class TestCheckpoint:
         struct.pack_into("<I", data, 12 + 4 * slot, 9)
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="widths must be equal") as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("eps", [np.nan, -1.0])
+    def test_header_eps_must_be_finite_and_positive(self, tmp_path, eps):
+        path = tmp_path / "model.vlfp"
+        save_checkpoint(path, init_parameters(SMALL, seed=9), SMALL)
+        data = bytearray(path.read_bytes())
+        # eps is the last double of the header, after magic, eight u32s and ffn_alpha
+        struct.pack_into("<d", data, 4 + 8 * 4 + 8, eps)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="eps must be finite and > 0") as exc:
             load_checkpoint(path)
         assert str(path) in str(exc.value)
 

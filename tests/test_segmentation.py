@@ -234,14 +234,14 @@ class TestFrameGrid:
                 start = round(seg.start_time * FS)
                 # The span is the reference span, and it starts where the segment does.
                 assert np.array_equal(span.samples, segment_waveform_span(w, seg).samples)
-                assert np.array_equal(span.samples, w.slice_samples(start, len(span), pad=True).samples)
+                assert np.array_equal(span.samples, w.slice_samples(start, len(span)).samples)
                 # The rows run, increasing, from the span's first frame to its last,
                 # and row r is w's frame r hops after the segment's start.
                 frames = stft(span).frames
                 assert rows[0] == 0 and rows[-1] == len(frames) - 1
                 assert all(a < b for a, b in zip(rows, rows[1:]))
                 for r in rows:
-                    frame = w.slice_samples(start + r * DEFAULT_HOP, DEFAULT_WINDOW, pad=True)
+                    frame = w.slice_samples(start + r * DEFAULT_HOP, DEFAULT_WINDOW)
                     assert np.array_equal(frames[r], stft(frame).frames[0])
 
     def test_waveform_method_short_and_empty_input(self):

@@ -1,21 +1,25 @@
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vlafp.augment import AugmentConfig, make_ir_pool, make_noise_pool
 from vlafp.autodiff import Tensor
 from vlafp.dsp import MelConfig
-from vlafp.model import ModelConfig, init_parameters
+from vlafp.model import ModelConfig, fingerprint_batch_forward, init_parameters, pack_segments
 from vlafp.synth import SynthSpec, generate
 from vlafp.training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     Adam,
+    BuiltBatch,
     TrainConfig,
     build_batch,
     supcon_loss,
-    supcon_loss_value_and_grad,
     train,
+    train_step,
 )
 from vlafp.pipeline import training_sources
 from vlafp.segmentation import FIXED_WINDOWS
@@ -36,12 +40,12 @@ class TestSupconClosedForms:
         for b in (4, 8, 60):
             z = np.tile(np.ones(6) / np.sqrt(6), (b, 1))
             pos = {i: [j for j in range(b) if j != i] for i in range(b)}
-            val, _ = supcon_loss_value_and_grad(z, pos, TAU)
+            val, _ = supcon_loss(z, pos, TAU)
             assert val == pytest.approx(b * np.log(b - 1), abs=1e-9)
 
     def test_two_identical_items_zero(self):
         z = np.tile(np.ones(4) / 2.0, (2, 1))
-        val, _ = supcon_loss_value_and_grad(z, {0: [1], 1: [0]}, TAU)
+        val, _ = supcon_loss(z, {0: [1], 1: [0]}, TAU)
         assert abs(val) < 1e-12
 
     def test_gradient_matches_finite_differences(self):
@@ -49,27 +53,27 @@ class TestSupconClosedForms:
         z = rng.standard_normal((6, 4))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         pos = {0: [1, 2], 1: [0, 2], 2: [0, 1], 3: [4], 4: [3], 5: [3, 4]}
-        _, grad = supcon_loss_value_and_grad(z, pos, TAU)
+        _, grad = supcon_loss(z, pos, TAU)
         eps = 1e-6
         for i in range(6):
             for j in range(4):
                 zp = z.copy()
                 zp[i, j] += eps
-                up, _ = supcon_loss_value_and_grad(zp, pos, TAU)
+                up, _ = supcon_loss(zp, pos, TAU)
                 zp[i, j] -= 2 * eps
-                dn, _ = supcon_loss_value_and_grad(zp, pos, TAU)
+                dn, _ = supcon_loss(zp, pos, TAU)
                 fd = (up - dn) / (2 * eps)
                 assert abs(fd - grad[i, j]) / max(1.0, abs(fd)) < 1e-6
 
     def test_empty_positive_set_rejected(self, rng):
         z = rng.standard_normal((3, 4))
         with pytest.raises(ValueError, match="empty positive set"):
-            supcon_loss_value_and_grad(z, {0: []}, TAU)
+            supcon_loss(z, {0: []}, TAU)
 
     def test_self_positive_rejected(self, rng):
         z = rng.standard_normal((3, 4))
         with pytest.raises(ValueError, match="itself"):
-            supcon_loss_value_and_grad(z, {0: [0, 1]}, TAU)
+            supcon_loss(z, {0: [0, 1]}, TAU)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
@@ -77,11 +81,11 @@ class TestSupconClosedForms:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         group_ids = [0, 0, 1, 1, 2, 2, 2, 2]
         pos = full_positive_sets(group_ids)
-        base, _ = supcon_loss_value_and_grad(z, pos, TAU)
+        base, _ = supcon_loss(z, pos, TAU)
         perm = rng.permutation(8)
         z_p = z[perm]
         pos_p = full_positive_sets([group_ids[i] for i in perm])
-        permuted, _ = supcon_loss_value_and_grad(z_p, pos_p, TAU)
+        permuted, _ = supcon_loss(z_p, pos_p, TAU)
         assert permuted == pytest.approx(base, rel=1e-12)
 
     def test_temperature_equals_similarity_rescale(self):
@@ -92,9 +96,36 @@ class TestSupconClosedForms:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         pos = full_positive_sets([0, 0, 0, 1, 1, 1])
         c = 2.5
-        a = supcon_loss(Tensor(z), pos, TAU * c).item()
-        b = supcon_loss(Tensor(z / np.sqrt(c)), pos, TAU).item()
+        a, _ = supcon_loss(z, pos, TAU * c)
+        b, _ = supcon_loss(z / np.sqrt(c), pos, TAU)
         assert a == pytest.approx(b, rel=1e-10)
+
+
+@st.composite
+def loss_inputs(draw):
+    """Unit fingerprints in anchor groups of 2-5, the last group ragged, and a temperature."""
+    n = draw(st.integers(2, 80))
+    d = draw(st.integers(1, 32))
+    size = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    z = np.random.default_rng(seed).standard_normal((n, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    # the last group is whatever is left, so a lone last item has no positive and is no anchor
+    groups = [list(range(g, min(g + size, n))) for g in range(0, n, size)]
+    pos = {i: [j for j in group if j != i] for group in groups if len(group) > 1 for i in group}
+    return z, pos, draw(st.sampled_from([0.05, 0.1, 1.0]))
+
+
+@given(loss_inputs())
+@settings(max_examples=60, deadline=None)
+def test_supcon_loss_bytes_equal_the_tensor_graph(inputs):
+    z, pos, tau = inputs
+    value, grad = supcon_loss(z, pos, tau)
+    zt = Tensor(z, requires_grad=True)
+    loss = oracles.supcon_loss(zt, pos, tau)
+    loss.backward()
+    assert np.float64(value).tobytes() == loss.data.tobytes()
+    assert grad.tobytes() == zt.grad.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -145,11 +176,15 @@ class TestBuildBatch:
 
 class TestTrainLoop:
     def test_zero_lr_keeps_params_bit_exact(self, tiny_setup):
+        # TrainConfig rejects lr 0, so the optimizer's rate is zeroed after construction
         sources, mel_cfg, aug, model_cfg = tiny_setup
-        cfg = TrainConfig(batch_items=8, n_pos=1, lr=0.0, epochs=1, seed=0)
-        init = init_parameters(model_cfg, seed=0)
-        before = {k: v.copy() for k, v in init.items()}
-        params, _ = train(sources[:8], model_cfg, cfg, aug, mel_cfg, params=init)
+        cfg = TrainConfig(batch_items=8, n_pos=1, epochs=1, seed=0)
+        params = init_parameters(model_cfg, seed=0)
+        before = {k: v.copy() for k, v in params.items()}
+        optimizer = Adam(params, cfg)
+        optimizer.lr = 0.0
+        batch = build_batch(sources[:4], cfg, aug, mel_cfg, np.random.default_rng(0))
+        train_step(params, optimizer, batch, model_cfg, cfg)
         for k in before:
             assert np.array_equal(params[k], before[k])
 
@@ -173,9 +208,6 @@ class TestTrainLoop:
 class TestEndToEndGradient:
     def test_loss_gradient_through_model(self):
         # finite differences through fingerprinting + normalization + loss
-        from vlafp.autodiff import Tensor, concat
-        from vlafp.model import as_tensors, fingerprint_batch_forward, pack_segments
-
         cfg = ModelConfig(f_bins=5, d=8, n_blocks=2, n_heads=2, d_head=4)
         params = init_parameters(cfg, seed=11)
         rng = np.random.default_rng(11)
@@ -184,17 +216,14 @@ class TestEndToEndGradient:
         pos = {0: [1], 1: [0], 2: [3], 3: [2]}
 
         def loss_of(p) -> float:
-            zs = fingerprint_batch_forward(batch, as_tensors(p), cfg)
-            z = concat([zz.reshape(1, -1) for zz in zs], axis=0)
-            return supcon_loss(z, pos, 0.05).item()
+            z, _ = fingerprint_batch_forward(batch, p, cfg)
+            return supcon_loss(z, pos, 0.05)[0]
 
-        tp = as_tensors(params, requires_grad=True)
-        zs = fingerprint_batch_forward(batch, tp, cfg)
-        z = concat([zz.reshape(1, -1) for zz in zs], axis=0)
-        supcon_loss(z, pos, 0.05).backward()
+        z, backward = fingerprint_batch_forward(batch, params, cfg)
+        grads = backward(supcon_loss(z, pos, 0.05)[1])
         step = 1e-5
         for name in ("w0", "block0.attn.wq.0", "block1.cross.wv.1", "seg_init.ws.0", "block1.ffn.w2"):
-            grad = tp[name].grad
+            grad = grads[name]
             for fi in (0, grad.size - 1):
                 idx = np.unravel_index(fi, grad.shape)
                 perturbed = {k: v.copy() for k, v in params.items()}
@@ -204,6 +233,52 @@ class TestEndToEndGradient:
                 down = loss_of(perturbed)
                 fd = (up - down) / (2 * step)
                 assert abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-6) < 1e-4
+
+
+def graph_train_step(params, optimizer, batch, model_cfg, train_cfg) -> float:
+    """train_step with the loss on the Tensor graph and the model as one graph node."""
+    tp = oracles.as_tensors(params, requires_grad=True)
+    z, backward = fingerprint_batch_forward(batch.packed, params, model_cfg)
+
+    def node_backward(g):
+        for name, grad in backward(g).items():
+            tp[name]._accum(grad)
+
+    loss = oracles.supcon_loss(Tensor._result(z, tuple(tp.values()), node_backward), batch.positive_sets, train_cfg.tau)
+    loss.backward()
+    optimizer.step({k: t.grad for k, t in tp.items()})
+    return loss.item()
+
+
+class TestTrainStep:
+    @pytest.fixture
+    def mixed_batch(self):
+        """60 items in 15 groups of 4, lengths mixed within and across groups, 1 frame included."""
+        rng = np.random.default_rng(21)
+        lengths = rng.choice([1, 9, 28, 28, 28, 40, 93], size=60)
+        mels = [rng.standard_normal((t, ModelConfig().f_bins)) for t in lengths]
+        pos = {i: [j for j in range(60) if j // 4 == i // 4 and j != i] for i in range(60)}
+        return BuiltBatch(pack_segments(mels), pos)
+
+    def test_step_bytes_equal_the_tensor_graph_step(self, mixed_batch):
+        model_cfg, train_cfg = ModelConfig(), TrainConfig(lr=1e-3)
+        params = init_parameters(model_cfg, seed=21)
+        graph_params = {k: v.copy() for k, v in params.items()}
+        loss = train_step(params, Adam(params, train_cfg), mixed_batch, model_cfg, train_cfg)
+        graph_loss = graph_train_step(graph_params, Adam(graph_params, train_cfg), mixed_batch, model_cfg, train_cfg)
+        assert np.float64(loss).tobytes() == np.float64(graph_loss).tobytes()
+        for name in params:
+            assert not np.array_equal(params[name], init_parameters(model_cfg, seed=21)[name]), name
+            assert params[name].tobytes() == graph_params[name].tobytes(), name
+
+    def test_step_constructs_no_tensor(self, mixed_batch, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("train_step built a Tensor")
+
+        monkeypatch.setattr(Tensor, "__init__", refuse)
+        model_cfg, train_cfg = ModelConfig(), TrainConfig(lr=1e-3)
+        params = init_parameters(model_cfg, seed=21)
+        assert np.isfinite(train_step(params, Adam(params, train_cfg), mixed_batch, model_cfg, train_cfg))
 
 
 class TestAdam:
@@ -226,8 +301,9 @@ class TestAdam:
         np.testing.assert_allclose(params["w"], expected, atol=1e-12)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(tau=0.0)
+        for field, value in [("tau", 0.0), ("tau", np.inf), ("tau", np.nan), ("lr", 0.0), ("lr", -1.0), ("lr", np.nan)]:
+            with pytest.raises(ValueError, match=f"{field} must be finite and > 0, got {value}"):
+                TrainConfig(**{field: value})
         with pytest.raises(ValueError):
             TrainConfig(n_pos=0)
         with pytest.raises(ValueError, match="epochs must be >= 1, got 0"):
