@@ -11,12 +11,16 @@ fresh temporary directory (nothing is written into either checkout):
 - `index query --k 10` of each method's fingerprints against the `fixed` index;
 - `eval dtr`;
 - `eval cbr` under `main`, `pelt` and `fixed`;
-- a 1-epoch `train` under `fixed`, `main` and `nosilence`.
+- a 1-epoch `train` under `fixed`, `main` and `nosilence` (BG+IR positives);
+- a 1-epoch `train --aug ts,bg,ir` under `fixed` and `nosilence`, so that
+  time-stretched positives and their kept rows are compared too.
 
 Every file the commands write and each command's stdout (with the
 temporary directory's path replaced) are compared. Run manifests are
 compared with their path-valued flags and their config digest removed,
-since those name each checkout's own directories. BLAS runs on one thread.
+since those name each checkout's own directories, and without any flag
+that only one side has (a flag added or removed by the change), which is
+printed instead. BLAS runs on one thread.
 
 Exits 0 when every artifact is identical, 1 on any difference, and 2 when a
 command fails.
@@ -35,6 +39,7 @@ from pathlib import Path
 METHODS = ("main", "nosilence", "pelt", "waveform", "fixed")
 CBR_METHODS = ("main", "pelt", "fixed")
 TRAIN_METHODS = ("fixed", "main", "nosilence")
+TS_TRAIN_METHODS = ("fixed", "nosilence")
 THREAD_VARS = (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
@@ -60,6 +65,9 @@ def commands(ckpt: str) -> list[tuple[str, list[str]]]:
     for m in TRAIN_METHODS:
         steps.append((f"train-{m}", ["train", "--corpus", "corpus", "--method", m, "--epochs", "1",
                                      "--lr", "1e-3", "--out", f"model-{m}.vlfp"]))
+    for m in TS_TRAIN_METHODS:
+        steps.append((f"train-ts-{m}", ["train", "--corpus", "corpus", "--method", m, "--epochs", "1",
+                                        "--lr", "1e-3", "--aug", "ts,bg,ir", "--out", f"model-ts-{m}.vlfp"]))
     return steps
 
 
@@ -78,15 +86,27 @@ def run_side(checkout: Path, work: Path) -> None:
         print(f"  {checkout.name or checkout}: {step} done", flush=True)
 
 
-def comparable(path: Path) -> bytes:
-    """The bytes to compare: a run manifest without its path flags and digest, any other file as is."""
-    if not path.name.endswith(".manifest.json"):
-        return path.read_bytes()
+def manifest_view(path: Path) -> dict:
+    """A run manifest without its path flags and digest."""
     manifest = json.loads(path.read_text())
     manifest.pop("config_digest", None)
     for flag in PATH_FLAGS:
         manifest.get("flags", {}).pop(flag, None)
-    return json.dumps(manifest, sort_keys=True).encode()
+    return manifest
+
+
+def same_file(base: Path, change: Path, rel: Path) -> bool:
+    """Byte equality, or for run manifests equality of manifest_view minus one-sided flags."""
+    if not rel.name.endswith(".manifest.json"):
+        return base.read_bytes() == change.read_bytes()
+    views = manifest_view(base), manifest_view(change)
+    flags = [view.setdefault("flags", {}) for view in views]
+    for flag in sorted(flags[0].keys() ^ flags[1].keys()):
+        side = "BASE" if flag in flags[0] else "CHANGE"
+        print(f"ignored    {rel}: flag {flag} only in {side}")
+        for f in flags:
+            f.pop(flag, None)
+    return json.dumps(views[0], sort_keys=True) == json.dumps(views[1], sort_keys=True)
 
 
 def compare(base: Path, change: Path) -> list[str]:
@@ -98,7 +118,7 @@ def compare(base: Path, change: Path) -> list[str]:
     problems = [f"only in BASE: {p}" for p in sorted(base_files - change_files)]
     problems += [f"only in CHANGE: {p}" for p in sorted(change_files - base_files)]
     for rel in sorted(base_files & change_files):
-        same = comparable(base / rel) == comparable(change / rel)
+        same = same_file(base / rel, change / rel, rel)
         print(f"{'identical' if same else 'DIFFERS  '}  {rel}")
         if not same:
             problems.append(f"differs: {rel}")

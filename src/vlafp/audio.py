@@ -41,7 +41,8 @@ class Waveform:
 
     @property
     def peak(self) -> float:
-        return float(np.max(np.abs(self.samples))) if len(self) else 0.0
+        # max(x.max(), -x.min()) is max(|x|) without a copy of |x|.
+        return float(max(self.samples.max(), -self.samples.min())) if len(self) else 0.0
 
     def slice_samples(self, start: int, n: int) -> "Waveform":
         """Sample window [start, start+n), zero-padded past the end."""

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
 from .audio import Waveform
-from .dsp import DEFAULT_HOP, DEFAULT_WINDOW, HANN, stft
+from .dsp import ANALYSIS_BLOCK_FRAMES, DEFAULT_HOP, DEFAULT_WINDOW, HANN, frame_count, stft
 
 
 @dataclass(frozen=True)
@@ -31,25 +31,14 @@ class AugmentConfig:
             raise ValueError(f"need finite snr_range_db low <= high, got {self.snr_range_db}")
 
 
-def _istft_overlap_add(frames: np.ndarray, length: int) -> np.ndarray:
-    n_frames = frames.shape[0]
-    total = (n_frames - 1) * DEFAULT_HOP + DEFAULT_WINDOW
-    acc = np.zeros(total)
-    norm = np.zeros(total)
-    for i in range(n_frames):
-        chunk = np.fft.irfft(frames[i], n=DEFAULT_WINDOW)
-        acc[i * DEFAULT_HOP : i * DEFAULT_HOP + DEFAULT_WINDOW] += chunk * HANN
-        norm[i * DEFAULT_HOP : i * DEFAULT_HOP + DEFAULT_WINDOW] += HANN**2
-    out = acc / np.maximum(norm, 1e-8)
-    if out.shape[0] >= length:
-        return out[:length]
-    return np.concatenate([out, np.zeros(length - out.shape[0])])
-
-
 def time_stretch(w: Waveform, factor: float) -> Waveform:
     """Phase-vocoder time stretch on the one STFT grid: factor > 1 speeds up, < 1 slows down.
 
-    Pitch is preserved; output length is round(len(w) / factor).
+    Pitch is preserved; output length is round(len(w) / factor). Output
+    frame k interpolates frames floor(k*factor) and floor(k*factor)+1 of w
+    followed by one window of silence, read in blocks of
+    ANALYSIS_BLOCK_FRAMES (at least 2) frames, and is overlap-added as soon
+    as it is made, so no whole-stream spectrum is held.
     """
     if factor <= 0:
         raise ValueError(f"stretch factor must be positive, got {factor}")
@@ -60,20 +49,34 @@ def time_stretch(w: Waveform, factor: float) -> Waveform:
     if factor == 1.0:
         return Waveform(x.copy(), w.sample_rate)
 
-    spec = stft(Waveform(np.concatenate([x, np.zeros(DEFAULT_WINDOW)]), w.sample_rate)).frames
-    steps = np.arange(0.0, spec.shape[0] - 1, factor)
-    omega = 2.0 * np.pi * DEFAULT_HOP * np.arange(spec.shape[1]) / DEFAULT_WINDOW
+    n_frames = frame_count(len(w) + DEFAULT_WINDOW)
+
+    def block(first: int) -> np.ndarray:
+        count = min(ANALYSIS_BLOCK_FRAMES, n_frames - first)
+        return stft(w.slice_samples(first * DEFAULT_HOP, (count - 1) * DEFAULT_HOP + DEFAULT_WINDOW)).frames
+
+    steps = np.arange(0.0, n_frames - 1, factor)
+    total = (steps.shape[0] - 1) * DEFAULT_HOP + DEFAULT_WINDOW
+    acc = np.zeros(max(target, total))
+    norm = np.zeros_like(acc)
+    omega = 2.0 * np.pi * DEFAULT_HOP * np.arange(DEFAULT_WINDOW // 2 + 1) / DEFAULT_WINDOW
+    first, spec = 0, block(0)
     phase = np.angle(spec[0])
-    out = np.empty((steps.shape[0], spec.shape[1]), dtype=np.complex128)
     for k, step in enumerate(steps):
         i = int(step)
+        if i + 1 >= first + spec.shape[0]:
+            first, spec = i, block(i)
+        a, b = spec[i - first], spec[i + 1 - first]
         frac = step - i
-        mag = (1.0 - frac) * np.abs(spec[i]) + frac * np.abs(spec[i + 1])
-        out[k] = mag * np.exp(1j * phase)
-        dphi = np.angle(spec[i + 1]) - np.angle(spec[i]) - omega
+        mag = (1.0 - frac) * np.abs(a) + frac * np.abs(b)
+        at = k * DEFAULT_HOP
+        acc[at : at + DEFAULT_WINDOW] += np.fft.irfft(mag * np.exp(1j * phase), n=DEFAULT_WINDOW) * HANN
+        norm[at : at + DEFAULT_WINDOW] += HANN**2
+        dphi = np.angle(b) - np.angle(a) - omega
         dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
         phase = phase + omega + dphi
-    return Waveform(_istft_overlap_add(out, target), w.sample_rate)
+    acc /= np.maximum(norm, 1e-8, out=norm)
+    return Waveform(acc[:target], w.sample_rate)
 
 
 def _noise_excerpt(noise: np.ndarray, length: int, rng: np.random.Generator) -> np.ndarray:
@@ -147,11 +150,6 @@ def augment_chain_with_draws(
         ir_index = int(rng.integers(0, len(cfg.ir_pool)))
         out = convolve_ir(out, cfg.ir_pool[ir_index])
     return out, ChainDraws(factor, bg_index, snr, ir_index)
-
-
-def augment_chain(w: Waveform, cfg: AugmentConfig, rng: np.random.Generator) -> Waveform:
-    out, _ = augment_chain_with_draws(w, cfg, rng)
-    return out
 
 
 def make_noise_pool(

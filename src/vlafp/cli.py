@@ -6,7 +6,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -27,12 +26,6 @@ from .pipeline import build_index, fingerprint_segments, make_embedder, training
 from .segmentation import FIXED_WINDOWS, METHODS, SegmenterConfig, default_theta, segment, write_manifest
 from .synth import SynthSpec, generate
 from .training import TrainConfig, train
-
-
-def _theta(value: str) -> float:
-    if value.lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(value)
 
 
 def _float_pair(value: str) -> tuple[float, float]:
@@ -98,8 +91,7 @@ def seg_config_from_args(args) -> SegmenterConfig:
         t_max=args.tmax,
         theta=theta,
         method=args.method,
-        pelt_jump=getattr(args, "pelt_jump", 1),
-        pelt_penalty=getattr(args, "pelt_penalty", None),
+        pelt_penalty=args.pelt_penalty,
         window_s=args.window,
         hop_s=args.hop,
     )
@@ -399,13 +391,12 @@ def _add_common(p, rate=True):
 
 def _add_segmentation(p):
     p.add_argument("--method", choices=METHODS, default="main")
-    p.add_argument("--theta", type=_theta, default=None, help='z-score threshold; "inf" allowed')
+    p.add_argument("--theta", type=float, default=None, help='z-score threshold; "inf" allowed')
     p.add_argument("--tmin", type=float, default=0.5)
     p.add_argument("--tmax", type=float, default=5.0)
     p.add_argument("--window", type=float, default=1.0, help="fixed window seconds")
     p.add_argument("--hop", type=float, default=0.5, help="fixed hop seconds")
     p.add_argument("--pelt-penalty", type=float, default=None)
-    p.add_argument("--pelt-jump", type=int, default=1)
 
 
 def _add_model(p):
@@ -553,13 +544,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (
-        ValueError,
-        FileNotFoundError,
-        IsADirectoryError,
-        RuntimeError,
-        OSError,
-    ) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

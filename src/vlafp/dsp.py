@@ -17,6 +17,9 @@ DEFAULT_HOP = 256
 MEL_FMIN = 300.0
 MEL_FMAX = 4000.0
 MEL_DYNAMIC_RANGE_DB = 80.0
+# Frames per block of every pass over a stream (entropy series, frame levels,
+# time stretch), so that no temporary grows with the stream.
+ANALYSIS_BLOCK_FRAMES = 512
 # Equal-width |amplitude| bins of the waveform-entropy histogram.
 WAVEFORM_ENTROPY_BINS = 64
 EPS = 1e-12
@@ -199,9 +202,12 @@ def frame_rms_db(w: Waveform) -> np.ndarray:
         return out
     n_full = x.shape[0] // DEFAULT_HOP
     # A row mean sums each frame exactly as a mean over that frame alone.
-    ms = np.mean(x[: n_full * DEFAULT_HOP].reshape(n_full, DEFAULT_HOP) ** 2, axis=1)
+    ms = np.empty(n)
+    for s in range(0, n_full, ANALYSIS_BLOCK_FRAMES):
+        e = min(s + ANALYSIS_BLOCK_FRAMES, n_full)
+        ms[s:e] = np.mean(x[s * DEFAULT_HOP : e * DEFAULT_HOP].reshape(e - s, DEFAULT_HOP) ** 2, axis=1)
     if n > n_full:
-        ms = np.append(ms, np.mean(x[n_full * DEFAULT_HOP :] ** 2))
+        ms[n_full] = np.mean(x[n_full * DEFAULT_HOP :] ** 2)
     rms = np.sqrt(ms)
     live = rms > 0.0
     out[live] = 20.0 * np.log10(rms[live] / peak)

@@ -112,8 +112,8 @@ class FingerprintIndex:
         Ties break toward the lower (audio_id, segment_ord). A linear scan
         scores every entry, a selection finds the k-th best score, and only
         the entries scoring at least that much, every tie at the cut
-        included, are sorted; when all scores tie, that is a full sort.
-        The scores and the order are those of sorting all N entries.
+        included, are gathered and sorted; when all scores tie, that is a
+        full sort. The scores and the order are those of sorting all N entries.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -132,10 +132,7 @@ class FingerprintIndex:
             # A score overflowing to NaN sorts last: `~(neg > cut)` keeps such rows,
             # which the sort ranks last again, and keeps every row if the cut is NaN.
             rows = np.flatnonzero(~(neg > cut))
-        if len(rows) == len(neg):  # sort the column views: gathering them costs more
-            order = np.lexsort(keys)
-        else:
-            order = rows[np.lexsort([key[rows] for key in keys])]
+        order = rows[np.lexsort([key[rows] for key in keys])]
         return [(self.entry(int(i)), float(scores[i])) for i in order[:k]]
 
     def save(self, path: str | Path) -> None:

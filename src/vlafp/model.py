@@ -43,13 +43,6 @@ class ModelConfig:
     def ffn_hidden(self) -> int:
         return math.ceil(self.ffn_alpha * (2.0 / 3.0) * 4.0 * self.d)
 
-    @classmethod
-    def full_scale(cls) -> "ModelConfig":
-        """Large configuration (d=256, 4 blocks, 8 heads); slow on CPU."""
-        return cls(
-            f_bins=256, d=256, n_blocks=4, n_heads=8, d_head=256, ffn_alpha=32.0
-        )
-
 
 @dataclass(frozen=True)
 class Fingerprint:

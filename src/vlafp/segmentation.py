@@ -10,6 +10,7 @@ import numpy as np
 
 from .audio import Waveform
 from .dsp import (
+    ANALYSIS_BLOCK_FRAMES,
     DEFAULT_HOP,
     DEFAULT_WINDOW,
     frame_count,
@@ -27,8 +28,6 @@ SILENCE_THRESHOLD_DB = -60.0
 # Below this the window entropy is effectively constant; the next frame is
 # treated as in-regime (z = 0) rather than dividing by ~0.
 MIN_STD = 1e-9
-# Frames per analysis block, so that no entropy-series temporary grows with the stream.
-ANALYSIS_BLOCK_FRAMES = 512
 
 
 # A segment as Segment.span gives it: its span of samples and its rows within
@@ -51,7 +50,6 @@ class SegmenterConfig:
     theta: float = 1.0
     method: str = "main"
     pelt_penalty: float | None = None
-    pelt_jump: int = 1
     window_s: float = 1.0
     hop_s: float = 0.5
 
@@ -279,9 +277,7 @@ def segment_pelt(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[S
     """
     entropies = spectral_entropy_series(w)
     pen = cfg.pelt_penalty if cfg.pelt_penalty is not None else default_penalty(entropies)
-    bps = pelt_changepoints(
-        entropies, penalty=pen, min_size=cfg.min_frames(w.sample_rate), jump=cfg.pelt_jump
-    )
+    bps = pelt_changepoints(entropies, penalty=pen, min_size=cfg.min_frames(w.sample_rate))
     bounds = list(zip([0] + bps[:-1], bps))
     bounds = _split_oversize(bounds, cfg.max_frames(w.sample_rate))
     return [_frame_segment(audio_id, list(range(a, b)), w.sample_rate) for a, b in bounds]

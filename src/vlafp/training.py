@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dsp
 from .augment import AugmentConfig, augment_chain_with_draws
-from .dsp import MelConfig
+from .dsp import MelConfig, frame_count
 from .model import (
     ModelConfig,
     PackedBatch,
@@ -113,10 +112,10 @@ def build_batch(
 ) -> BuiltBatch:
     """One anchor group per source, in order: the clean segment plus n_pos augmented copies.
 
-    The anchor's mel is source_mel, as at index time. A positive stretched
-    by f keeps its frame j iff source frame min(round(j * f), K - 1) is a
-    row, K being the span's frame count: frame 0 always, and every frame
-    for contiguous rows.
+    Every mel is source_mel's, as at index time: the anchor's of its rows,
+    and a positive stretched by f keeps its frame j iff source frame
+    min(round(j * f), K - 1) is a row, K being the span's frame count:
+    frame 0 always, and every frame for contiguous rows.
 
     Every group member acts as an anchor in turn with the rest of its group
     as positives; all other batch items are its negatives.
@@ -125,17 +124,16 @@ def build_batch(
         raise ValueError("empty corpus")
     mels: list[np.ndarray] = []
     for span, rows in sources:
-        n_frames = dsp.frame_count(len(span))
+        n_frames = frame_count(len(span))
         is_row = np.zeros(n_frames, dtype=bool)
         is_row[list(rows)] = True
         mels.append(source_mel((span, rows), mel_cfg))
         for _ in range(train_cfg.n_pos):
             distorted, draws = augment_chain_with_draws(span, aug_cfg, rng)
             factor = 1.0 if draws.ts_factor is None else draws.ts_factor
-            stretched = dsp.stft(distorted)
-            source = np.rint(np.arange(stretched.n_frames) * factor).astype(np.intp)
+            source = np.rint(np.arange(frame_count(len(distorted))) * factor).astype(np.intp)
             keep = np.flatnonzero(is_row[np.minimum(source, n_frames - 1)])
-            mels.append(dsp.mel_from_frames(stretched.select(keep), mel_cfg).data)
+            mels.append(source_mel((distorted, keep), mel_cfg))
 
     size = 1 + train_cfg.n_pos  # group g is items g*size .. g*size + size - 1
     positive_sets = {i: [j for j in range(i - i % size, i - i % size + size) if j != i] for i in range(len(mels))}

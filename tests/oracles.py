@@ -5,8 +5,9 @@ import math
 import numpy as np
 from scipy.special import expit
 
+from vlafp.audio import Waveform
 from vlafp.autodiff import Tensor, concat
-from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, mel_spectrogram
+from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, HANN, mel_spectrogram, stft
 from vlafp.model import MAX_ATTENTION_CELLS, ModelConfig, PackedBatch, Parameters
 
 
@@ -109,6 +110,53 @@ def naive_convolve(x, h):
         for j in range(lo, i + 1):
             out[i] += x[j] * h[i - j]
     return out
+
+
+# The whole-stream phase vocoder: the reference for augment.time_stretch,
+# which reads the same frames a block at a time and overlap-adds each at once.
+def _istft_overlap_add(frames: np.ndarray, length: int) -> np.ndarray:
+    n_frames = frames.shape[0]
+    total = (n_frames - 1) * DEFAULT_HOP + DEFAULT_WINDOW
+    acc = np.zeros(total)
+    norm = np.zeros(total)
+    for i in range(n_frames):
+        chunk = np.fft.irfft(frames[i], n=DEFAULT_WINDOW)
+        acc[i * DEFAULT_HOP : i * DEFAULT_HOP + DEFAULT_WINDOW] += chunk * HANN
+        norm[i * DEFAULT_HOP : i * DEFAULT_HOP + DEFAULT_WINDOW] += HANN**2
+    out = acc / np.maximum(norm, 1e-8)
+    if out.shape[0] >= length:
+        return out[:length]
+    return np.concatenate([out, np.zeros(length - out.shape[0])])
+
+
+def time_stretch(w: Waveform, factor: float) -> Waveform:
+    """Phase-vocoder time stretch on the one STFT grid: factor > 1 speeds up, < 1 slows down.
+
+    Pitch is preserved; output length is round(len(w) / factor).
+    """
+    if factor <= 0:
+        raise ValueError(f"stretch factor must be positive, got {factor}")
+    x = w.samples
+    if x.shape[0] == 0:
+        raise ValueError("empty input")
+    target = max(1, round(x.shape[0] / factor))
+    if factor == 1.0:
+        return Waveform(x.copy(), w.sample_rate)
+
+    spec = stft(Waveform(np.concatenate([x, np.zeros(DEFAULT_WINDOW)]), w.sample_rate)).frames
+    steps = np.arange(0.0, spec.shape[0] - 1, factor)
+    omega = 2.0 * np.pi * DEFAULT_HOP * np.arange(spec.shape[1]) / DEFAULT_WINDOW
+    phase = np.angle(spec[0])
+    out = np.empty((steps.shape[0], spec.shape[1]), dtype=np.complex128)
+    for k, step in enumerate(steps):
+        i = int(step)
+        frac = step - i
+        mag = (1.0 - frac) * np.abs(spec[i]) + frac * np.abs(spec[i + 1])
+        out[k] = mag * np.exp(1j * phase)
+        dphi = np.angle(spec[i + 1]) - np.angle(spec[i]) - omega
+        dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
+        phase = phase + omega + dphi
+    return Waveform(_istft_overlap_add(out, target), w.sample_rate)
 
 
 def exhaustive_best_f1(scores, labels):

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vlafp import augment
 from vlafp.audio import Waveform
+from vlafp.dsp import ANALYSIS_BLOCK_FRAMES, DEFAULT_HOP
 from vlafp.augment import (
     AugmentConfig,
-    augment_chain,
     augment_chain_with_draws,
     convolve_ir,
     make_ir_pool,
@@ -13,9 +18,20 @@ from vlafp.augment import (
     time_stretch,
 )
 
+import oracles
 from oracles import naive_convolve
 
 FS = 8000
+# Longer than two blocks of frames, ending 100 samples past a hop.
+LONG = (2 * ANALYSIS_BLOCK_FRAMES + 3) * DEFAULT_HOP + 100
+
+
+def _noise(n: int, seed: int) -> Waveform:
+    """Noise with a silent head and a quiet middle, so some frames hold no power."""
+    x = 0.3 * np.random.default_rng(seed).standard_normal(n)
+    x[: n // 8] = 0.0
+    x[n // 3 : n // 2] *= 1e-7
+    return Waveform(x, FS)
 
 
 class TestTimeStretch:
@@ -51,6 +67,44 @@ class TestTimeStretch:
             time_stretch(tone_1k, 0.0)
         with pytest.raises(ValueError):
             time_stretch(tone_1k, -1.0)
+
+
+class TestTimeStretchReference:
+    """time_stretch reads its frames a block at a time; its bytes are the whole-stream vocoder's."""
+
+    @given(
+        st.integers(1, 4096),
+        st.one_of(st.just(1.0), st.floats(0.3, 3.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_short_inputs_match_the_reference(self, n, factor, seed):
+        w = _noise(n, seed)
+        assert time_stretch(w, factor).samples.tobytes() == oracles.time_stretch(w, factor).samples.tobytes()
+
+    @pytest.mark.parametrize("factor", [0.3, 0.85, 1.0, 1.2, 3.0])
+    def test_a_stream_of_several_blocks_matches_the_reference(self, factor):
+        w = _noise(LONG, 1)
+        assert time_stretch(w, factor).samples.tobytes() == oracles.time_stretch(w, factor).samples.tobytes()
+
+    @pytest.mark.parametrize("frames", [2, 7, 10**9])  # 10**9: the whole stream in one block
+    def test_bytes_do_not_depend_on_the_block_size(self, frames, monkeypatch):
+        w = _noise(LONG, 2)
+        blocked = [time_stretch(w, f).samples.tobytes() for f in (0.8, 2.9)]
+        monkeypatch.setattr(augment, "ANALYSIS_BLOCK_FRAMES", frames)
+        assert [time_stretch(w, f).samples.tobytes() for f in (0.8, 2.9)] == blocked
+
+    def test_peak_memory_is_a_small_multiple_of_the_output(self):
+        # 300 s: the whole-stream spectrum and output frames took about 11x the output.
+        w = _noise(300 * FS, 3)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = time_stretch(w, 0.85)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.samples.nbytes
 
 
 class TestMixBackground:
@@ -125,14 +179,14 @@ class TestChain:
 
     def test_all_disabled_identity(self, tone_1k):
         cfg = AugmentConfig(enable_ts=False, enable_bg=False, enable_ir=False)
-        out = augment_chain(tone_1k, cfg, np.random.default_rng(0))
+        out, _ = augment_chain_with_draws(tone_1k, cfg, np.random.default_rng(0))
         assert np.array_equal(out.samples, tone_1k.samples)
 
     def test_deterministic_given_seed(self, tone_1k, pools):
         bg, ir = pools
         cfg = AugmentConfig(bg_pool=bg, ir_pool=ir)
-        a = augment_chain(tone_1k, cfg, np.random.default_rng(5))
-        b = augment_chain(tone_1k, cfg, np.random.default_rng(5))
+        a, _ = augment_chain_with_draws(tone_1k, cfg, np.random.default_rng(5))
+        b, _ = augment_chain_with_draws(tone_1k, cfg, np.random.default_rng(5))
         assert np.array_equal(a.samples, b.samples)
 
     def test_distinct_seeds_distinct_draws(self, tone_1k, pools):
@@ -153,7 +207,7 @@ class TestChain:
     def test_empty_pool_rejected(self, tone_1k):
         cfg = AugmentConfig(enable_ts=False, enable_bg=True, enable_ir=False)
         with pytest.raises(ValueError, match="bg_pool"):
-            augment_chain(tone_1k, cfg, np.random.default_rng(0))
+            augment_chain_with_draws(tone_1k, cfg, np.random.default_rng(0))
 
     def test_snr_draw_within_range(self, tone_1k, pools):
         bg, ir = pools

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from oracles import frame_rms_db_loop, stft_gather
 
+from vlafp import dsp
 from vlafp.audio import Waveform
 from vlafp.dsp import (
+    ANALYSIS_BLOCK_FRAMES,
     DEFAULT_HOP,
     DEFAULT_WINDOW,
     EPS,
@@ -237,6 +239,16 @@ class TestFrameRms:
         x = x[: max(1, x.shape[0] - tail)]
         got = frame_rms_db(Waveform(x, FS))
         assert np.array_equal(got, frame_rms_db_loop(x, DEFAULT_HOP))
+
+    @pytest.mark.parametrize("frames", [ANALYSIS_BLOCK_FRAMES, 1, 7, 10**9])  # 10**9: one block
+    def test_blocks_of_frames_equal_the_per_frame_loop(self, frames, monkeypatch):
+        # Three blocks and a partial frame, with a silent and a near-silent stretch.
+        x = 0.3 * np.random.default_rng(4).standard_normal(3 * ANALYSIS_BLOCK_FRAMES * DEFAULT_HOP + 100)
+        x[1000:70000] = 0.0
+        x[200000:260000] *= 1e-9
+        monkeypatch.setattr(dsp, "ANALYSIS_BLOCK_FRAMES", frames)
+        got = frame_rms_db(Waveform(x, FS))
+        assert got.tobytes() == frame_rms_db_loop(x, DEFAULT_HOP).tobytes()
 
 
 class TestWaveformEntropy:

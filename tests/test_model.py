@@ -54,16 +54,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="eps must be finite and > 0"):
             ModelConfig(eps=eps)
 
-    def test_full_scale_dims(self):
-        cfg = ModelConfig.full_scale()
-        assert (cfg.d, cfg.n_blocks, cfg.n_heads, cfg.d_head, cfg.ffn_alpha) == (
-            256,
-            4,
-            8,
-            256,
-            32.0,
-        )
-
 
 class TestRmsNorm:
     def test_ones_stay_ones(self):

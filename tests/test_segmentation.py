@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import segment_waveform_span
 
-from vlafp import segmentation
+from vlafp import dsp, segmentation
 from vlafp.audio import Waveform
 from vlafp.dsp import (
+    ANALYSIS_BLOCK_FRAMES,
     DEFAULT_HOP,
     DEFAULT_WINDOW,
     EPS,
@@ -21,7 +22,6 @@ from vlafp.dsp import (
 )
 from vlafp.pipeline import segment_mels, training_sources
 from vlafp.segmentation import (
-    ANALYSIS_BLOCK_FRAMES,
     FIXED_WINDOWS,
     METHODS,
     SILENCE_THRESHOLD_DB,
@@ -313,13 +313,15 @@ class TestAnalysisBlocks:
         audios = [_stream(STREAM_LENGTHS[-1])] + [w for _, w in small_corpus[:2]]
         blocked = [segment(w, cfg) for w in audios]
         for frames in (1, 7, 10**9):  # 10**9: the whole stream in one block
+            # segmentation blocks the entropy series, dsp the nosilence frame levels.
             monkeypatch.setattr(segmentation, "ANALYSIS_BLOCK_FRAMES", frames)
+            monkeypatch.setattr(dsp, "ANALYSIS_BLOCK_FRAMES", frames)
             assert [segment(w, cfg) for w in audios] == blocked
 
-    @pytest.mark.parametrize("method", VARIABLE_METHODS)
-    def test_peak_memory_is_bounded_by_the_samples(self, small_corpus, method):
-        # About 120 s: the whole-stream STFT and its temporaries would take ~12x the samples.
-        w = Waveform(np.resize(np.concatenate([a.samples for _, a in small_corpus]), 120 * FS), FS)
+    @staticmethod
+    def _segment_peak(small_corpus, method: str, seconds: int) -> tuple[int, int]:
+        """The traced peak of segment() on the corpus tiled to `seconds`, and the samples' bytes."""
+        w = Waveform(np.resize(np.concatenate([a.samples for _, a in small_corpus]), seconds * FS), FS)
         cfg = SegmenterConfig(method=method, theta=default_theta(method))
         tracemalloc.start()
         try:
@@ -328,7 +330,20 @@ class TestAnalysisBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * w.samples.nbytes
+        return peak, w.samples.nbytes
+
+    @pytest.mark.parametrize("method", VARIABLE_METHODS)
+    def test_peak_memory_is_bounded_by_the_samples(self, small_corpus, method):
+        # About 120 s: the whole-stream STFT and its temporaries would take ~12x the samples.
+        peak, samples = self._segment_peak(small_corpus, method, 120)
+        assert peak <= 2 * samples
+
+    @pytest.mark.parametrize("method", VARIABLE_METHODS)
+    def test_a_long_stream_takes_no_temporary_of_its_size(self, small_corpus, method):
+        # 600 s: blocks of frames peak at about 13 MB, a third of the samples;
+        # one stream-sized temporary (|x| for the peak, x**2 for the levels) would pass 0.5x.
+        peak, samples = self._segment_peak(small_corpus, method, 600)
+        assert peak <= 0.5 * samples
 
 
 class TestTails:
