@@ -7,10 +7,11 @@ Each checkout runs, with its own src/ and its own bench/desk.vlfp, in a
 fresh temporary directory (nothing is written into either checkout):
 
 - `synth`: an 8-audio corpus, seed 5, 6 s each;
-- `fingerprint` of the corpus under all five segmentation methods;
+- `segment` and `fingerprint` of the corpus under all five segmentation
+  methods, so each segmenter's manifest is compared as well as its mels;
 - `index query --k 10` of each method's fingerprints against the `fixed` index;
 - `eval dtr`;
-- `eval cbr` under `main`, `pelt` and `fixed`;
+- `eval cbr` under all five methods (a time-stretched broadcast);
 - a 1-epoch `train` under `fixed`, `main` and `nosilence` (BG+IR positives);
 - a 1-epoch `train --aug ts,bg,ir` under `fixed` and `nosilence`, so that
   time-stretched positives and their kept rows are compared too.
@@ -37,7 +38,6 @@ import tempfile
 from pathlib import Path
 
 METHODS = ("main", "nosilence", "pelt", "waveform", "fixed")
-CBR_METHODS = ("main", "pelt", "fixed")
 TRAIN_METHODS = ("fixed", "main", "nosilence")
 TS_TRAIN_METHODS = ("fixed", "nosilence")
 THREAD_VARS = (
@@ -52,6 +52,8 @@ def commands(ckpt: str) -> list[tuple[str, list[str]]]:
     """(step name, vlafp arguments) in run order; paths are relative to the work directory."""
     steps = [("synth", ["synth", "--n", "8", "--dur", "6", "--seed", "5", "--out", "corpus"])]
     for m in METHODS:
+        steps.append((f"segment-{m}", ["segment", "--audio", "corpus", "--method", m, "--out", f"segments-{m}.txt"]))
+    for m in METHODS:
         steps.append((f"fingerprint-{m}", ["fingerprint", "--audio", "corpus", "--ckpt", ckpt, "--method", m,
                                            "--out", f"fp-{m}.vlix"]))
     for m in METHODS:
@@ -59,7 +61,7 @@ def commands(ckpt: str) -> list[tuple[str, list[str]]]:
                                      "--k", "10"]))
     steps.append(("eval-dtr", ["eval", "dtr", "--audio", "corpus", "--ckpt", ckpt, "--durations", "1,3,6",
                                "--out", "dtr.csv"]))
-    for m in CBR_METHODS:
+    for m in METHODS:
         steps.append((f"eval-cbr-{m}", ["eval", "cbr", "--audio", "corpus", "--ckpt", ckpt, "--method", m,
                                         "--others", "7", "--out", f"cbr-{m}.csv"]))
     for m in TRAIN_METHODS:

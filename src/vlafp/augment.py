@@ -9,7 +9,7 @@ import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
 from .audio import Waveform
-from .dsp import ANALYSIS_BLOCK_FRAMES, DEFAULT_HOP, DEFAULT_WINDOW, HANN, frame_count, stft
+from .dsp import ANALYSIS_BLOCK_FRAMES, DEFAULT_HOP, DEFAULT_WINDOW, HANN, frame_count, frame_span, stft
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,8 @@ class AugmentConfig:
 def time_stretch(w: Waveform, factor: float) -> Waveform:
     """Phase-vocoder time stretch on the one STFT grid: factor > 1 speeds up, < 1 slows down.
 
-    Pitch is preserved; output length is round(len(w) / factor). Output
+    Pitch is preserved; output length is round(len(w) / factor), and the
+    input must hold at least one hop (DEFAULT_HOP samples). Output
     frame k interpolates frames floor(k*factor) and floor(k*factor)+1 of w
     followed by one window of silence, read in blocks of
     ANALYSIS_BLOCK_FRAMES (at least 2) frames, and is overlap-added as soon
@@ -43,8 +44,8 @@ def time_stretch(w: Waveform, factor: float) -> Waveform:
     if factor <= 0:
         raise ValueError(f"stretch factor must be positive, got {factor}")
     x = w.samples
-    if x.shape[0] == 0:
-        raise ValueError("empty input")
+    if x.shape[0] < DEFAULT_HOP:
+        raise ValueError(f"input of {x.shape[0]} samples is shorter than one hop ({DEFAULT_HOP} samples)")
     target = max(1, round(x.shape[0] / factor))
     if factor == 1.0:
         return Waveform(x.copy(), w.sample_rate)
@@ -52,8 +53,7 @@ def time_stretch(w: Waveform, factor: float) -> Waveform:
     n_frames = frame_count(len(w) + DEFAULT_WINDOW)
 
     def block(first: int) -> np.ndarray:
-        count = min(ANALYSIS_BLOCK_FRAMES, n_frames - first)
-        return stft(w.slice_samples(first * DEFAULT_HOP, (count - 1) * DEFAULT_HOP + DEFAULT_WINDOW)).frames
+        return stft(frame_span(w, first, min(ANALYSIS_BLOCK_FRAMES, n_frames - first))).frames
 
     steps = np.arange(0.0, n_frames - 1, factor)
     total = (steps.shape[0] - 1) * DEFAULT_HOP + DEFAULT_WINDOW

@@ -80,6 +80,11 @@ def frame_count(n: int) -> int:
     return (n - DEFAULT_WINDOW) // DEFAULT_HOP + 1
 
 
+def frame_span(w: Waveform, first: int, count: int) -> Waveform:
+    """The samples under frames first..first+count-1 of w's grid, zero-padded past its end."""
+    return w.slice_samples(first * DEFAULT_HOP, (count - 1) * DEFAULT_HOP + DEFAULT_WINDOW)
+
+
 def stft(w: Waveform) -> StftFrames:
     """Short-time Fourier transform with a Hann window, on the one grid.
 

@@ -40,6 +40,8 @@ def simulate_broadcast(
     The ground-truth span is tracked through time-stretching (boundaries
     scale by 1/factor); noise mixing and IR convolution leave it in place.
     """
+    if n_others < 0:
+        raise ValueError(f"n_others must be >= 0, got {n_others}")
     if len(others) < n_others:
         raise ValueError(f"need at least {n_others} other audios, got {len(others)}")
     picked = list(rng.choice(len(others), size=n_others, replace=False))
@@ -100,9 +102,8 @@ def sweep_thresholds(
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise ValueError("no ground-truth positives: recall undefined")
-    thresholds = sorted(set(float(s) for s in scores), reverse=True) + [np.inf]
     rows = []
-    for th in sorted(thresholds, reverse=True):
+    for th in [np.inf] + sorted(set(float(s) for s in scores), reverse=True):
         pred = scores >= th
         tp = int(np.sum(pred & labels))
         fp = int(np.sum(pred & ~labels))

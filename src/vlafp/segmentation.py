@@ -12,9 +12,9 @@ from .audio import Waveform
 from .dsp import (
     ANALYSIS_BLOCK_FRAMES,
     DEFAULT_HOP,
-    DEFAULT_WINDOW,
     frame_count,
     frame_rms_db,
+    frame_span,
     spectral_entropies,
     stft,
     waveform_entropies,
@@ -105,137 +105,100 @@ class Segment:
         if self.frame_indices is None:
             span = w.slice_samples(self.start_sample, self.n_samples)
             return span, tuple(range(frame_count(self.n_samples)))
-        first, last = self.frame_indices[0], self.frame_indices[-1]
-        span = w.slice_samples(first * DEFAULT_HOP, (last - first) * DEFAULT_HOP + DEFAULT_WINDOW)
+        first = self.frame_indices[0]
+        span = frame_span(w, first, self.frame_indices[-1] - first + 1)
         return span, tuple(f - first for f in self.frame_indices)
 
 
-class EntropyStats:
-    """Running mean/std of window entropy, Welford-updated (population std)."""
-
-    __slots__ = ("count", "mean", "_m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    @classmethod
-    def from_values(cls, values) -> "EntropyStats":
-        stats = cls()
-        for v in values:
-            stats.push(float(v))
-        return stats
-
-    def push(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self._m2 / self.count) if self.count else 0.0
-
-    def zscore(self, x: float) -> float:
-        """Two-sided z-score |x - mean| / std; 0 when the window is constant."""
-        sigma = self.std
-        if sigma < MIN_STD:
-            return 0.0
-        return abs(x - self.mean) / sigma
-
-
 def _zscore_partition(
-    values: np.ndarray,
-    min_frames: int,
-    max_frames: int,
-    theta: float,
-    skip: np.ndarray | None = None,
+    values: np.ndarray, min_frames: int, max_frames: int, theta: float, skip: np.ndarray | None = None
 ) -> list[list[int]]:
     """Greedy fill-then-extend loop shared by main/nosilence/waveform.
 
     Fill absorbs frames unconditionally (skipping flagged ones) until the
-    minimum is reached; extension absorbs while the frame's z-score stays
-    at or below theta. A rejected frame starts the next segment.
+    minimum is reached; extension absorbs while the frame's z-score
+    |x - mean| / std against the members so far stays at or below theta. The
+    mean and population std are Welford's running count, mean and M2; a std
+    below MIN_STD gives z = 0. A rejected frame starts the next segment.
     """
-    n = len(values)
+    x = values.tolist()
+    skipped = skip.tolist() if skip is not None else [False] * len(x)
     out: list[list[int]] = []
     i = 0
-    while i < n:
+    while i < len(x):
         members: list[int] = []
-        while len(members) < min_frames and i < n:
-            if skip is not None and skip[i]:
+        count, mean, m2 = 0, 0.0, 0.0
+        while i < len(x) and len(members) < max_frames:
+            v = x[i]
+            if len(members) >= min_frames:
+                sigma = math.sqrt(m2 / count)
+                z = 0.0 if sigma < MIN_STD else abs(v - mean) / sigma
+                if not z <= theta:  # a NaN z rejects the frame
+                    break
+            elif skipped[i]:
                 i += 1
                 continue
             members.append(i)
+            count += 1
+            delta = v - mean
+            mean += delta / count
+            m2 += delta * (v - mean)
             i += 1
-        if not members:
-            break
-        stats = EntropyStats.from_values(values[members])
-        while len(members) < max_frames and i < n:
-            z = stats.zscore(float(values[i]))
-            if z <= theta:
-                members.append(i)
-                stats.push(float(values[i]))
-                i += 1
-            else:
-                break
-        out.append(members)
+        if members:  # empty only when every frame left is skipped
+            out.append(members)
     return out
 
 
-def _frame_segment(audio_id: int, indices: list[int], sample_rate: int) -> Segment:
+def _frame_segments(groups: list[list[int]], audio_id: int, sample_rate: int) -> list[Segment]:
     period = DEFAULT_HOP / sample_rate
-    return Segment(
-        audio_id=audio_id,
-        start_time=indices[0] * period,
-        duration=len(indices) * period,
-        frame_indices=tuple(indices),
-    )
+    return [Segment(audio_id, g[0] * period, len(g) * period, tuple(g)) for g in groups]
+
+
+def _zscore_segments(
+    values: np.ndarray, w: Waveform, cfg: SegmenterConfig, audio_id: int, skip: np.ndarray | None = None
+) -> list[Segment]:
+    """The z-score partition of one value per frame under cfg's frame bounds and theta, as Segments."""
+    fs = w.sample_rate
+    groups = _zscore_partition(values, cfg.min_frames(fs), cfg.max_frames(fs), cfg.theta, skip)
+    return _frame_segments(groups, audio_id, fs)
 
 
 def spectral_entropy_series(w: Waveform) -> np.ndarray:
-    """spectral_entropies(stft(w)) bit for bit, in blocks of frames cut as Segment.span cuts a span."""
+    """spectral_entropies(stft(w)) bit for bit, in blocks of frames cut by frame_span."""
     if len(w) == 0:
         raise ValueError("empty input")
     out = np.empty(frame_count(len(w)))
     for s in range(0, len(out), ANALYSIS_BLOCK_FRAMES):
         k = min(ANALYSIS_BLOCK_FRAMES, len(out) - s)
-        block = w.slice_samples(s * DEFAULT_HOP, (k - 1) * DEFAULT_HOP + DEFAULT_WINDOW)
-        out[s : s + k] = spectral_entropies(stft(block))
+        out[s : s + k] = spectral_entropies(stft(frame_span(w, s, k)))
     return out
 
 
 def segment_main(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segment]:
-    """Spectral-entropy z-score segmentation over the audio's STFT frames."""
-    entropies = spectral_entropy_series(w)
-    groups = _zscore_partition(
-        entropies, cfg.min_frames(w.sample_rate), cfg.max_frames(w.sample_rate), cfg.theta
-    )
-    return [_frame_segment(audio_id, g, w.sample_rate) for g in groups]
+    """Spectral-entropy z-score segmentation over the audio's STFT frames.
+
+    Causal: each boundary is decided from the frames up to one past it.
+    """
+    return _zscore_segments(spectral_entropy_series(w), w, cfg, audio_id)
 
 
 def segment_no_silence(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segment]:
     """Like segment_main, but the fill phase skips frames quieter than the
-    silence threshold (relative to the waveform's peak)."""
+    silence threshold (relative to the waveform's peak).
+
+    Not causal: the silence test reads the whole stream's peak.
+    """
     entropies = spectral_entropy_series(w)
     # One level per hop: never fewer than the STFT's frames.
     silent = frame_rms_db(w)[: len(entropies)] < SILENCE_THRESHOLD_DB
-    groups = _zscore_partition(
-        entropies,
-        cfg.min_frames(w.sample_rate),
-        cfg.max_frames(w.sample_rate),
-        cfg.theta,
-        skip=silent,
-    )
-    return [_frame_segment(audio_id, g, w.sample_rate) for g in groups]
+    return _zscore_segments(entropies, w, cfg, audio_id, silent)
 
 
 def segment_waveform(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segment]:
     """z-score loop on per-frame waveform entropy instead of spectral entropy.
 
     Frames follow the same hop grid as the STFT so segments stay sliceable
-    against the audio's frame sequence.
+    against the audio's frame sequence. Causal, as segment_main.
     """
     if len(w) == 0:
         raise ValueError("empty input")
@@ -246,41 +209,27 @@ def segment_waveform(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> li
     chunks = w.samples[: n * width].reshape(n, width)
     starts = range(0, n, ANALYSIS_BLOCK_FRAMES)
     values = np.concatenate([waveform_entropies(chunks[s : s + ANALYSIS_BLOCK_FRAMES]) for s in starts])
-    groups = _zscore_partition(
-        values, cfg.min_frames(w.sample_rate), cfg.max_frames(w.sample_rate), cfg.theta
-    )
-    return [_frame_segment(audio_id, g, w.sample_rate) for g in groups]
-
-
-def _split_oversize(bounds: list[tuple[int, int]], max_frames: int) -> list[tuple[int, int]]:
-    out = []
-    for a, b in bounds:
-        length = b - a
-        if length <= max_frames:
-            out.append((a, b))
-            continue
-        parts = math.ceil(length / max_frames)
-        base, rem = divmod(length, parts)
-        start = a
-        for p in range(parts):
-            size = base + (1 if p < rem else 0)
-            out.append((start, start + size))
-            start += size
-    return out
+    return _zscore_segments(values, w, cfg, audio_id)
 
 
 def segment_pelt(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segment]:
     """Change-point segmentation of the spectral-entropy series.
 
-    cfg.pelt_penalty None means the series' default penalty. Segments
-    exceeding t_max are split into near-equal parts afterwards.
+    cfg.pelt_penalty None means the series' default penalty. A segment
+    longer than t_max is split into the fewest near-equal parts that fit,
+    the first ones a frame longer. Not causal: the penalty and the optimum
+    are the whole stream's.
     """
     entropies = spectral_entropy_series(w)
     pen = cfg.pelt_penalty if cfg.pelt_penalty is not None else default_penalty(entropies)
     bps = pelt_changepoints(entropies, penalty=pen, min_size=cfg.min_frames(w.sample_rate))
-    bounds = list(zip([0] + bps[:-1], bps))
-    bounds = _split_oversize(bounds, cfg.max_frames(w.sample_rate))
-    return [_frame_segment(audio_id, list(range(a, b)), w.sample_rate) for a, b in bounds]
+    max_frames = cfg.max_frames(w.sample_rate)
+    groups = [
+        part.tolist()
+        for a, b in zip([0] + bps[:-1], bps)
+        for part in np.array_split(np.arange(a, b), math.ceil((b - a) / max_frames))
+    ]
+    return _frame_segments(groups, audio_id, w.sample_rate)
 
 
 def segment_fixed(

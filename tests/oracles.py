@@ -9,6 +9,7 @@ from vlafp.audio import Waveform
 from vlafp.autodiff import Tensor, concat
 from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, HANN, mel_spectrogram, stft
 from vlafp.model import MAX_ATTENTION_CELLS, ModelConfig, PackedBatch, Parameters
+from vlafp.segmentation import MIN_STD
 
 
 def dp_oracle(series, penalty, min_size=1, jump=1):
@@ -75,6 +76,83 @@ def pelt_list_reference(series, penalty, min_size=1, jump=1, prune_slack=1e-9):
     return list(reversed(bps))[1:]
 
 
+# The z-score scan with a statistics object per segment: the reference for
+# segmentation._zscore_partition, which keeps the same count, mean and M2 in
+# three local numbers and updates them in the same order.
+class EntropyStats:
+    """Running mean/std of window entropy, Welford-updated (population std)."""
+
+    __slots__ = ("count", "mean", "_m2")
+
+    def __init__(self):
+        self.count = 0
+        self.mean = 0.0
+        self._m2 = 0.0
+
+    @classmethod
+    def from_values(cls, values) -> "EntropyStats":
+        stats = cls()
+        for v in values:
+            stats.push(float(v))
+        return stats
+
+    def push(self, x: float) -> None:
+        self.count += 1
+        delta = x - self.mean
+        self.mean += delta / self.count
+        self._m2 += delta * (x - self.mean)
+
+    @property
+    def std(self) -> float:
+        return math.sqrt(self._m2 / self.count) if self.count else 0.0
+
+    def zscore(self, x: float) -> float:
+        """Two-sided z-score |x - mean| / std; 0 when the window is constant."""
+        sigma = self.std
+        if sigma < MIN_STD:
+            return 0.0
+        return abs(x - self.mean) / sigma
+
+
+def _zscore_partition(
+    values: np.ndarray,
+    min_frames: int,
+    max_frames: int,
+    theta: float,
+    skip: np.ndarray | None = None,
+) -> list[list[int]]:
+    """Greedy fill-then-extend loop shared by main/nosilence/waveform.
+
+    Fill absorbs frames unconditionally (skipping flagged ones) until the
+    minimum is reached; extension absorbs while the frame's z-score stays
+    at or below theta. A rejected frame starts the next segment.
+    """
+    n = len(values)
+    out: list[list[int]] = []
+    i = 0
+    while i < n:
+        members: list[int] = []
+        while len(members) < min_frames and i < n:
+            if skip is not None and skip[i]:
+                i += 1
+                continue
+            members.append(i)
+            i += 1
+        if not members:
+            break
+        stats = EntropyStats.from_values(values[members])
+        while len(members) < max_frames and i < n:
+            z = stats.zscore(float(values[i]))
+            if z <= theta:
+                members.append(i)
+                stats.push(float(values[i]))
+                i += 1
+            else:
+                break
+        out.append(members)
+    return out
+
+
 def frame_rms_db_loop(samples, frame_len):
     """frame_rms_db one frame at a time: RMS of each chunk in dB re the peak."""
     x = np.asarray(samples, dtype=np.float64)
@@ -132,7 +210,10 @@ def _istft_overlap_add(frames: np.ndarray, length: int) -> np.ndarray:
 def time_stretch(w: Waveform, factor: float) -> Waveform:
     """Phase-vocoder time stretch on the one STFT grid: factor > 1 speeds up, < 1 slows down.
 
-    Pitch is preserved; output length is round(len(w) / factor).
+    Pitch is preserved; output length is round(len(w) / factor). An input
+    shorter than one hop (DEFAULT_HOP samples) has one frame, so no output
+    frame is made and it returns round(len(w) / factor) zeros, where
+    augment.time_stretch raises.
     """
     if factor <= 0:
         raise ValueError(f"stretch factor must be positive, got {factor}")

@@ -73,7 +73,7 @@ class TestTimeStretchReference:
     """time_stretch reads its frames a block at a time; its bytes are the whole-stream vocoder's."""
 
     @given(
-        st.integers(1, 4096),
+        st.integers(DEFAULT_HOP, 4096),
         st.one_of(st.just(1.0), st.floats(0.3, 3.0)),
         st.integers(0, 2**32 - 1),
     )
@@ -81,6 +81,13 @@ class TestTimeStretchReference:
     def test_short_inputs_match_the_reference(self, n, factor, seed):
         w = _noise(n, seed)
         assert time_stretch(w, factor).samples.tobytes() == oracles.time_stretch(w, factor).samples.tobytes()
+
+    @pytest.mark.parametrize("factor", [0.8, 1.0, 1.2])
+    @pytest.mark.parametrize("n", [1, 100, DEFAULT_HOP - 1])
+    def test_input_shorter_than_one_hop_is_rejected(self, n, factor):
+        # oracles.time_stretch makes no output frame there and returns zeros.
+        with pytest.raises(ValueError, match=rf"input of {n} samples .* one hop \({DEFAULT_HOP} samples\)"):
+            time_stretch(_noise(n, 0), factor)
 
     @pytest.mark.parametrize("factor", [0.3, 0.85, 1.0, 1.2, 3.0])
     def test_a_stream_of_several_blocks_matches_the_reference(self, factor):

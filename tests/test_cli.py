@@ -315,6 +315,13 @@ class TestHostileInput:
         assert rc == 1
         _one_error_line(capsys, "999", "0..5")
 
+    def test_negative_others_exit_1(self, corpus_dir, ckpt, tmp_path, capsys):
+        out = tmp_path / "cbr.csv"
+        rc = main(["eval", "cbr", "--audio", str(corpus_dir), "--ckpt", str(ckpt), "--others", "-1", "--out", str(out)])
+        assert rc == 1
+        _one_error_line(capsys, "n_others must be >= 0, got -1")
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "flags,needle",
@@ -328,6 +335,7 @@ class TestHostileInput:
             (["--targets", "4", "--dummies", "3"], "--dummies 3 exceeds the 2 audios left after 4 targets"),
             (["--snr", "1:inf"], "need finite snr_range_db"),
             (["--snr", "nan:1"], "need finite snr_range_db"),
+            (["--durations", "0.02", "--aug", "ts,bg,ir"], "input of 160 samples is shorter than one hop (256 samples)"),
         ],
         ids=[
             "no-targets",
@@ -339,6 +347,7 @@ class TestHostileInput:
             "dummies-beyond-corpus",
             "infinite-snr",
             "nan-snr",
+            "sub-hop-stretched-duration",
         ],
     )
     def test_eval_dtr_without_queries_exit_1(self, corpus_dir, ckpt, tmp_path, capsys, flags, needle):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import segment_waveform_span
+import oracles
+from oracles import EntropyStats, segment_waveform_span
 
 from vlafp import dsp, segmentation
 from vlafp.audio import Waveform
@@ -26,7 +27,6 @@ from vlafp.segmentation import (
     METHODS,
     SILENCE_THRESHOLD_DB,
     VARIABLE_METHODS,
-    EntropyStats,
     SegmenterConfig,
     _zscore_partition,
     default_theta,
@@ -64,6 +64,31 @@ class TestEntropyStats:
     def test_two_sided(self):
         stats = EntropyStats.from_values([0.0, 2.0])
         assert stats.zscore(3.0) == stats.zscore(-1.0) == pytest.approx(2.0)
+
+
+@st.composite
+def _partition_cases(draw):
+    """A series of runs (constant runs, values drawn again from a small pool), a skip mask, bounds and theta."""
+    pool = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4))
+    value = st.one_of(st.sampled_from(pool), st.floats(-1e3, 1e3))
+    runs = draw(st.lists(st.tuples(value, st.integers(1, 30)), min_size=1, max_size=30))
+    values = np.array([v for v, k in runs for _ in range(k)])
+    skip = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=len(values), max_size=len(values))))
+    max_frames = draw(st.integers(1, 200))
+    min_frames = draw(st.integers(1, max_frames))
+    theta = draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.just(math.inf)))
+    return values, None if skip is None else np.array(skip), min_frames, max_frames, theta
+
+
+class TestZscorePartitionReference:
+    """The scan keeps its running statistics in three floats; its partition is the EntropyStats scan's."""
+
+    @given(_partition_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_partition_matches_the_reference(self, case):
+        values, skip, min_frames, max_frames, theta = case
+        expected = oracles._zscore_partition(values, min_frames, max_frames, theta, skip)
+        assert _zscore_partition(values, min_frames, max_frames, theta, skip) == expected
 
 
 class TestMainLimits:
@@ -409,6 +434,27 @@ class TestPeltConstantSeries:
         assert len(got) == parts > 1
         assert reconstructs(got, n_frames)
         assert max(s.n_frames for s in got) - min(s.n_frames for s in got) <= 1
+
+
+class TestTracerSites:
+    """The benchmark's tracer patches each segmenter by its module-level name; segment() must call that name."""
+
+    NAMES = {
+        "main": "segment_main",
+        "nosilence": "segment_no_silence",
+        "pelt": "segment_pelt",
+        "waveform": "segment_waveform",
+        "fixed": "segment_fixed",
+    }
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_segment_calls_the_patched_name(self, small_corpus, method, monkeypatch):
+        calls = []
+        for name in self.NAMES.values():
+            monkeypatch.setattr(segmentation, name, lambda *args, name=name: calls.append(name) or [])
+        aid, w = small_corpus[0]
+        assert segment(w, SegmenterConfig(method=method), aid) == []
+        assert calls == [self.NAMES[method]]
 
 
 class TestDispatchAndManifest:
