@@ -10,11 +10,16 @@ fresh temporary directory (nothing is written into either checkout):
 - `segment` and `fingerprint` of the corpus under all five segmentation
   methods, so each segmenter's manifest is compared as well as its mels;
 - `index query --k 10` of each method's fingerprints against the `fixed` index;
-- `eval dtr`;
-- `eval cbr` under all five methods (a time-stretched broadcast);
+- `eval dtr`, and `eval dtr --aug none` (undistorted queries);
+- `eval cbr` under all five methods (a time-stretched broadcast), and
+  `eval cbr --aug ir` under `main` (an IR-only chain);
 - a 1-epoch `train` under `fixed`, `main` and `nosilence` (BG+IR positives);
 - a 1-epoch `train --aug ts,bg,ir` under `fixed` and `nosilence`, so that
-  time-stretched positives and their kept rows are compared too.
+  time-stretched positives and their kept rows are compared too;
+- a 1-epoch `train --aug bg` under `fixed` (a BG-only chain).
+
+The one-stage and no-stage chains check that a BG or IR stage runs exactly
+when `--aug` asks for it, and draws what it drew before.
 
 Every file the commands write and each command's stdout (with the
 temporary directory's path replaced) are compared. Run manifests are
@@ -61,15 +66,21 @@ def commands(ckpt: str) -> list[tuple[str, list[str]]]:
                                      "--k", "10"]))
     steps.append(("eval-dtr", ["eval", "dtr", "--audio", "corpus", "--ckpt", ckpt, "--durations", "1,3,6",
                                "--out", "dtr.csv"]))
+    steps.append(("eval-dtr-no-aug", ["eval", "dtr", "--audio", "corpus", "--ckpt", ckpt, "--durations", "1,3,6",
+                                      "--aug", "none", "--out", "dtr-no-aug.csv"]))
     for m in METHODS:
         steps.append((f"eval-cbr-{m}", ["eval", "cbr", "--audio", "corpus", "--ckpt", ckpt, "--method", m,
                                         "--others", "7", "--out", f"cbr-{m}.csv"]))
+    steps.append(("eval-cbr-ir", ["eval", "cbr", "--audio", "corpus", "--ckpt", ckpt, "--method", "main",
+                                  "--others", "7", "--aug", "ir", "--out", "cbr-ir.csv"]))
     for m in TRAIN_METHODS:
         steps.append((f"train-{m}", ["train", "--corpus", "corpus", "--method", m, "--epochs", "1",
                                      "--lr", "1e-3", "--out", f"model-{m}.vlfp"]))
     for m in TS_TRAIN_METHODS:
         steps.append((f"train-ts-{m}", ["train", "--corpus", "corpus", "--method", m, "--epochs", "1",
                                         "--lr", "1e-3", "--aug", "ts,bg,ir", "--out", f"model-ts-{m}.vlfp"]))
+    steps.append(("train-bg", ["train", "--corpus", "corpus", "--method", "fixed", "--epochs", "1",
+                               "--lr", "1e-3", "--aug", "bg", "--out", "model-bg.vlfp"]))
     return steps
 
 

@@ -80,13 +80,9 @@ def read_wav(path: str | Path, expected_rate: int | None = None) -> Waveform:
     return Waveform(samples, int(rate))
 
 
-def write_wav(path: str | Path, w: Waveform, pcm16: bool = False) -> None:
-    """Write a Waveform as float32 (default) or PCM16 WAV."""
-    if pcm16:
-        clipped = np.clip(w.samples, -1.0, 1.0)
-        wavfile.write(str(path), w.sample_rate, np.round(clipped * 32767.0).astype(np.int16))
-    else:
-        wavfile.write(str(path), w.sample_rate, w.samples.astype(np.float32))
+def write_wav(path: str | Path, w: Waveform) -> None:
+    """Write a Waveform as a float32 WAV."""
+    wavfile.write(str(path), w.sample_rate, w.samples.astype(np.float32))
 
 
 def read_raw_f32(path: str | Path, sample_rate: int = DEFAULT_SAMPLE_RATE) -> Waveform:

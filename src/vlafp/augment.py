@@ -14,9 +14,9 @@ from .dsp import ANALYSIS_BLOCK_FRAMES, DEFAULT_HOP, DEFAULT_WINDOW, HANN, frame
 
 @dataclass(frozen=True)
 class AugmentConfig:
+    """The chain's settings: TS runs when enabled, BG and IR when their pool is non-empty."""
+
     enable_ts: bool = True
-    enable_bg: bool = True
-    enable_ir: bool = True
     ts_range: tuple[float, float] = (0.8, 1.2)
     snr_range_db: tuple[float, float] = (1.0, 10.0)
     bg_pool: tuple[Waveform, ...] = ()
@@ -121,7 +121,7 @@ def convolve_ir(w: Waveform, ir: Waveform) -> Waveform:
 
 @dataclass(frozen=True)
 class ChainDraws:
-    """Parameters drawn for one pass through the chain (None = stage disabled)."""
+    """Parameters drawn for one pass through the chain (None = stage not run)."""
 
     ts_factor: float | None = None
     bg_index: int | None = None
@@ -132,21 +132,18 @@ class ChainDraws:
 def augment_chain_with_draws(
     w: Waveform, cfg: AugmentConfig, rng: np.random.Generator
 ) -> tuple[Waveform, ChainDraws]:
-    """Apply the enabled stages in order TS -> BG -> IR with draws from rng."""
+    """Apply TS if enabled, then BG and IR if their pool is non-empty, drawing from
+    rng in that order; a stage that does not run draws nothing."""
     out = w
     factor = bg_index = snr = ir_index = None
     if cfg.enable_ts:
         factor = float(rng.uniform(*cfg.ts_range))
         out = time_stretch(out, factor)
-    if cfg.enable_bg:
-        if not cfg.bg_pool:
-            raise ValueError("BG stage enabled but bg_pool is empty")
+    if cfg.bg_pool:
         bg_index = int(rng.integers(0, len(cfg.bg_pool)))
         snr = float(rng.uniform(*cfg.snr_range_db))
         out = mix_background(out, cfg.bg_pool[bg_index], snr, rng)
-    if cfg.enable_ir:
-        if not cfg.ir_pool:
-            raise ValueError("IR stage enabled but ir_pool is empty")
+    if cfg.ir_pool:
         ir_index = int(rng.integers(0, len(cfg.ir_pool)))
         out = convolve_ir(out, cfg.ir_pool[ir_index])
     return out, ChainDraws(factor, bg_index, snr, ir_index)

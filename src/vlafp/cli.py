@@ -16,12 +16,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .audio import Waveform, load_audio, write_wav
+from .audio import DEFAULT_SAMPLE_RATE, Waveform, load_audio, write_wav
 from .augment import AugmentConfig, make_ir_pool, make_noise_pool
 from .dsp import MelConfig
 from .evaluation import cbr_evaluate, dtr_evaluate, make_dtr_queries, simulate_broadcast
 from .index import FingerprintIndex
-from .model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
+from .model import ModelConfig, Parameters, init_parameters, load_checkpoint, save_checkpoint
 from .pipeline import build_index, fingerprint_segments, make_embedder, training_sources
 from .segmentation import FIXED_WINDOWS, METHODS, SegmenterConfig, default_theta, segment, write_manifest
 from .synth import SynthSpec, generate
@@ -59,28 +59,22 @@ def load_corpus(audio_dir: str, sample_rate: int) -> tuple[list[tuple[int, Wavef
     return corpus, [str(p) for p in files]
 
 
-def make_aug_config(args, sample_rate: int) -> AugmentConfig:
-    stages = args.aug
-    bg_pool: tuple = ()
-    ir_pool: tuple = ()
-    if "bg" in stages:
-        if getattr(args, "bg_dir", None):
-            bg_pool = tuple(w for _, w in load_corpus(args.bg_dir, sample_rate)[0])
-        else:
-            bg_pool = make_noise_pool(24, 3.0, sample_rate, args.seed + 101)
-    if "ir" in stages:
-        if getattr(args, "ir_dir", None):
-            ir_pool = tuple(w for _, w in load_corpus(args.ir_dir, sample_rate)[0])
-        else:
-            ir_pool = make_ir_pool(12, 0.25, sample_rate, args.seed + 202)
+def make_aug_config(args) -> AugmentConfig:
+    """The --aug chain: a BG or IR pool, from its directory or else synthetic, only for a requested stage."""
+
+    def pool(stage, directory, make, n, duration_s, seed):
+        if stage not in args.aug:
+            return ()
+        if directory:
+            return tuple(w for _, w in load_corpus(directory, args.rate)[0])
+        return make(n, duration_s, args.rate, seed)
+
     return AugmentConfig(
-        enable_ts="ts" in stages,
-        enable_bg="bg" in stages,
-        enable_ir="ir" in stages,
+        enable_ts="ts" in args.aug,
         ts_range=args.ts,
         snr_range_db=args.snr,
-        bg_pool=bg_pool,
-        ir_pool=ir_pool,
+        bg_pool=pool("bg", args.bg_dir, make_noise_pool, 24, 3.0, args.seed + 101),
+        ir_pool=pool("ir", args.ir_dir, make_ir_pool, 12, 0.25, args.seed + 202),
     )
 
 
@@ -95,6 +89,12 @@ def seg_config_from_args(args) -> SegmenterConfig:
         window_s=args.window,
         hop_s=args.hop,
     )
+
+
+def load_model(path: str) -> tuple[Parameters, ModelConfig, MelConfig]:
+    """A checkpoint's parameters and config, and the mel config of its f_bins bands."""
+    params, model_cfg = load_checkpoint(path)
+    return params, model_cfg, MelConfig(n_mels=model_cfg.f_bins)
 
 
 def model_config_from_args(args) -> ModelConfig:
@@ -185,7 +185,7 @@ def cmd_train(args) -> int:
     model_cfg = model_config_from_args(args)
     seg_cfg = seg_config_from_args(args)
     sources = training_sources(corpus, seg_cfg, mel_cfg)
-    aug_cfg = make_aug_config(args, args.rate)
+    aug_cfg = make_aug_config(args)
     params, history = train(
         sources,
         model_cfg,
@@ -208,8 +208,7 @@ def cmd_train(args) -> int:
 
 def cmd_fingerprint(args) -> int:
     corpus, _ = load_corpus(args.audio, args.rate)
-    params, model_cfg = load_checkpoint(args.ckpt)
-    mel_cfg = MelConfig(n_mels=model_cfg.f_bins)
+    params, model_cfg, mel_cfg = load_model(args.ckpt)
     seg_cfg = seg_config_from_args(args)
     index = build_index(corpus, seg_cfg, mel_cfg, params, model_cfg)
     index.save(args.out)
@@ -231,8 +230,12 @@ def cmd_index_build(args) -> int:
 
 
 def cmd_index_query(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     index = FingerprintIndex.load(args.idx)
     queries = FingerprintIndex.load(args.fingerprints)
+    if queries.dim != index.dim:
+        raise ValueError(f"{args.fingerprints}: dim {queries.dim} != {index.dim} of {args.idx}")
     writer = csv.writer(sys.stdout)
     writer.writerow(
         ["query_ord", "rank", "audio_id", "segment_ord", "start_time", "duration", "score"]
@@ -248,11 +251,10 @@ def cmd_index_query(args) -> int:
 
 def cmd_eval_cbr(args) -> int:
     corpus, _ = load_corpus(args.audio, args.rate)
-    params, model_cfg = load_checkpoint(args.ckpt)
-    mel_cfg = MelConfig(n_mels=model_cfg.f_bins)
+    params, model_cfg, mel_cfg = load_model(args.ckpt)
     seg_cfg = seg_config_from_args(args)
     rng = np.random.default_rng(args.seed)
-    aug_cfg = make_aug_config(args, args.rate)
+    aug_cfg = make_aug_config(args)
 
     if not 0 <= args.commercial_id < len(corpus):
         raise ValueError(f"--commercial-id {args.commercial_id} is not a corpus id 0..{len(corpus) - 1}")
@@ -291,10 +293,9 @@ def cmd_eval_cbr(args) -> int:
 
 def cmd_eval_dtr(args) -> int:
     corpus, _ = load_corpus(args.audio, args.rate)
-    params, model_cfg = load_checkpoint(args.ckpt)
-    mel_cfg = MelConfig(n_mels=model_cfg.f_bins)
+    params, model_cfg, mel_cfg = load_model(args.ckpt)
     rng = np.random.default_rng(args.seed)
-    aug_cfg = make_aug_config(args, args.rate)
+    aug_cfg = make_aug_config(args)
 
     n_targets = args.targets if args.targets is not None else min(500, len(corpus))
     if n_targets < 1 or args.queries_per_target < 1:
@@ -316,9 +317,7 @@ def cmd_eval_dtr(args) -> int:
     windows = replace(FIXED_WINDOWS, window_s=args.window, hop_s=args.hop)
     index = build_index(database, windows, mel_cfg, params, model_cfg)
     durations = [float(d) for d in args.durations.split(",")]
-    queries = make_dtr_queries(
-        targets, durations, aug_cfg, rng, queries_per_target=args.queries_per_target
-    )
+    queries = make_dtr_queries(targets, durations, aug_cfg, rng, args.queries_per_target)
     embed = make_embedder(params, model_cfg, mel_cfg)
     report = dtr_evaluate(index, queries, embed, windows)
 
@@ -379,39 +378,44 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-# -- parser wiring ----------------------------------------------------------
+# -- parser wiring: a flag that sets a library value takes its default from there --
 
 
-def _add_common(p, rate=True):
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
+def _add_common(p, seed=True, rate=True):
+    if seed:  # only on the commands that draw randomness
+        p.add_argument("--seed", type=int, default=0, help="master random seed")
     p.add_argument("--config", default=None, help="key=value config file; flags win")
     if rate:
-        p.add_argument("--rate", type=int, default=8000, help="expected sample rate")
+        p.add_argument("--rate", type=int, default=DEFAULT_SAMPLE_RATE, help="expected sample rate")
+
+
+def _add_windows(p):
+    p.add_argument("--window", type=float, default=SegmenterConfig.window_s, help="fixed window seconds")
+    p.add_argument("--hop", type=float, default=SegmenterConfig.hop_s, help="fixed hop seconds")
 
 
 def _add_segmentation(p):
-    p.add_argument("--method", choices=METHODS, default="main")
+    p.add_argument("--method", choices=METHODS, default=SegmenterConfig.method)
     p.add_argument("--theta", type=float, default=None, help='z-score threshold; "inf" allowed')
-    p.add_argument("--tmin", type=float, default=0.5)
-    p.add_argument("--tmax", type=float, default=5.0)
-    p.add_argument("--window", type=float, default=1.0, help="fixed window seconds")
-    p.add_argument("--hop", type=float, default=0.5, help="fixed hop seconds")
-    p.add_argument("--pelt-penalty", type=float, default=None)
+    p.add_argument("--tmin", type=float, default=SegmenterConfig.t_min)
+    p.add_argument("--tmax", type=float, default=SegmenterConfig.t_max)
+    _add_windows(p)
+    p.add_argument("--pelt-penalty", type=float, default=SegmenterConfig.pelt_penalty)
 
 
 def _add_model(p):
-    p.add_argument("--mel-bands", type=int, default=64)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--blocks", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--dhead", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--mel-bands", type=int, default=ModelConfig.f_bins)
+    p.add_argument("--dim", type=int, default=ModelConfig.d)
+    p.add_argument("--blocks", type=int, default=ModelConfig.n_blocks)
+    p.add_argument("--heads", type=int, default=ModelConfig.n_heads)
+    p.add_argument("--dhead", type=int, default=ModelConfig.d_head)
+    p.add_argument("--alpha", type=float, default=ModelConfig.ffn_alpha)
 
 
 def _add_aug(p, default="bg,ir"):
     p.add_argument("--aug", type=_aug_set, default=_aug_set(default), help="stages: ts,bg,ir or none")
-    p.add_argument("--snr", type=_float_pair, default=(1.0, 10.0), help="SNR range dB lo:hi")
-    p.add_argument("--ts", type=_float_pair, default=(0.8, 1.2), help="time-stretch range lo:hi")
+    p.add_argument("--snr", type=_float_pair, default=AugmentConfig.snr_range_db, help="SNR range dB lo:hi")
+    p.add_argument("--ts", type=_float_pair, default=AugmentConfig.ts_range, help="time-stretch range lo:hi")
     p.add_argument("--bg-dir", default=None, help="directory of noise WAVs (default: synthetic)")
     p.add_argument("--ir-dir", default=None, help="directory of IR WAVs (default: synthetic)")
 
@@ -422,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus of WAV files")
-    p.add_argument("--n", type=int, default=50)
-    p.add_argument("--dur", type=float, default=10.0)
-    p.add_argument("--recipe", default="mixture", choices=["mixture", "tone_noise", "tone_silence"])
+    p.add_argument("--n", type=int, default=SynthSpec.n_audios)
+    p.add_argument("--dur", type=float, default=SynthSpec.duration_range[0])
+    p.add_argument("--recipe", default=SynthSpec.recipe, choices=["mixture", "tone_noise", "tone_silence"])
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_synth)
@@ -433,16 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audio", required=True)
     p.add_argument("--out", required=True)
     _add_segmentation(p)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("train", help="contrastive training; writes a checkpoint")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--npos", type=int, default=3)
-    p.add_argument("--batch", type=int, default=60)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--tau", type=float, default=TrainConfig.tau)
+    p.add_argument("--npos", type=int, default=TrainConfig.n_pos)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_items)
     p.add_argument("--out", required=True)
     _add_segmentation(p)
     _add_model(p)
@@ -455,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
     _add_segmentation(p)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_fingerprint)
 
     p = sub.add_parser("index", help="index operations")
@@ -463,13 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     pb = isub.add_parser("build", help="merge fingerprint files into an index")
     pb.add_argument("--fingerprints", nargs="+", required=True)
     pb.add_argument("--out", required=True)
-    _add_common(pb, rate=False)
+    _add_common(pb, seed=False, rate=False)
     pb.set_defaults(func=cmd_index_build)
     pq = isub.add_parser("query", help="query an index with stored fingerprints")
     pq.add_argument("--idx", required=True)
     pq.add_argument("--fingerprints", required=True)
     pq.add_argument("--k", type=int, default=1)
-    _add_common(pq, rate=False)
+    _add_common(pq, seed=False, rate=False)
     pq.set_defaults(func=cmd_index_query)
 
     p = sub.add_parser("eval", help="retrieval evaluations")
@@ -492,8 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--dummies", type=int, default=None)
     pd.add_argument("--queries-per-target", type=int, default=1)
     pd.add_argument("--out", required=True)
-    pd.add_argument("--window", type=float, default=1.0)
-    pd.add_argument("--hop", type=float, default=0.5)
+    _add_windows(pd)
     _add_aug(pd, default="bg,ir")
     _add_common(pd)
     pd.set_defaults(func=cmd_eval_dtr)

@@ -12,6 +12,7 @@ import numpy as np
 
 from .audio import Waveform
 from .augment import AugmentConfig, ChainDraws, augment_chain_with_draws
+from .dsp import DEFAULT_HOP
 from .index import FingerprintIndex
 from .segmentation import FIXED_WINDOWS, Segment, SegmenterConfig, Source, segment
 from .segmentation import segment_fixed  # noqa: F401  bench/tracing.py patches evaluation.segment_fixed
@@ -33,7 +34,7 @@ def simulate_broadcast(
     others: list[Waveform],
     aug_cfg: AugmentConfig,
     rng: np.random.Generator,
-    n_others: int = 19,
+    n_others: int,
 ) -> BroadcastSim:
     """Shuffle the commercial among n_others audios, distort the whole stream.
 
@@ -215,9 +216,9 @@ def make_dtr_queries(
     durations_s: list[float],
     aug_cfg: AugmentConfig,
     rng: np.random.Generator,
-    queries_per_target: int = 1,
+    queries_per_target: int,
 ) -> list[DtrQuery]:
-    """Crop distorted excerpts of target audios at offsets that are multiples of QUERY_ALIGN_S."""
+    """Distorted excerpts, each at least one hop long, of target audios at multiples of QUERY_ALIGN_S."""
     for dur in durations_s:
         if not (math.isfinite(dur) and dur > 0):
             raise ValueError(f"query duration must be a positive number of seconds, got {dur}")
@@ -232,6 +233,10 @@ def make_dtr_queries(
                     )
                     take = w.duration
                 n = int(take * w.sample_rate)
+                if n < DEFAULT_HOP:
+                    raise ValueError(
+                        f"query duration {dur} s: input of {n} samples is shorter than one hop ({DEFAULT_HOP} samples)"
+                    )
                 max_slot = max(0, int((len(w) - n) / (QUERY_ALIGN_S * w.sample_rate)))
                 slot = int(rng.integers(0, max_slot + 1))
                 start = int(slot * QUERY_ALIGN_S * w.sample_rate)

@@ -276,7 +276,7 @@ def test_09_dtr_lookup_arithmetic():
         rng = np.random.default_rng(9)
         for k in (1, 2, 3, 5, 6, 10):
             w = Waveform(rng.standard_normal(k * FS) * 0.1, FS)
-            assert len(segment_fixed(w, 1.0, 0.5)) == 2 * k - 1
+            assert len(segment_fixed(w, SegmenterConfig(method="fixed"))) == 2 * k - 1
             from vlafp.evaluation import DtrQuery
 
             rep = dtr_evaluate(index, [DtrQuery(0, float(k), w)], embed)
@@ -311,12 +311,12 @@ def test_10_cbr_metric_oracle():
         mel_cfg = MelConfig(n_mels=64)
         commercial = corpus[0][1]
         others = [w for _, w in corpus[1:]]
-        aug = AugmentConfig(enable_ts=False, enable_bg=False, enable_ir=False)
+        aug = AugmentConfig(enable_ts=False)
         sim = simulate_broadcast(commercial, others, aug, np.random.default_rng(3), n_others=5)
         commercial_index = build_index(
             [(0, commercial)], None, mel_cfg, params, DESK_MODEL
         )
-        segs = segment_fixed(sim.stream, 1.0, 0.5, audio_id=-1)
+        segs = segment_fixed(sim.stream, SegmenterConfig(method="fixed"), audio_id=-1)
         entries = fingerprint_segments(sim.stream, segs, mel_cfg, params, DESK_MODEL)
         report = cbr_evaluate(
             commercial_index, [(s, e.vector) for s, e in zip(segs, entries)], sim.span

@@ -10,6 +10,7 @@ from vlafp.audio import Waveform
 from vlafp.dsp import ANALYSIS_BLOCK_FRAMES, DEFAULT_HOP
 from vlafp.augment import (
     AugmentConfig,
+    ChainDraws,
     augment_chain_with_draws,
     convolve_ir,
     make_ir_pool,
@@ -185,9 +186,38 @@ def pools():
 class TestChain:
 
     def test_all_disabled_identity(self, tone_1k):
-        cfg = AugmentConfig(enable_ts=False, enable_bg=False, enable_ir=False)
+        cfg = AugmentConfig(enable_ts=False)
         out, _ = augment_chain_with_draws(tone_1k, cfg, np.random.default_rng(0))
         assert np.array_equal(out.samples, tone_1k.samples)
+
+    def test_no_stage_draws_nothing(self, tone_1k):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        out, draws = augment_chain_with_draws(tone_1k, AugmentConfig(enable_ts=False), rng)
+        assert np.array_equal(out.samples, tone_1k.samples)
+        assert draws == ChainDraws()
+        assert rng.bit_generator.state == before
+
+    def test_ir_pool_alone_draws_only_the_ir_index(self, tone_1k, pools):
+        _, ir = pools
+        rng, replay = np.random.default_rng(4), np.random.default_rng(4)
+        out, draws = augment_chain_with_draws(tone_1k, AugmentConfig(enable_ts=False, ir_pool=ir), rng)
+        index = int(replay.integers(0, len(ir)))
+        assert draws == ChainDraws(ir_index=index)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        assert np.array_equal(out.samples, convolve_ir(tone_1k, ir[index]).samples)
+
+    def test_draw_order_is_ts_then_bg_then_ir(self, tone_1k, pools):
+        bg, ir = make_noise_pool(3, 2.0, FS, 1), pools[1]  # noise longer than any stretch of the 1 s tone
+        for seed in range(5):  # several seeds: two small integer draws can swap and still agree
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            _, draws = augment_chain_with_draws(tone_1k, AugmentConfig(bg_pool=bg, ir_pool=ir), rng)
+            factor = float(replay.uniform(0.8, 1.2))
+            bg_index = int(replay.integers(0, len(bg)))
+            snr = float(replay.uniform(1.0, 10.0))
+            replay.integers(0, len(bg[bg_index]) - round(len(tone_1k) / factor) + 1)  # the noise excerpt's offset
+            assert draws == ChainDraws(factor, bg_index, snr, int(replay.integers(0, len(ir))))
+            assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_deterministic_given_seed(self, tone_1k, pools):
         bg, ir = pools
@@ -211,11 +241,6 @@ class TestChain:
         assert draws.bg_index is not None and draws.ir_index is not None
         assert len(out) == len(tone_1k)
 
-    def test_empty_pool_rejected(self, tone_1k):
-        cfg = AugmentConfig(enable_ts=False, enable_bg=True, enable_ir=False)
-        with pytest.raises(ValueError, match="bg_pool"):
-            augment_chain_with_draws(tone_1k, cfg, np.random.default_rng(0))
-
     def test_snr_draw_within_range(self, tone_1k, pools):
         bg, ir = pools
         cfg = AugmentConfig(enable_ts=False, bg_pool=bg, ir_pool=ir)
@@ -227,7 +252,7 @@ class TestChain:
         cfg = AugmentConfig()
         assert cfg.ts_range == (0.8, 1.2)
         assert cfg.snr_range_db == (1.0, 10.0)
-        assert cfg.enable_ts and cfg.enable_bg and cfg.enable_ir
+        assert cfg.enable_ts and cfg.bg_pool == cfg.ir_pool == ()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -267,11 +267,13 @@ def _unit_index(n, dim, first_id, seed):
 
 
 def _one_error_line(capsys, *needles):
-    err = capsys.readouterr().err
+    """Check that stderr is one error line holding every needle; return stdout."""
+    out, err = capsys.readouterr()
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     for needle in needles:
         assert needle in lines[0]
+    return out
 
 
 class TestIndexBuild:
@@ -289,6 +291,24 @@ class TestIndexBuild:
         _unit_index(2, 4, 0, seed=2).save(b)
         assert main(["index", "build", "--fingerprints", str(a), str(b), "--out", str(tmp_path / "o")]) == 1
         _one_error_line(capsys, str(b))
+
+
+class TestIndexQuery:
+    @pytest.mark.parametrize(
+        "n_queries,query_dim,k,needles",
+        [
+            (0, 8, "-3", ["--k must be >= 1, got -3"]),
+            (3, 8, "0", ["--k must be >= 1, got 0"]),
+            (3, 4, "1", ["q.vlix", "idx.vlix", "dim 4 != 8"]),
+        ],
+        ids=["negative-k-no-queries", "zero-k", "dim-mismatch"],
+    )
+    def test_bad_query_writes_nothing(self, tmp_path, capsys, n_queries, query_dim, k, needles):
+        idx, queries = tmp_path / "idx.vlix", tmp_path / "q.vlix"
+        _unit_index(4, 8, 0, seed=1).save(idx)
+        (_unit_index(n_queries, query_dim, 0, seed=2) if n_queries else FingerprintIndex(query_dim)).save(queries)
+        assert main(["index", "query", "--idx", str(idx), "--fingerprints", str(queries), "--k", k]) == 1
+        assert _one_error_line(capsys, *needles) == ""
 
 
 class TestHostileInput:
@@ -336,6 +356,9 @@ class TestHostileInput:
             (["--snr", "1:inf"], "need finite snr_range_db"),
             (["--snr", "nan:1"], "need finite snr_range_db"),
             (["--durations", "0.02", "--aug", "ts,bg,ir"], "input of 160 samples is shorter than one hop (256 samples)"),
+            (["--durations", "0.02", "--aug", "none"], "query duration 0.02 s: input of 160 samples"),
+            (["--durations", "0.02", "--aug", "bg,ir"], "query duration 0.02 s: input of 160 samples"),
+            (["--durations", "0.02", "--aug", "ts"], "query duration 0.02 s: input of 160 samples"),
         ],
         ids=[
             "no-targets",
@@ -348,6 +371,9 @@ class TestHostileInput:
             "infinite-snr",
             "nan-snr",
             "sub-hop-stretched-duration",
+            "sub-hop-duration-no-aug",
+            "sub-hop-duration-bg-ir",
+            "sub-hop-duration-ts",
         ],
     )
     def test_eval_dtr_without_queries_exit_1(self, corpus_dir, ckpt, tmp_path, capsys, flags, needle):
@@ -356,6 +382,13 @@ class TestHostileInput:
         assert rc == 1
         _one_error_line(capsys, needle)
         assert not out.exists()
+
+    @pytest.mark.parametrize("aug", ["none", "ts,bg,ir"])
+    def test_eval_dtr_one_hop_duration_runs(self, corpus_dir, ckpt, tmp_path, aug):
+        out = tmp_path / "dtr.csv"
+        argv = ["eval", "dtr", "--audio", str(corpus_dir), "--ckpt", str(ckpt), "--durations", "0.032", "--aug", aug]
+        assert main(argv + ["--out", str(out)]) == 0  # 256 samples: exactly one hop
+        assert out.read_text().splitlines()[1].startswith("0.032,")
 
     def test_inspect_unequal_header_widths(self, ckpt, tmp_path, capsys):
         data = bytearray(Path(ckpt).read_bytes())

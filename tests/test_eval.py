@@ -140,17 +140,17 @@ class TestDtr:
 
     def test_query_crop_warns_when_too_long(self):
         w = Waveform(np.random.default_rng(1).standard_normal(FS) * 0.2, FS)
-        aug = AugmentConfig(enable_ts=False, enable_bg=False, enable_ir=False)
+        aug = AugmentConfig(enable_ts=False)
         with pytest.warns(UserWarning, match="cropping"):
-            qs = make_dtr_queries([(0, w)], [3.0], aug, np.random.default_rng(0))
+            qs = make_dtr_queries([(0, w)], [3.0], aug, np.random.default_rng(0), queries_per_target=1)
         assert len(qs) == 1
 
     @pytest.mark.parametrize("dur", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_duration_rejected(self, dur):
         w = Waveform(np.zeros(FS), FS)
-        aug = AugmentConfig(enable_ts=False, enable_bg=False, enable_ir=False)
+        aug = AugmentConfig(enable_ts=False)
         with pytest.raises(ValueError, match="positive number of seconds"):
-            make_dtr_queries([(0, w)], [1.0, dur], aug, np.random.default_rng(0))
+            make_dtr_queries([(0, w)], [1.0, dur], aug, np.random.default_rng(0), queries_per_target=1)
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +162,7 @@ def audios():
 class TestBroadcastSim:
 
     def test_no_distortion_span_is_exact(self, audios):
-        aug = AugmentConfig(enable_ts=False, enable_bg=False, enable_ir=False)
+        aug = AugmentConfig(enable_ts=False)
         commercial = audios[0]
         sim = simulate_broadcast(commercial, audios[1:], aug, np.random.default_rng(0), n_others=5)
         t0, t1 = sim.span
@@ -171,15 +171,13 @@ class TestBroadcastSim:
         np.testing.assert_allclose(got, commercial.samples)
 
     def test_time_stretch_scales_span(self, audios):
-        aug = AugmentConfig(
-            enable_ts=True, enable_bg=False, enable_ir=False, ts_range=(1.25, 1.25)
-        )
+        aug = AugmentConfig(ts_range=(1.25, 1.25))
         sim = simulate_broadcast(audios[0], audios[1:], aug, np.random.default_rng(1), n_others=5)
         assert sim.draws.ts_factor == pytest.approx(1.25)
         unstretched = simulate_broadcast(
             audios[0],
             audios[1:],
-            AugmentConfig(enable_ts=False, enable_bg=False, enable_ir=False),
+            AugmentConfig(enable_ts=False),
             np.random.default_rng(1),
             n_others=5,
         )
@@ -198,7 +196,7 @@ class TestBroadcastSim:
         assert a.span == b.span
 
     def test_too_few_others_rejected(self, audios):
-        aug = AugmentConfig(enable_ts=False, enable_bg=False, enable_ir=False)
+        aug = AugmentConfig(enable_ts=False)
         with pytest.raises(ValueError, match="other audios"):
             simulate_broadcast(audios[0], audios[1:3], aug, np.random.default_rng(0), n_others=5)
 

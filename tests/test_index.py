@@ -242,7 +242,7 @@ class TestBuildIndex:
         corpus, mel_cfg, params, model_cfg = tiny
         one_by_one = FingerprintIndex(model_cfg.d)
         for aid, w in corpus:
-            segs = segment_fixed(w, 1.0, 0.5, audio_id=aid)
+            segs = segment_fixed(w, FIXED_WINDOWS, audio_id=aid)
             for entry in fingerprint_segments(w, segs, mel_cfg, params, model_cfg):
                 one_by_one.insert(entry)
         built = build_index(corpus, FIXED_WINDOWS, mel_cfg, params, model_cfg)

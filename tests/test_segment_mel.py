@@ -45,7 +45,7 @@ def same_bytes(a, b):
 @pytest.mark.parametrize("method", METHODS)
 def test_training_index_and_oracle_mels_are_byte_equal(small_corpus, method):
     cfg = seg_config(method)
-    no_aug = AugmentConfig(enable_ts=False, enable_bg=False, enable_ir=False)
+    no_aug = AugmentConfig(enable_ts=False)
     n_segments = n_contiguous = 0
     for aid, w in small_corpus:
         segs = segment(w, cfg, aid)
@@ -72,7 +72,7 @@ def skipping_sources(small_corpus):
 
 
 def stretch_only(factor):
-    return AugmentConfig(enable_bg=False, enable_ir=False, ts_range=(factor, factor))
+    return AugmentConfig(ts_range=(factor, factor))
 
 
 def test_unit_stretch_positive_equals_anchor(skipping_sources):

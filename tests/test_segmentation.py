@@ -26,7 +26,6 @@ from vlafp.segmentation import (
     FIXED_WINDOWS,
     METHODS,
     SILENCE_THRESHOLD_DB,
-    VARIABLE_METHODS,
     SegmenterConfig,
     _zscore_partition,
     default_theta,
@@ -42,6 +41,7 @@ from vlafp.segmentation import (
 from vlafp.synth import make_tone_noise_alternation, make_tone_silence
 
 FS = 8000
+VARIABLE_METHODS = tuple(m for m in METHODS if m != "fixed")
 
 
 def reconstructs(segments, n_frames):
@@ -380,46 +380,50 @@ class TestTails:
             assert all(s.n_frames >= cfg.min_frames(FS) for s in segs[:-1])
 
 
+def windows(window_s, hop_s):
+    return SegmenterConfig(method="fixed", window_s=window_s, hop_s=hop_s)
+
+
 class TestFixed:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 10])
     def test_2k_minus_1(self, k):
         w = Waveform(np.random.default_rng(0).standard_normal(k * FS) * 0.1, FS)
-        assert len(segment_fixed(w, 1.0, 0.5)) == 2 * k - 1
+        assert len(segment_fixed(w, FIXED_WINDOWS)) == 2 * k - 1
 
     def test_1s_single_segment(self):
         w = Waveform(np.ones(FS), FS)
-        assert len(segment_fixed(w, 1.0, 0.5)) == 1
+        assert len(segment_fixed(w, FIXED_WINDOWS)) == 1
 
     def test_2p3s_five_segments(self):
         w = Waveform(np.ones(int(2.3 * FS)), FS)
-        segs = segment_fixed(w, 1.0, 0.5)
+        segs = segment_fixed(w, FIXED_WINDOWS)
         assert len(segs) == 5
         assert all(s.n_samples == FS for s in segs)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
-            segment_fixed(Waveform(np.ones(FS), FS), 0.5, 1.0)
+            segment_fixed(Waveform(np.ones(FS), FS), windows(0.5, 1.0))
         for window, hop in [(math.inf, 0.5), (math.inf, math.inf), (math.nan, 0.5), (1.0, math.nan)]:
             with pytest.raises(ValueError, match="need finite window >= hop > 0"):
-                segment_fixed(Waveform(np.ones(FS), FS), window, hop)
+                segment_fixed(Waveform(np.ones(FS), FS), windows(window, hop))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty input"):
-            segment_fixed(Waveform(np.zeros(0), FS), 1.0, 0.5)
+            segment_fixed(Waveform(np.zeros(0), FS), FIXED_WINDOWS)
 
     def test_window_needs_one_hop_and_hop_one_sample(self):
         w = Waveform(np.ones(FS), FS)
-        assert len(segment_fixed(w, DEFAULT_HOP / FS, DEFAULT_HOP / FS)) == math.ceil(FS / DEFAULT_HOP)
+        assert len(segment_fixed(w, windows(DEFAULT_HOP / FS, DEFAULT_HOP / FS))) == math.ceil(FS / DEFAULT_HOP)
         with pytest.raises(ValueError, match="shorter than one hop"):
-            segment_fixed(w, (DEFAULT_HOP - 1) / FS, 0.01)
+            segment_fixed(w, windows((DEFAULT_HOP - 1) / FS, 0.01))
         with pytest.raises(ValueError, match="rounds to 0 samples"):
-            segment_fixed(w, 1.0, 0.00001)
+            segment_fixed(w, windows(1.0, 0.00001))
 
     @pytest.mark.parametrize("window,hop", [(1.0, 0.5), (2.0, 1.0), (0.5, 0.5)])
     def test_segment_sends_fixed_to_segment_fixed(self, small_corpus, window, hop):
-        cfg = SegmenterConfig(method="fixed", window_s=window, hop_s=hop)
+        cfg = windows(window, hop)
         for aid, w in small_corpus:
-            assert segment(w, cfg, aid) == segment_fixed(w, window, hop, aid)
+            assert segment(w, cfg, aid) == segment_fixed(w, cfg, aid)
 
 
 class TestPeltConstantSeries:
