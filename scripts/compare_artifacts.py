@@ -3,8 +3,8 @@
 
     python scripts/compare_artifacts.py BASE CHANGE
 
-Each checkout runs, with its own src/ and its own bench/desk.vlfp, in a
-fresh temporary directory (nothing is written into either checkout):
+Each checkout runs, with its own src/ and a copy of its own bench/desk.vlfp,
+in a fresh temporary directory (nothing is written into either checkout):
 
 - `synth`: an 8-audio corpus, seed 5, 6 s each;
 - `segment` and `fingerprint` of the corpus under all five segmentation
@@ -22,11 +22,10 @@ The one-stage and no-stage chains check that a BG or IR stage runs exactly
 when `--aug` asks for it, and draws what it drew before.
 
 Every file the commands write and each command's stdout (with the
-temporary directory's path replaced) are compared. Run manifests are
-compared with their path-valued flags and their config digest removed,
-since those name each checkout's own directories, and without any flag
-that only one side has (a flag added or removed by the change), which is
-printed instead. BLAS runs on one thread.
+temporary directory's path replaced) are compared byte for byte, run
+manifests included: every path on a command line is relative to the
+temporary directory, so the command line each manifest records names
+neither checkout. BLAS runs on one thread.
 
 Exits 0 when every artifact is identical, 1 on any difference, and 2 when a
 command fails.
@@ -35,8 +34,8 @@ command fails.
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -49,29 +48,28 @@ THREAD_VARS = (
     "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS",
 )
-# Run-manifest flags that hold a path, which differs between the two runs.
-PATH_FLAGS = ("audio", "corpus", "ckpt", "out", "idx", "fingerprints", "bg_dir", "ir_dir", "config")
+CKPT = "desk.vlfp"  # the checkout's bench/desk.vlfp, copied into the work directory
 
 
-def commands(ckpt: str) -> list[tuple[str, list[str]]]:
+def commands() -> list[tuple[str, list[str]]]:
     """(step name, vlafp arguments) in run order; paths are relative to the work directory."""
     steps = [("synth", ["synth", "--n", "8", "--dur", "6", "--seed", "5", "--out", "corpus"])]
     for m in METHODS:
         steps.append((f"segment-{m}", ["segment", "--audio", "corpus", "--method", m, "--out", f"segments-{m}.txt"]))
     for m in METHODS:
-        steps.append((f"fingerprint-{m}", ["fingerprint", "--audio", "corpus", "--ckpt", ckpt, "--method", m,
+        steps.append((f"fingerprint-{m}", ["fingerprint", "--audio", "corpus", "--ckpt", CKPT, "--method", m,
                                            "--out", f"fp-{m}.vlix"]))
     for m in METHODS:
         steps.append((f"query-{m}", ["index", "query", "--idx", "fp-fixed.vlix", "--fingerprints", f"fp-{m}.vlix",
                                      "--k", "10"]))
-    steps.append(("eval-dtr", ["eval", "dtr", "--audio", "corpus", "--ckpt", ckpt, "--durations", "1,3,6",
+    steps.append(("eval-dtr", ["eval", "dtr", "--audio", "corpus", "--ckpt", CKPT, "--durations", "1,3,6",
                                "--out", "dtr.csv"]))
-    steps.append(("eval-dtr-no-aug", ["eval", "dtr", "--audio", "corpus", "--ckpt", ckpt, "--durations", "1,3,6",
+    steps.append(("eval-dtr-no-aug", ["eval", "dtr", "--audio", "corpus", "--ckpt", CKPT, "--durations", "1,3,6",
                                       "--aug", "none", "--out", "dtr-no-aug.csv"]))
     for m in METHODS:
-        steps.append((f"eval-cbr-{m}", ["eval", "cbr", "--audio", "corpus", "--ckpt", ckpt, "--method", m,
+        steps.append((f"eval-cbr-{m}", ["eval", "cbr", "--audio", "corpus", "--ckpt", CKPT, "--method", m,
                                         "--others", "7", "--out", f"cbr-{m}.csv"]))
-    steps.append(("eval-cbr-ir", ["eval", "cbr", "--audio", "corpus", "--ckpt", ckpt, "--method", "main",
+    steps.append(("eval-cbr-ir", ["eval", "cbr", "--audio", "corpus", "--ckpt", CKPT, "--method", "main",
                                   "--others", "7", "--aug", "ir", "--out", "cbr-ir.csv"]))
     for m in TRAIN_METHODS:
         steps.append((f"train-{m}", ["train", "--corpus", "corpus", "--method", m, "--epochs", "1",
@@ -89,7 +87,8 @@ def run_side(checkout: Path, work: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
     env.update({var: "1" for var in THREAD_VARS})
     (work / "stdout").mkdir()
-    for step, argv in commands(str(checkout / "bench" / "desk.vlfp")):
+    shutil.copyfile(checkout / "bench" / CKPT, work / CKPT)
+    for step, argv in commands():
         proc = subprocess.run([sys.executable, "-m", "vlafp.cli", *argv], cwd=work, env=env,
                               capture_output=True, text=True)
         if proc.returncode != 0:
@@ -97,29 +96,6 @@ def run_side(checkout: Path, work: Path) -> None:
             raise SystemExit(2)
         (work / "stdout" / f"{step}.txt").write_text(proc.stdout.replace(str(work), "<work>"))
         print(f"  {checkout.name or checkout}: {step} done", flush=True)
-
-
-def manifest_view(path: Path) -> dict:
-    """A run manifest without its path flags and digest."""
-    manifest = json.loads(path.read_text())
-    manifest.pop("config_digest", None)
-    for flag in PATH_FLAGS:
-        manifest.get("flags", {}).pop(flag, None)
-    return manifest
-
-
-def same_file(base: Path, change: Path, rel: Path) -> bool:
-    """Byte equality, or for run manifests equality of manifest_view minus one-sided flags."""
-    if not rel.name.endswith(".manifest.json"):
-        return base.read_bytes() == change.read_bytes()
-    views = manifest_view(base), manifest_view(change)
-    flags = [view.setdefault("flags", {}) for view in views]
-    for flag in sorted(flags[0].keys() ^ flags[1].keys()):
-        side = "BASE" if flag in flags[0] else "CHANGE"
-        print(f"ignored    {rel}: flag {flag} only in {side}")
-        for f in flags:
-            f.pop(flag, None)
-    return json.dumps(views[0], sort_keys=True) == json.dumps(views[1], sort_keys=True)
 
 
 def compare(base: Path, change: Path) -> list[str]:
@@ -131,7 +107,7 @@ def compare(base: Path, change: Path) -> list[str]:
     problems = [f"only in BASE: {p}" for p in sorted(base_files - change_files)]
     problems += [f"only in CHANGE: {p}" for p in sorted(change_files - base_files)]
     for rel in sorted(base_files & change_files):
-        same = same_file(base / rel, change / rel, rel)
+        same = (base / rel).read_bytes() == (change / rel).read_bytes()
         print(f"{'identical' if same else 'DIFFERS  '}  {rel}")
         if not same:
             problems.append(f"differs: {rel}")

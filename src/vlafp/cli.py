@@ -9,7 +9,7 @@ import json
 import os
 import platform
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from . import __version__
 from .audio import DEFAULT_SAMPLE_RATE, Waveform, load_audio, write_wav
 from .augment import AugmentConfig, make_ir_pool, make_noise_pool
 from .dsp import MelConfig
-from .evaluation import cbr_evaluate, dtr_evaluate, make_dtr_queries, simulate_broadcast
+from .evaluation import check_query_durations, cbr_evaluate, dtr_evaluate, make_dtr_queries, simulate_broadcast
 from .index import FingerprintIndex
 from .model import ModelConfig, Parameters, init_parameters, load_checkpoint, save_checkpoint
 from .pipeline import build_index, fingerprint_segments, make_embedder, training_sources
@@ -34,8 +34,8 @@ def _float_pair(value: str) -> tuple[float, float]:
 
 
 def _aug_set(value: str) -> tuple[str, ...]:
-    # Sorted, so the run manifest records the stages in the same order under
-    # every string-hash seed.
+    # Sorted: a set's order follows the string-hash seed, so the parsed value
+    # (and anything that prints it) would differ between otherwise equal runs.
     if value.lower() in ("none", ""):
         return ()
     stages = {s.strip().lower() for s in value.split(",") if s.strip()}
@@ -66,46 +66,33 @@ def make_aug_config(args) -> AugmentConfig:
         if stage not in args.aug:
             return ()
         if directory:
-            return tuple(w for _, w in load_corpus(directory, args.rate)[0])
-        return make(n, duration_s, args.rate, seed)
+            return tuple(w for _, w in load_corpus(directory, args.sample_rate)[0])
+        return make(n, duration_s, args.sample_rate, seed)
 
-    return AugmentConfig(
+    return config_from_args(
+        AugmentConfig,
+        args,
         enable_ts="ts" in args.aug,
-        ts_range=args.ts,
-        snr_range_db=args.snr,
         bg_pool=pool("bg", args.bg_dir, make_noise_pool, 24, 3.0, args.seed + 101),
         ir_pool=pool("ir", args.ir_dir, make_ir_pool, 12, 0.25, args.seed + 202),
     )
 
 
+def config_from_args(cls, args, **given):
+    """A config built from the flags whose dest names one of its fields, then from `given`."""
+    parsed = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**{**parsed, **given})
+
+
 def seg_config_from_args(args) -> SegmenterConfig:
     theta = args.theta if args.theta is not None else default_theta(args.method)
-    return SegmenterConfig(
-        t_min=args.tmin,
-        t_max=args.tmax,
-        theta=theta,
-        method=args.method,
-        pelt_penalty=args.pelt_penalty,
-        window_s=args.window,
-        hop_s=args.hop,
-    )
+    return config_from_args(SegmenterConfig, args, theta=theta)
 
 
 def load_model(path: str) -> tuple[Parameters, ModelConfig, MelConfig]:
     """A checkpoint's parameters and config, and the mel config of its f_bins bands."""
     params, model_cfg = load_checkpoint(path)
     return params, model_cfg, MelConfig(n_mels=model_cfg.f_bins)
-
-
-def model_config_from_args(args) -> ModelConfig:
-    return ModelConfig(
-        f_bins=args.mel_bands,
-        d=args.dim,
-        n_blocks=args.blocks,
-        n_heads=args.heads,
-        d_head=args.dhead,
-        ffn_alpha=args.alpha,
-    )
 
 
 # Thread-count variables the BLAS and OpenMP pools read when numpy loads.
@@ -119,15 +106,17 @@ THREAD_VARS = (
 )
 
 
-def write_run_manifest(out_path: str | Path, subcommand: str, args) -> None:
-    """<out>.manifest.json: the flags, their digest, and the environment (not digested)."""
-    flags = {k: repr(v) for k, v in sorted(vars(args).items()) if k != "func"}
+def write_run_manifest(out_path: str | Path, args) -> None:
+    """<out>.manifest.json: the argv that made it, its digest, and the environment (not digested).
+
+    `vlafp` run on that argv, from the same directory and at the same
+    version, writes the same artifact again byte for byte.
+    """
     payload = {
         "tool": "vlafp",
         "version": __version__,
-        "subcommand": subcommand,
-        "flags": flags,
-        "config_digest": hashlib.sha256(json.dumps(flags, sort_keys=True).encode()).hexdigest(),
+        "argv": args.argv,
+        "config_digest": hashlib.sha256(json.dumps(args.argv).encode()).hexdigest(),
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -142,29 +131,23 @@ def write_run_manifest(out_path: str | Path, subcommand: str, args) -> None:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        n_audios=args.n,
-        duration_range=(args.dur, args.dur),
-        sample_rate=args.rate,
-        recipe=args.recipe,
-        seed=args.seed,
-    )
+    spec = config_from_args(SynthSpec, args, duration_range=(args.dur, args.dur))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for aid, w in generate(spec):
         write_wav(out / f"audio_{aid:04d}.wav", w)
-    write_run_manifest(out / "corpus", "synth", args)
-    print(f"wrote {args.n} audios to {out}")
+    write_run_manifest(out / "corpus", args)
+    print(f"wrote {spec.n_audios} audios to {out}")
     return 0
 
 
 def cmd_segment(args) -> int:
-    corpus, files = load_corpus(args.audio, args.rate)
+    corpus, files = load_corpus(args.audio, args.sample_rate)
     cfg = seg_config_from_args(args)
     per_audio = [segment(w, cfg, aid) for aid, w in corpus]
     segments = [s for segs in per_audio for s in segs]
     write_manifest(args.out, segments, cfg)
-    write_run_manifest(args.out, "segment", args)
+    write_run_manifest(args.out, args)
     print(f"{len(segments)} segments from {len(corpus)} audios -> {args.out}")
     for path, segs in zip(files, per_audio):
         print(f"  {path}: {len(segs)}")
@@ -172,17 +155,10 @@ def cmd_segment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    train_cfg = TrainConfig(
-        tau=args.tau,
-        batch_items=args.batch,
-        n_pos=args.npos,
-        lr=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
-    corpus, _ = load_corpus(args.corpus, args.rate)
-    mel_cfg = MelConfig(n_mels=args.mel_bands)
-    model_cfg = model_config_from_args(args)
+    train_cfg = config_from_args(TrainConfig, args)
+    corpus, _ = load_corpus(args.corpus, args.sample_rate)
+    model_cfg = config_from_args(ModelConfig, args)
+    mel_cfg = MelConfig(n_mels=model_cfg.f_bins)
     seg_cfg = seg_config_from_args(args)
     sources = training_sources(corpus, seg_cfg, mel_cfg)
     aug_cfg = make_aug_config(args)
@@ -201,18 +177,18 @@ def cmd_train(args) -> int:
         writer.writerow(["epoch", "mean_loss"])
         for epoch, loss in enumerate(history):
             writer.writerow([epoch, f"{loss:.6f}"])
-    write_run_manifest(args.out, "train", args)
+    write_run_manifest(args.out, args)
     print(f"checkpoint -> {args.out}; loss history -> {hist_path}")
     return 0
 
 
 def cmd_fingerprint(args) -> int:
-    corpus, _ = load_corpus(args.audio, args.rate)
+    corpus, _ = load_corpus(args.audio, args.sample_rate)
     params, model_cfg, mel_cfg = load_model(args.ckpt)
     seg_cfg = seg_config_from_args(args)
     index = build_index(corpus, seg_cfg, mel_cfg, params, model_cfg)
     index.save(args.out)
-    write_run_manifest(args.out, "fingerprint", args)
+    write_run_manifest(args.out, args)
     print(f"{len(index)} fingerprints -> {args.out}")
     return 0
 
@@ -224,7 +200,7 @@ def cmd_index_build(args) -> int:
             raise ValueError(f"{path}: dim {part.dim} != {parts[0].dim} of {args.fingerprints[0]}")
     merged = FingerprintIndex.from_records(np.concatenate([part.records for part in parts]))
     merged.save(args.out)
-    write_run_manifest(args.out, "index-build", args)
+    write_run_manifest(args.out, args)
     print(f"index with {len(merged)} entries -> {args.out}")
     return 0
 
@@ -250,7 +226,7 @@ def cmd_index_query(args) -> int:
 
 
 def cmd_eval_cbr(args) -> int:
-    corpus, _ = load_corpus(args.audio, args.rate)
+    corpus, _ = load_corpus(args.audio, args.sample_rate)
     params, model_cfg, mel_cfg = load_model(args.ckpt)
     seg_cfg = seg_config_from_args(args)
     rng = np.random.default_rng(args.seed)
@@ -283,7 +259,7 @@ def cmd_eval_cbr(args) -> int:
         writer.writerow(["start_time", "duration", "score", "label"])
         for start, dur, score, label in report.scored:
             writer.writerow([f"{start:.4f}", f"{dur:.4f}", f"{score:.6f}", int(label)])
-    write_run_manifest(args.out, "eval-cbr", args)
+    write_run_manifest(args.out, args)
     print(
         f"CBR best F1 {report.best.f1:.4f} at threshold {report.best.threshold:.4f} "
         f"(P={report.best.precision:.4f}, R={report.best.recall:.4f}) -> {args.out}"
@@ -292,7 +268,7 @@ def cmd_eval_cbr(args) -> int:
 
 
 def cmd_eval_dtr(args) -> int:
-    corpus, _ = load_corpus(args.audio, args.rate)
+    corpus, _ = load_corpus(args.audio, args.sample_rate)
     params, model_cfg, mel_cfg = load_model(args.ckpt)
     rng = np.random.default_rng(args.seed)
     aug_cfg = make_aug_config(args)
@@ -312,11 +288,12 @@ def cmd_eval_dtr(args) -> int:
             f"--dummies {args.dummies} exceeds the {len(corpus) - n_targets} audios"
             f" left after {n_targets} targets"
         )
+    durations = [float(d) for d in args.durations.split(",")]
+    check_query_durations(durations, args.sample_rate)
     targets = corpus[:n_targets]
     database = corpus if args.dummies is None else corpus[: n_targets + args.dummies]
-    windows = replace(FIXED_WINDOWS, window_s=args.window, hop_s=args.hop)
+    windows = replace(FIXED_WINDOWS, window_s=args.window_s, hop_s=args.hop_s)
     index = build_index(database, windows, mel_cfg, params, model_cfg)
-    durations = [float(d) for d in args.durations.split(",")]
     queries = make_dtr_queries(targets, durations, aug_cfg, rng, args.queries_per_target)
     embed = make_embedder(params, model_cfg, mel_cfg)
     report = dtr_evaluate(index, queries, embed, windows)
@@ -332,7 +309,7 @@ def cmd_eval_dtr(args) -> int:
         writer.writerow(["target_id", "duration_s", "retrieved_id", "hit", "n_lookups"])
         for r in report.results:
             writer.writerow([r.target_id, r.duration_s, r.retrieved_id, int(r.hit), r.n_lookups])
-    write_run_manifest(args.out, "eval-dtr", args)
+    write_run_manifest(args.out, args)
     for dur in durations:
         print(f"DTR hit rate @ {dur:g}s: {report.hit_rates[dur]:.4f}")
     print(f"reports -> {args.out}, {dump_path}")
@@ -340,10 +317,10 @@ def cmd_eval_dtr(args) -> int:
 
 
 def cmd_init(args) -> int:
-    model_cfg = model_config_from_args(args)
+    model_cfg = config_from_args(ModelConfig, args)
     params = init_parameters(model_cfg, seed=args.seed)
     save_checkpoint(args.out, params, model_cfg)
-    write_run_manifest(args.out, "init", args)
+    write_run_manifest(args.out, args)
     print(f"random-init checkpoint -> {args.out}")
     return 0
 
@@ -378,44 +355,47 @@ def cmd_inspect(args) -> int:
     return 0
 
 
-# -- parser wiring: a flag that sets a library value takes its default from there --
+# -- parser wiring: a flag that sets a config field is its dest, and takes its default from there --
 
 
-def _add_common(p, seed=True, rate=True):
-    if seed:  # only on the commands that draw randomness
-        p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--config", default=None, help="key=value config file; flags win")
+def _add_common(p, seed=0, rate=True):
+    if seed is not None:  # only on the commands that draw randomness
+        p.add_argument("--seed", type=int, default=seed, help="master random seed")
     if rate:
-        p.add_argument("--rate", type=int, default=DEFAULT_SAMPLE_RATE, help="expected sample rate")
+        p.add_argument("--rate", dest="sample_rate", type=int, default=DEFAULT_SAMPLE_RATE,
+                       help="expected sample rate")
 
 
 def _add_windows(p):
-    p.add_argument("--window", type=float, default=SegmenterConfig.window_s, help="fixed window seconds")
-    p.add_argument("--hop", type=float, default=SegmenterConfig.hop_s, help="fixed hop seconds")
+    p.add_argument("--window", dest="window_s", type=float, default=SegmenterConfig.window_s,
+                   help="fixed window seconds")
+    p.add_argument("--hop", dest="hop_s", type=float, default=SegmenterConfig.hop_s, help="fixed hop seconds")
 
 
 def _add_segmentation(p):
     p.add_argument("--method", choices=METHODS, default=SegmenterConfig.method)
     p.add_argument("--theta", type=float, default=None, help='z-score threshold; "inf" allowed')
-    p.add_argument("--tmin", type=float, default=SegmenterConfig.t_min)
-    p.add_argument("--tmax", type=float, default=SegmenterConfig.t_max)
+    p.add_argument("--tmin", dest="t_min", type=float, default=SegmenterConfig.t_min)
+    p.add_argument("--tmax", dest="t_max", type=float, default=SegmenterConfig.t_max)
     _add_windows(p)
     p.add_argument("--pelt-penalty", type=float, default=SegmenterConfig.pelt_penalty)
 
 
 def _add_model(p):
-    p.add_argument("--mel-bands", type=int, default=ModelConfig.f_bins)
-    p.add_argument("--dim", type=int, default=ModelConfig.d)
-    p.add_argument("--blocks", type=int, default=ModelConfig.n_blocks)
-    p.add_argument("--heads", type=int, default=ModelConfig.n_heads)
-    p.add_argument("--dhead", type=int, default=ModelConfig.d_head)
-    p.add_argument("--alpha", type=float, default=ModelConfig.ffn_alpha)
+    p.add_argument("--mel-bands", dest="f_bins", type=int, default=ModelConfig.f_bins)
+    p.add_argument("--dim", dest="d", type=int, default=ModelConfig.d)
+    p.add_argument("--blocks", dest="n_blocks", type=int, default=ModelConfig.n_blocks)
+    p.add_argument("--heads", dest="n_heads", type=int, default=ModelConfig.n_heads)
+    p.add_argument("--dhead", dest="d_head", type=int, default=ModelConfig.d_head)
+    p.add_argument("--alpha", dest="ffn_alpha", type=float, default=ModelConfig.ffn_alpha)
 
 
 def _add_aug(p, default="bg,ir"):
     p.add_argument("--aug", type=_aug_set, default=_aug_set(default), help="stages: ts,bg,ir or none")
-    p.add_argument("--snr", type=_float_pair, default=AugmentConfig.snr_range_db, help="SNR range dB lo:hi")
-    p.add_argument("--ts", type=_float_pair, default=AugmentConfig.ts_range, help="time-stretch range lo:hi")
+    p.add_argument("--snr", dest="snr_range_db", type=_float_pair, default=AugmentConfig.snr_range_db,
+                   help="SNR range dB lo:hi")
+    p.add_argument("--ts", dest="ts_range", type=_float_pair, default=AugmentConfig.ts_range,
+                   help="time-stretch range lo:hi")
     p.add_argument("--bg-dir", default=None, help="directory of noise WAVs (default: synthetic)")
     p.add_argument("--ir-dir", default=None, help="directory of IR WAVs (default: synthetic)")
 
@@ -426,18 +406,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus of WAV files")
-    p.add_argument("--n", type=int, default=SynthSpec.n_audios)
+    p.add_argument("--n", dest="n_audios", type=int, default=SynthSpec.n_audios)
     p.add_argument("--dur", type=float, default=SynthSpec.duration_range[0])
     p.add_argument("--recipe", default=SynthSpec.recipe, choices=["mixture", "tone_noise", "tone_silence"])
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=SynthSpec.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("segment", help="segment audio files into a manifest")
     p.add_argument("--audio", required=True)
     p.add_argument("--out", required=True)
     _add_segmentation(p)
-    _add_common(p, seed=False)
+    _add_common(p, seed=None)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("train", help="contrastive training; writes a checkpoint")
@@ -445,13 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--tau", type=float, default=TrainConfig.tau)
-    p.add_argument("--npos", type=int, default=TrainConfig.n_pos)
-    p.add_argument("--batch", type=int, default=TrainConfig.batch_items)
+    p.add_argument("--npos", dest="n_pos", type=int, default=TrainConfig.n_pos)
+    p.add_argument("--batch", dest="batch_items", type=int, default=TrainConfig.batch_items)
     p.add_argument("--out", required=True)
     _add_segmentation(p)
     _add_model(p)
     _add_aug(p)
-    _add_common(p)
+    _add_common(p, seed=TrainConfig.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("fingerprint", help="fingerprint audio into a .vlix file")
@@ -459,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
     _add_segmentation(p)
-    _add_common(p, seed=False)
+    _add_common(p, seed=None)
     p.set_defaults(func=cmd_fingerprint)
 
     p = sub.add_parser("index", help="index operations")
@@ -467,13 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     pb = isub.add_parser("build", help="merge fingerprint files into an index")
     pb.add_argument("--fingerprints", nargs="+", required=True)
     pb.add_argument("--out", required=True)
-    _add_common(pb, seed=False, rate=False)
     pb.set_defaults(func=cmd_index_build)
     pq = isub.add_parser("query", help="query an index with stored fingerprints")
     pq.add_argument("--idx", required=True)
     pq.add_argument("--fingerprints", required=True)
     pq.add_argument("--k", type=int, default=1)
-    _add_common(pq, seed=False, rate=False)
     pq.set_defaults(func=cmd_index_query)
 
     p = sub.add_parser("eval", help="retrieval evaluations")
@@ -514,38 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Fold --config key=value pairs in as early flags; explicit flags win.
-
-    Injected flags sit right after the subcommand words; argparse gives
-    later occurrences precedence, so anything typed on the command line
-    overrides the file.
-    """
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise ValueError("--config needs a file argument")
-    cfg_path = Path(argv[at + 1])
-    if not cfg_path.exists():
-        raise FileNotFoundError(f"no such config file: {cfg_path}")
-    injected = []
-    for line in cfg_path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        injected += [f"--{key.strip().replace('_', '-')}", value.strip()]
-    depth = 2 if argv and argv[0] in ("index", "eval") else 1
-    return argv[:depth] + injected + argv[depth:]
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv, argparse.Namespace(argv=argv))
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

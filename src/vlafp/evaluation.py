@@ -211,6 +211,18 @@ def dtr_evaluate(
     return DtrReport(hit_rates, tuple(results))
 
 
+def check_query_durations(durations_s: list[float], sample_rate: int) -> None:
+    """Raise unless every query duration is a positive number of seconds holding at least one hop."""
+    for dur in durations_s:
+        if not (math.isfinite(dur) and dur > 0):
+            raise ValueError(f"query duration must be a positive number of seconds, got {dur}")
+        if int(dur * sample_rate) < DEFAULT_HOP:
+            raise ValueError(
+                f"query duration {dur} s: input of {int(dur * sample_rate)} samples"
+                f" is shorter than one hop ({DEFAULT_HOP} samples)"
+            )
+
+
 def make_dtr_queries(
     targets: list[tuple[int, Waveform]],
     durations_s: list[float],
@@ -219,9 +231,8 @@ def make_dtr_queries(
     queries_per_target: int,
 ) -> list[DtrQuery]:
     """Distorted excerpts, each at least one hop long, of target audios at multiples of QUERY_ALIGN_S."""
-    for dur in durations_s:
-        if not (math.isfinite(dur) and dur > 0):
-            raise ValueError(f"query duration must be a positive number of seconds, got {dur}")
+    for rate in {w.sample_rate for _, w in targets}:
+        check_query_durations(durations_s, rate)
     queries = []
     for dur in durations_s:
         for aid, w in targets:
@@ -233,10 +244,8 @@ def make_dtr_queries(
                     )
                     take = w.duration
                 n = int(take * w.sample_rate)
-                if n < DEFAULT_HOP:
-                    raise ValueError(
-                        f"query duration {dur} s: input of {n} samples is shorter than one hop ({DEFAULT_HOP} samples)"
-                    )
+                if n < DEFAULT_HOP:  # cropped: check_query_durations passed dur itself
+                    raise ValueError(f"audio {aid} of {n} samples is shorter than one hop ({DEFAULT_HOP} samples)")
                 max_slot = max(0, int((len(w) - n) / (QUERY_ALIGN_S * w.sample_rate)))
                 slot = int(rng.integers(0, max_slot + 1))
                 start = int(slot * QUERY_ALIGN_S * w.sample_rate)

@@ -16,10 +16,12 @@ import scipy
 from scipy.io import wavfile
 
 import vlafp
+from vlafp.audio import load_audio
 from vlafp.cli import THREAD_VARS, main
 from vlafp.index import FingerprintIndex, IndexEntry
 from vlafp.model import load_checkpoint, save_checkpoint
 from vlafp.segmentation import METHODS, read_manifest
+from vlafp.synth import SynthSpec, generate
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +65,20 @@ class TestSynth:
         wavs = sorted(corpus_dir.glob("*.wav"))
         assert len(wavs) == 6
         manifest = json.loads((corpus_dir / "corpus.manifest.json").read_text())
-        digest = hashlib.sha256(json.dumps(manifest["flags"], sort_keys=True).encode()).hexdigest()
-        assert manifest["config_digest"] == digest
+        assert manifest["argv"] == ["synth", "--n", "6", "--dur", "6", "--seed", "3", "--out", str(corpus_dir)]
+        assert manifest["config_digest"] == hashlib.sha256(json.dumps(manifest["argv"]).encode()).hexdigest()
         assert manifest["environment"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "threads": {var: os.environ.get(var) for var in THREAD_VARS},
         }
+
+    def test_seed_defaults_to_the_spec_seed(self, tmp_path):
+        assert main(["synth", "--n", "2", "--dur", "2", "--out", str(tmp_path)]) == 0
+        for aid, w in generate(SynthSpec(n_audios=2, duration_range=(2.0, 2.0))):
+            written = load_audio(tmp_path / f"audio_{aid:04d}.wav").samples
+            assert np.array_equal(written, w.samples.astype(np.float32))
 
     def test_infinite_duration_exit_1(self, tmp_path, capsys):
         out = tmp_path / "corpus"
@@ -383,6 +391,28 @@ class TestHostileInput:
         _one_error_line(capsys, needle)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "durations,needle",
+        [
+            ("1,x", "could not convert string to float: 'x'"),
+            ("0", "positive number of seconds, got 0.0"),
+            ("0.02", "query duration 0.02 s: input of 160 samples is shorter than one hop"),
+        ],
+        ids=["not-a-number", "zero", "sub-hop"],
+    )
+    def test_eval_dtr_checks_durations_before_indexing(
+        self, corpus_dir, ckpt, tmp_path, capsys, monkeypatch, durations, needle
+    ):
+        def build_index(*args):
+            pytest.fail("the database was indexed before --durations was checked")
+
+        monkeypatch.setattr("vlafp.cli.build_index", build_index)
+        out = tmp_path / "dtr.csv"
+        argv = ["eval", "dtr", "--audio", str(corpus_dir), "--ckpt", str(ckpt), "--durations", durations]
+        assert main(argv + ["--out", str(out)]) == 1
+        _one_error_line(capsys, needle)
+        assert not out.exists()
+
     @pytest.mark.parametrize("aug", ["none", "ts,bg,ir"])
     def test_eval_dtr_one_hop_duration_runs(self, corpus_dir, ckpt, tmp_path, aug):
         out = tmp_path / "dtr.csv"
@@ -496,7 +526,7 @@ class TestEvalCommands:
             subprocess.run(cmd, cwd=cwd, env=env, check=True, capture_output=True, timeout=300)
             outputs.append(((cwd / "cbr.csv.manifest.json").read_text(), (cwd / "cbr.csv").read_bytes()))
         assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0][0])["flags"]["aug"] == "('bg', 'ir', 'ts')"
+        assert json.loads(outputs[0][0])["argv"] == cmd[3:]
 
     def test_dtr_self_match_100(self, corpus_dir, ckpt, tmp_path):
         out = tmp_path / "dtr.csv"
@@ -580,36 +610,38 @@ class TestEvalCommands:
         assert outs[0] == outs[1]
 
 
-class TestConfigFile:
-    def test_config_file_flags_win(self, corpus_dir, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("theta=2.0\ntmin=0.5\n")
-        out = tmp_path / "m.txt"
-        rc = main(
-            [
-                "segment",
-                "--audio",
-                str(corpus_dir),
-                "--config",
-                str(cfg),
-                "--theta",
-                "0",
-                "--out",
-                str(out),
-            ]
-        )
-        assert rc == 0
-        assert all(r[4] == 0.0 for r in read_manifest(out))
+# Each artifact-writing command, writing into out/ under the working directory.
+REPLAYED = {
+    "synth": lambda corpus, ckpt: ["synth", "--n", "2", "--dur", "2", "--seed", "4", "--out", "out"],
+    "segment": lambda corpus, ckpt: ["segment", "--audio", corpus, "--method", "pelt", "--out", "out/m.txt"],
+    "train": lambda corpus, ckpt: ["train", "--corpus", corpus, "--epochs", "1", "--lr", "1e-3", "--batch", "8",
+                                   "--npos", "1", "--aug", "ts,bg", "--out", "out/model.vlfp"],
+    "fingerprint": lambda corpus, ckpt: ["fingerprint", "--audio", corpus, "--ckpt", ckpt, "--out", "out/fp.vlix"],
+    "index build": lambda corpus, ckpt: ["index", "build", "--fingerprints", "a.vlix", "b.vlix", "--out", "out/db.vlix"],
+    "eval cbr": lambda corpus, ckpt: ["eval", "cbr", "--audio", corpus, "--ckpt", ckpt, "--others", "2",
+                                      "--out", "out/cbr.csv"],
+    "eval dtr": lambda corpus, ckpt: ["eval", "dtr", "--audio", corpus, "--ckpt", ckpt, "--durations", "1,2",
+                                      "--targets", "3", "--out", "out/dtr.csv"],
+    "init": lambda corpus, ckpt: ["init", "--dim", "16", "--seed", "2", "--out", "out/init.vlfp"],
+}
 
-    def test_config_file_applies_when_flag_absent(self, corpus_dir, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("theta=2.0\n")
-        out = tmp_path / "m.txt"
-        rc = main(
-            ["segment", "--audio", str(corpus_dir), "--config", str(cfg), "--out", str(out)]
-        )
-        assert rc == 0
-        assert all(r[4] == 2.0 for r in read_manifest(out))
+
+class TestReplay:
+    @pytest.mark.parametrize("command", REPLAYED)
+    def test_manifest_argv_remakes_every_output(self, corpus_dir, ckpt, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        _unit_index(3, 8, 0, seed=1).save("a.vlix")
+        _unit_index(4, 8, 10, seed=2).save("b.vlix")
+        out = Path("out")
+        out.mkdir()
+        assert main(REPLAYED[command](str(corpus_dir), str(ckpt))) == 0
+        first = out.rename("first")
+        (manifest,) = first.glob("*.manifest.json")
+        out.mkdir()
+        assert main(json.loads(manifest.read_text())["argv"]) == 0
+        written = {p.name: p.read_bytes() for p in first.iterdir()}
+        assert len(written) >= 2
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
 class TestInspectAndInit:

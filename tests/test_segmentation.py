@@ -38,7 +38,7 @@ from vlafp.segmentation import (
     spectral_entropy_series,
     write_manifest,
 )
-from vlafp.synth import make_tone_noise_alternation, make_tone_silence
+from vlafp.synth import SynthSpec, generate, make_tone_noise_alternation, make_tone_silence
 
 FS = 8000
 VARIABLE_METHODS = tuple(m for m in METHODS if m != "fixed")
@@ -511,3 +511,32 @@ class TestLevelInvariance:
         cfg = SegmenterConfig(method=method, theta=default_theta(method))
         for aid, w in small_corpus:
             assert segment(Waveform(w.samples * gain, FS), cfg, aid) == segment(w, cfg, aid)
+
+
+class TestPrefixProperty:
+    """A causal method cuts a prefix as it cuts the whole stream, up to the prefix's last segment.
+
+    `nosilence` and `pelt` are left out: the first sets its silence floor from
+    the whole stream's peak, and the second its penalty and its optimum from
+    the whole stream, so a longer stream can move an early boundary.
+    """
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        duration=st.floats(min_value=4.0, max_value=12.0),
+        cut=st.floats(min_value=0.05, max_value=1.0),
+        recipe=st.sampled_from(["mixture", "tone_noise", "tone_silence"]),
+        method=st.sampled_from(["main", "waveform"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_prefix_segments_but_the_last_are_the_streams_first(self, seed, duration, cut, recipe, method):
+        spec = SynthSpec(n_audios=1, duration_range=(duration, duration), recipe=recipe, seed=seed)
+        _, w = generate(spec)[0]
+        prefix = Waveform(w.samples[: max(DEFAULT_WINDOW, int(cut * len(w)))], FS)
+        cfg = SegmenterConfig(method=method, theta=default_theta(method))
+
+        def view(segs):
+            return [(s.frame_indices, s.start_time, s.duration) for s in segs]
+
+        head = view(segment(prefix, cfg))[:-1]
+        assert head == view(segment(w, cfg))[: len(head)]
