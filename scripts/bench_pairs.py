@@ -8,14 +8,22 @@
 For each workload W, pair i runs `python bench/run.py --workload W --seed SEED+i
 --seconds T --trace 0` once in each checkout; BASE goes first on even pairs and
 CHANGE on odd ones. For every end-to-end metric it prints each side's median
-and quartiles, the pairs CHANGE won (ties count for neither side), and whether
-the gain rule holds: CHANGE wins at least 9 of 10 pairs and the medians differ
-by more than BASE's interquartile range. Metric directions and the default run
-length come from BASE's BENCHMARK.json.
+and quartiles, the pairs CHANGE won (ties count for neither side), whether
+the gain rule holds (CHANGE wins at least 9 of 10 pairs and the medians differ
+by more than BASE's interquartile range), and the regression verdict:
+
+  worse       CHANGE's median is worse than BASE's by more than the metric's bound
+  unresolved  BASE's interquartile range, relative to its median, is wider than
+              the bound, and not every CHANGE run beats every BASE run
+  ok          neither
+
+Metric directions, bounds and the default run length come from BASE's
+BENCHMARK.json.
 
 --json writes the same summary, per workload and metric, with the environment
-record of each workload's first BASE run (its git revision, source digest,
-library versions and BLAS threads).
+record of each workload's first run on each side (its git revision, source
+digest, library versions and BLAS threads), so a side without a git revision
+is still named by its source digest.
 
 Exits 1 if any run is not `correct` or has failed operations, and 2 if a
 checkout cannot run the benchmark at all.
@@ -56,19 +64,33 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(better: str, pairs: list[tuple[float, float]]) -> dict:
-    """Each side's quartiles, CHANGE's wins and losses, and the gain rule's verdict."""
+def regression(sign: float, bound: float, pairs: list[tuple[float, float]]) -> str:
+    """`worse`, `unresolved` or `ok`, as the module docstring defines them; sign is +1 when higher is better."""
+    (bq1, bmed, bq3), (_, cmed, _) = (quartiles([p[side] for p in pairs]) for side in (0, 1))
+    if sign * (cmed - bmed) < -bound * abs(bmed):
+        return "worse"
+    dominates = min(sign * c for _, c in pairs) > max(sign * b for b, _ in pairs)
+    if bq3 - bq1 > bound * abs(bmed) and not dominates:
+        return "unresolved"
+    return "ok"
+
+
+def summarize(metric: dict, pairs: list[tuple[float, float]]) -> dict:
+    """Each side's quartiles, CHANGE's wins and losses, the gain rule's and the regression verdict."""
+    better = metric["better"]
     sign = 1.0 if better == "higher" else -1.0
     (bq1, bmed, bq3), (cq1, cmed, cq3) = (quartiles([p[side] for p in pairs]) for side in (0, 1))
     wins = sum(sign * (c - b) > 0 for b, c in pairs)
     return {
         "better": better,
+        "bound": metric["bound"],
         "base": {"q1": bq1, "median": bmed, "q3": bq3},
         "change": {"q1": cq1, "median": cmed, "q3": cq3},
         "pairs": len(pairs),
         "change_won": wins,
         "change_lost": sum(sign * (c - b) < 0 for b, c in pairs),
         "gain_rule_holds": wins >= 0.9 * len(pairs) and sign * (cmed - bmed) > bq3 - bq1,
+        "regression": regression(sign, metric["bound"], pairs),
     }
 
 
@@ -79,37 +101,45 @@ def summary_line(name: str, s: dict) -> str:
         f"{name:<13} base {base['median']:10.4g} [{base['q1']:.4g}, {base['q3']:.4g}]"
         f"  change {change['median']:10.4g} [{change['q1']:.4g}, {change['q3']:.4g}]"
         f"  {delta:+6.1f}%  change won {s['change_won']}/{s['pairs']} (lost {s['change_lost']}),"
-        f" {s['better']} is better, gain rule {'holds' if s['gain_rule_holds'] else 'not met'}"
+        f" {s['better']} is better, gain rule {'holds' if s['gain_rule_holds'] else 'not met'},"
+        f" regression {s['regression']} (bound {100 * s['bound']:g}%)"
     )
 
 
-def run_pairs(checkouts: dict, workload: str, args, seconds: float, better: dict) -> dict:
-    """Alternating pairs on one workload: its bad-run count, each metric's summary and BASE's environment."""
-    values: dict[str, list[tuple[float, float]]] = {name: [] for name in better}
+def run_pairs(checkouts: dict, workload: str, args, seconds: float, metrics: dict) -> dict:
+    """Alternating pairs on one workload: its bad-run count, each metric's summary and each side's environment."""
+    values: dict[str, list[tuple[float, float]]] = {name: [] for name in metrics}
     bad_runs = 0
-    environment = None
+    environments = {}
     for i in range(args.pairs):
         seed = args.seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         results = {side: run_bench(checkouts[side], workload, seed, seconds) for side in order}
-        environment = environment or results["base"]["environment"]
+        for side in SIDES:
+            environments.setdefault(side, results[side]["environment"])
         for side in order:
             r = results[side]
             ok = r["correct"] and r["failed"] == 0 and r["returncode"] == 0
             bad_runs += not ok
-            shown = "  ".join(f"{n}={r['metrics'][n]['value']:.4g}" for n in better if n in r["metrics"])
+            shown = "  ".join(f"{n}={r['metrics'][n]['value']:.4g}" for n in metrics if n in r["metrics"])
             print(f"pair {i} seed {seed} {side:<6} {'ok' if ok else 'FAILED'} "
                   f"({r['failed']}/{r['attempted']} failed)  {shown}", flush=True)
-        for name in better:
+        for name in metrics:
             if all(name in results[side]["metrics"] for side in SIDES):
                 values[name].append(tuple(results[side]["metrics"][name]["value"] for side in SIDES))
 
     last = args.seed + args.pairs - 1
     print(f"\n{workload}: {args.pairs} pairs, seeds {args.seed}..{last}, {seconds:g} s runs")
-    metrics = {name: summarize(better[name], pairs) for name, pairs in values.items() if pairs}
-    for name, summary in metrics.items():
+    summaries = {name: summarize(metrics[name], pairs) for name, pairs in values.items() if pairs}
+    for name, summary in summaries.items():
         print(summary_line(name, summary), flush=True)
-    return {"seeds": [args.seed, last], "bad_runs": bad_runs, "metrics": metrics, "base_environment": environment}
+    return {
+        "seeds": [args.seed, last],
+        "bad_runs": bad_runs,
+        "metrics": summaries,
+        "base_environment": environments["base"],
+        "change_environment": environments["change"],
+    }
 
 
 def main(argv=None) -> int:
@@ -126,10 +156,10 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
 
     checkouts = dict(zip(SIDES, (args.base, args.change)))
-    workloads = {workload: run_pairs(checkouts, workload, args, seconds, better) for workload in args.workload}
+    workloads = {workload: run_pairs(checkouts, workload, args, seconds, metrics) for workload in args.workload}
     bad_runs = sum(w["bad_runs"] for w in workloads.values())
     if args.json:
         report = {"pairs": args.pairs, "seconds": seconds, "workloads": workloads}

@@ -6,10 +6,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy import fft as sp_fft
+from scipy.signal import lfilter
 
 from .audio import Waveform
 from .dsp import ANALYSIS_BLOCK_FRAMES, DEFAULT_HOP, DEFAULT_WINDOW, HANN, frame_count, frame_span, stft
+
+# convolve_ir's input block: 16.4 s at 8 kHz, so training items and DTR queries of the
+# default durations are one block each.
+CONVOLVE_BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -108,15 +113,39 @@ def mix_background(
 
 
 def convolve_ir(w: Waveform, ir: Waveform) -> Waveform:
-    """Full linear convolution truncated to len(w), peak-matched to the input."""
+    """Full linear convolution truncated to len(w), peak-matched to the input.
+
+    The input is convolved in blocks of CONVOLVE_BLOCK samples, each one
+    rfft/irfft pair at next_fast_len(len(block) + len(ir) - 1), and the
+    blocks are overlap-added (Stockham 1966), so no buffer but the output
+    grows with the input. An input of at most one block is one FFT at the
+    length scipy.signal.fftconvolve picks, or, when the input or the IR is
+    one sample, fftconvolve's product, so its bytes are fftconvolve's.
+    """
     if len(ir) == 0:
         raise ValueError("empty impulse response")
-    out = fftconvolve(w.samples, ir.samples)[: len(w)]
-    peak_in = w.peak
-    peak_out = float(np.max(np.abs(out))) if out.size else 0.0
+    x, h = w.samples, ir.samples
+    if min(len(x), len(h)) == 1:
+        out = x * h[0]  # fftconvolve's own shortcut: a one-sample operand is a product
+    else:
+        out = np.empty(len(x))
+        spectra: dict[int, np.ndarray] = {}
+        filled = 0
+        for start in range(0, len(x), CONVOLVE_BLOCK):
+            block = x[start : start + CONVOLVE_BLOCK]
+            n = sp_fft.next_fast_len(len(block) + len(h) - 1, True)
+            if n not in spectra:
+                spectra[n] = sp_fft.rfft(h, n)
+            y = sp_fft.irfft(sp_fft.rfft(block, n) * spectra[n], n)
+            stop = min(len(x), start + len(block) + len(h) - 1)
+            out[start:filled] += y[: filled - start]
+            out[filled:stop] = y[filled - start : stop - start]
+            filled = stop
+    result = Waveform(out, w.sample_rate)
+    peak_in, peak_out = w.peak, result.peak
     if peak_out > 0.0 and peak_in > 0.0:
-        out = out * (peak_in / peak_out)
-    return Waveform(out, w.sample_rate)
+        out *= peak_in / peak_out  # in place: result holds out itself
+    return result
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy.signal import fftconvolve
 from scipy.special import expit
 
 from vlafp.audio import Waveform
@@ -188,6 +189,23 @@ def naive_convolve(x, h):
         for j in range(lo, i + 1):
             out[i] += x[j] * h[i - j]
     return out
+
+
+def convolve_ir(w: Waveform, ir: Waveform) -> Waveform:
+    """Whole-input FFT convolution truncated to len(w), peak-matched to the input.
+
+    The reference for augment.convolve_ir, which overlap-adds blocks of
+    augment.CONVOLVE_BLOCK samples and equals this byte for byte on an
+    input of at most one block.
+    """
+    if len(ir) == 0:
+        raise ValueError("empty impulse response")
+    out = fftconvolve(w.samples, ir.samples)[: len(w)]
+    peak_in = w.peak
+    peak_out = float(np.max(np.abs(out))) if out.size else 0.0
+    if peak_out > 0.0 and peak_in > 0.0:
+        out = out * (peak_in / peak_out)
+    return Waveform(out, w.sample_rate)
 
 
 # The whole-stream phase vocoder: the reference for augment.time_stretch,

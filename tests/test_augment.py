@@ -178,6 +178,73 @@ class TestConvolveIr:
             convolve_ir(tone_1k, Waveform(np.zeros(0), FS))
 
 
+def _ir(m: int, seed: int) -> Waveform:
+    return Waveform(0.3 * np.random.default_rng(seed).standard_normal(m), FS)
+
+
+def _assert_within_reference_peak(w: Waveform, ir: Waveform) -> None:
+    out, ref = convolve_ir(w, ir).samples, oracles.convolve_ir(w, ir).samples
+    assert out.shape == ref.shape
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestConvolveIrReference:
+    """convolve_ir overlap-adds blocks of CONVOLVE_BLOCK samples; oracles.convolve_ir is one whole-input FFT."""
+
+    @given(st.integers(1, 20_000), st.integers(1, 3_000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_one_block_is_the_reference_byte_for_byte(self, n, m, seed):
+        w, ir = _noise(n, seed), _ir(m, seed + 1)
+        assert convolve_ir(w, ir).samples.tobytes() == oracles.convolve_ir(w, ir).samples.tobytes()
+
+    @given(
+        st.sampled_from([7, 256, 4096]),
+        st.integers(1, 20_000),
+        st.integers(1, 3_000),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_many_blocks_agree_with_the_reference(self, block, n, m, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(augment, "CONVOLVE_BLOCK", block)
+            _assert_within_reference_peak(_noise(n, seed), _ir(m, seed + 1))
+
+    @pytest.mark.parametrize("m", [257, 1000, 3000])
+    def test_an_ir_longer_than_a_block(self, m, monkeypatch):
+        monkeypatch.setattr(augment, "CONVOLVE_BLOCK", 256)
+        _assert_within_reference_peak(_noise(5000, 5), _ir(m, 6))
+
+    @pytest.mark.parametrize("block", [7, 256, augment.CONVOLVE_BLOCK])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_whole_blocks_and_one_sample_more(self, block, blocks, extra, monkeypatch):
+        w, ir = _noise(blocks * block + extra, 7), _ir(300, 8)
+        if blocks * block + extra <= augment.CONVOLVE_BLOCK:
+            assert convolve_ir(w, ir).samples.tobytes() == oracles.convolve_ir(w, ir).samples.tobytes()
+        monkeypatch.setattr(augment, "CONVOLVE_BLOCK", block)
+        _assert_within_reference_peak(w, ir)
+
+    @pytest.mark.parametrize("block", [7, augment.CONVOLVE_BLOCK])
+    def test_empty_ir_error_is_unchanged(self, block, tone_1k, monkeypatch):
+        monkeypatch.setattr(augment, "CONVOLVE_BLOCK", block)
+        empty = Waveform(np.zeros(0), FS)
+        for convolve in (convolve_ir, oracles.convolve_ir):
+            with pytest.raises(ValueError, match="^empty impulse response$"):
+                convolve(tone_1k, empty)
+
+    def test_peak_memory_is_a_small_multiple_of_the_output(self):
+        # 300 s: the whole-input FFT convolution took about 4x the output.
+        w, ir = _noise(300 * FS, 3), make_ir_pool(1, 0.25, FS, 4)[0]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = convolve_ir(w, ir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.samples.nbytes
+
+
 @pytest.fixture(scope="module")
 def pools():
     return make_noise_pool(3, 1.0, FS, 1), make_ir_pool(3, 0.1, FS, 2)

@@ -1,0 +1,46 @@
+"""scripts/bench_pairs.py's regression verdict on made-up pairs of runs.
+
+The script is read and executed here, never imported, so scripts/ gains no
+files when this test runs.
+"""
+
+import types
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs() -> types.ModuleType:
+    module = types.ModuleType("bench_pairs")
+    module.__file__ = str(SCRIPT)
+    exec(compile(SCRIPT.read_text(), str(SCRIPT), "exec"), module.__dict__)
+    return module
+
+
+def verdict(bench_pairs, better, base, change, bound=0.25):
+    summary = bench_pairs.summarize({"better": better, "bound": bound}, list(zip(base, change)))
+    return summary["regression"]
+
+
+TIGHT = [9.8, 10.0, 10.0, 10.2]  # interquartile range 2% of the median
+WIDE = [6.0, 8.0, 12.0, 14.0]  # interquartile range 50% of the median
+
+
+@pytest.mark.parametrize(
+    "better, base, change, expected",
+    [
+        ("lower", TIGHT, [12.0, 12.4, 12.4, 12.5], "ok"),  # +24%: inside the bound
+        ("lower", TIGHT, [12.6, 12.6, 12.6, 12.6], "worse"),  # +26%
+        ("higher", TIGHT, [7.6, 7.6, 7.6, 7.6], "ok"),  # -24%
+        ("higher", TIGHT, [7.4, 7.4, 7.4, 7.4], "worse"),  # -26%
+        ("lower", WIDE, [6.0, 8.0, 12.0, 14.0], "unresolved"),
+        ("lower", WIDE, [5.0, 5.0, 5.5, 5.9], "ok"),  # every change run beats every base run
+        ("higher", WIDE, [5.0, 5.0, 5.5, 5.9], "worse"),
+        ("higher", WIDE, [14.1, 15.0, 15.0, 15.0], "ok"),
+    ],
+)
+def test_regression_verdict(bench_pairs, better, base, change, expected):
+    assert verdict(bench_pairs, better, base, change) == expected
