@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.signal import lfilter
 
 from .audio import Waveform
 from .dsp import ANALYSIS_BLOCK_FRAMES, DEFAULT_HOP, DEFAULT_WINDOW, HANN, frame_count, frame_span, stft
@@ -15,6 +14,10 @@ from .dsp import ANALYSIS_BLOCK_FRAMES, DEFAULT_HOP, DEFAULT_WINDOW, HANN, frame
 # convolve_ir's input block: 16.4 s at 8 kHz, so training items and DTR queries of the
 # default durations are one block each.
 CONVOLVE_BLOCK = 2**17
+
+# one_pole's chunk of samples run side by side, also the warm-up from which each
+# chunk but the first starts: 0.95**1024 is below 2**-75.
+ONE_POLE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -178,17 +181,60 @@ def augment_chain_with_draws(
     return out, ChainDraws(factor, bg_index, snr, ir_index)
 
 
+def one_pole(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Each row of x through y[n] = alpha*y[n-1] + (1 - alpha)*x[n] from y[-1] = 0, alpha per row.
+
+    Every step rounds as scipy.signal.lfilter([1 - alpha], [1, -alpha], row)
+    does, y[n] = fl(fl(alpha*y[n-1]) + fl((1 - alpha)*x[n])), so the bytes are
+    lfilter's. The rows are cut into chunks of ONE_POLE_CHUNK samples that
+    run side by side, one numpy step per sample of a chunk. Each chunk but
+    the first starts from state zero one chunk early; with |alpha| < 1 the
+    recurrence forgets that start. A chunk whose state after that warm-up is
+    not the previous chunk's exact last value, bit for bit, is rerun from
+    that value one sample at a time, so every chunk is exact.
+    """
+    chunk = ONE_POLE_CHUNK
+    rows, n = x.shape
+    a = np.asarray(alpha, dtype=np.float64)[:, None]
+    b = 1.0 - a
+    chunks = -(-n // chunk)
+    # Block 0 is zeros, block k + 1 holds chunk k: first fl((1 - alpha)*x), then y.
+    p = np.zeros((rows, chunks + 1, chunk))
+    flat = p.reshape(rows, -1)
+    np.multiply(b, x, out=flat[:, chunk : chunk + n])
+    state = np.zeros((rows, chunks))
+    for t in range(chunk):
+        state *= a
+        state += p[:, :-1, t]
+    warm = state.copy()
+    for t in range(chunk):
+        state *= a
+        state += p[:, 1:, t]
+        p[:, 1:, t] = state
+    for k in range(1, chunks):
+        last = p[:, k, -1]
+        bad = np.flatnonzero(warm[:, k].view(np.int64) != last.view(np.int64))
+        if bad.size:
+            y, ab, bb = last[bad], a[bad, 0], b[bad, 0]
+            for t in range(min(chunk, n - k * chunk)):
+                y = y * ab + bb * x[bad, k * chunk + t]
+                p[bad, k + 1, t] = y
+    return flat[:, chunk : chunk + n]
+
+
 def make_noise_pool(
     n: int, duration_s: float, sample_rate: int, seed: int
 ) -> tuple[Waveform, ...]:
     """Synthetic colored-noise pool: white noise shaped by a random one-pole filter."""
     rng = np.random.default_rng(seed)
-    pool = []
     length = int(duration_s * sample_rate)
-    for _ in range(n):
-        white = rng.standard_normal(length)
-        alpha = float(rng.uniform(0.0, 0.95))
-        shaped = lfilter([1.0 - alpha], [1.0, -alpha], white)
+    white = np.empty((n, length))
+    alpha = np.empty(n)
+    for i in range(n):
+        white[i] = rng.standard_normal(length)
+        alpha[i] = rng.uniform(0.0, 0.95)
+    pool = []
+    for shaped in one_pole(white, alpha):
         shaped /= max(np.max(np.abs(shaped)), 1e-12)
         pool.append(Waveform(0.5 * shaped, sample_rate))
     return tuple(pool)

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, lfilter
 from scipy.special import expit
 
 from vlafp.audio import Waveform
@@ -256,6 +256,22 @@ def time_stretch(w: Waveform, factor: float) -> Waveform:
         dphi -= 2.0 * np.pi * np.round(dphi / (2.0 * np.pi))
         phase = phase + omega + dphi
     return Waveform(_istft_overlap_add(out, target), w.sample_rate)
+
+
+def make_noise_pool(n: int, duration_s: float, sample_rate: int, seed: int) -> tuple[Waveform, ...]:
+    """The colored-noise pool with scipy.signal.lfilter, one row at a time: the
+    reference for augment.make_noise_pool, whose augment.one_pole runs the rows'
+    chunks side by side and equals lfilter byte for byte."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    length = int(duration_s * sample_rate)
+    for _ in range(n):
+        white = rng.standard_normal(length)
+        alpha = float(rng.uniform(0.0, 0.95))
+        shaped = lfilter([1.0 - alpha], [1.0, -alpha], white)
+        shaped /= max(np.max(np.abs(shaped)), 1e-12)
+        pool.append(Waveform(0.5 * shaped, sample_rate))
+    return tuple(pool)
 
 
 def exhaustive_best_f1(scores, labels):

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from vlafp import augment
 from vlafp.audio import Waveform
@@ -16,6 +17,7 @@ from vlafp.augment import (
     make_ir_pool,
     make_noise_pool,
     mix_background,
+    one_pole,
     time_stretch,
 )
 
@@ -243,6 +245,51 @@ class TestConvolveIrReference:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * out.samples.nbytes
+
+
+_CHUNK = augment.ONE_POLE_CHUNK
+
+
+@st.composite
+def _one_pole_inputs(draw):
+    rows = draw(st.integers(1, 8))
+    n = draw(
+        st.one_of(
+            st.integers(1, 5 * _CHUNK + 1),
+            st.sampled_from([k * _CHUNK + extra for k in range(1, 6) for extra in (0, 1)]),
+        )
+    )
+    alpha = draw(st.lists(st.floats(0.0, 0.9999), min_size=rows, max_size=rows))
+    return rows, n, alpha, draw(st.integers(0, 2**32 - 1))
+
+
+class TestOnePoleReference:
+    """one_pole runs chunks of ONE_POLE_CHUNK samples side by side; lfilter runs each row in order."""
+
+    @given(_one_pole_inputs())
+    # Every alpha at 0.99 or 0.9999: the warm-up leaves nearly every chunk's start wrong.
+    @example((3, 5 * _CHUNK + 1, [0.99] * 3, 1))
+    @example((2, 3 * _CHUNK, [0.9999, 0.99], 2))
+    @settings(max_examples=100, deadline=None)
+    def test_is_lfilter_byte_for_byte(self, case):
+        rows, n, alpha, seed = case
+        x = np.random.default_rng(seed).standard_normal((rows, n))
+        ref = np.stack([lfilter([1.0 - a], [1.0, -a], row) for row, a in zip(x, alpha)])
+        assert one_pole(x, np.array(alpha)).tobytes() == ref.tobytes()
+
+    def test_desk_pool_is_the_reference_pool(self):
+        _assert_same_pool(make_noise_pool(24, 3.0, FS, 11), oracles.make_noise_pool(24, 3.0, FS, 11))
+
+    @pytest.mark.parametrize("rate, seed", [(8000, 0), (16000, 7)])
+    def test_cli_pool_is_the_reference_pool(self, rate, seed):
+        # vlafp.cli.make_aug_config's synthetic BG pool.
+        args = (24, 3.0, rate, seed + 101)
+        _assert_same_pool(make_noise_pool(*args), oracles.make_noise_pool(*args))
+
+
+def _assert_same_pool(pool, ref):
+    assert [w.sample_rate for w in pool] == [w.sample_rate for w in ref]
+    assert [w.samples.tobytes() for w in pool] == [w.samples.tobytes() for w in ref]
 
 
 @pytest.fixture(scope="module")

@@ -682,3 +682,13 @@ class TestInspectAndInit:
     def test_inspect_missing_file(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "missing.bin")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy_signal():
+    # A fresh interpreter: this one has scipy.signal already, through tests/oracles.py.
+    src = str(Path(vlafp.__file__).resolve().parents[1])
+    code = "import sys, vlafp, vlafp.cli; print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, text=True, timeout=120
+    )
+    assert done.stdout.strip() == "[]"
