@@ -20,10 +20,15 @@ by more than BASE's interquartile range), and the regression verdict:
 Metric directions, bounds and the default run length come from BASE's
 BENCHMARK.json.
 
+Beside each run's metrics it prints the minor page faults and system CPU
+seconds that its bench/run.py process took (the getrusage(RUSAGE_CHILDREN)
+delta around it). They are reported, never gated.
+
 --json writes the same summary, per workload and metric, with the environment
 record of each workload's first run on each side (its git revision, source
 digest, library versions and BLAS threads), so a side without a git revision
-is still named by its source digest.
+is still named by its source digest, and each side's per-run faults and
+system seconds in pair order.
 
 Exits 1 if any run is not `correct` or has failed operations, and 2 if a
 checkout cannot run the benchmark at all.
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -41,10 +47,17 @@ from pathlib import Path
 SIDES = ("base", "change")
 
 
+def usage_delta(before, after) -> dict:
+    """Minor page faults and system CPU seconds between two getrusage() records."""
+    return {"minor_faults": after.ru_minflt - before.ru_minflt, "sys_s": after.ru_stime - before.ru_stime}
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run; its result line (the last line of stdout) with the exit code and environment added."""
+    """One untraced run; its result line (the last line of stdout) with the exit code, environment and usage added."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd + ["--trace", "0"], cwd=checkout, capture_output=True, text=True)
+    usage = usage_delta(before, resource.getrusage(resource.RUSAGE_CHILDREN))
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -53,6 +66,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         print(proc.stderr, file=sys.stderr)
         raise SystemExit(2) from None
     result["returncode"] = proc.returncode
+    result["usage"] = usage
     result["environment"] = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
     return result
 
@@ -107,8 +121,10 @@ def summary_line(name: str, s: dict) -> str:
 
 
 def run_pairs(checkouts: dict, workload: str, args, seconds: float, metrics: dict) -> dict:
-    """Alternating pairs on one workload: its bad-run count, each metric's summary and each side's environment."""
+    """Alternating pairs on one workload: its bad-run count, each metric's summary, and each side's
+    environment and per-run usage."""
     values: dict[str, list[tuple[float, float]]] = {name: [] for name in metrics}
+    usage: dict[str, list[dict]] = {side: [] for side in SIDES}
     bad_runs = 0
     environments = {}
     for i in range(args.pairs):
@@ -117,11 +133,13 @@ def run_pairs(checkouts: dict, workload: str, args, seconds: float, metrics: dic
         results = {side: run_bench(checkouts[side], workload, seed, seconds) for side in order}
         for side in SIDES:
             environments.setdefault(side, results[side]["environment"])
+            usage[side].append({"seed": seed, **results[side]["usage"]})
         for side in order:
             r = results[side]
             ok = r["correct"] and r["failed"] == 0 and r["returncode"] == 0
             bad_runs += not ok
             shown = "  ".join(f"{n}={r['metrics'][n]['value']:.4g}" for n in metrics if n in r["metrics"])
+            shown += f"  minor_faults={r['usage']['minor_faults']}  sys_s={r['usage']['sys_s']:.3g}"
             print(f"pair {i} seed {seed} {side:<6} {'ok' if ok else 'FAILED'} "
                   f"({r['failed']}/{r['attempted']} failed)  {shown}", flush=True)
         for name in metrics:
@@ -133,12 +151,16 @@ def run_pairs(checkouts: dict, workload: str, args, seconds: float, metrics: dic
     summaries = {name: summarize(metrics[name], pairs) for name, pairs in values.items() if pairs}
     for name, summary in summaries.items():
         print(summary_line(name, summary), flush=True)
+    for key in ("minor_faults", "sys_s"):
+        medians = {side: statistics.median(u[key] for u in usage[side]) for side in SIDES}
+        print(f"{key:<13} base {medians['base']:10.4g}  change {medians['change']:10.4g}  (median per run, not gated)")
     return {
         "seeds": [args.seed, last],
         "bad_runs": bad_runs,
         "metrics": summaries,
         "base_environment": environments["base"],
         "change_environment": environments["change"],
+        "usage": usage,
     }
 
 

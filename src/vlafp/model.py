@@ -117,7 +117,14 @@ def init_parameters(cfg: ModelConfig, seed: int = 0) -> Parameters:
 # The model is plain numpy over one (n, L, F) stack of equal-length segments.
 # In training each layer pushes the arrays its backward reads onto a tape (a
 # list), and each *_backward pops them in reverse order, adds the layer's
-# weight gradients into `grads` and returns the gradient of its inputs.
+# weight gradients into `grads` and returns the gradient of its inputs. A
+# layer keeps only what its backward cannot rebuild with one product of
+# arrays it already holds: a norm keeps xhat and r, an attention its
+# softmax, an FFN expit(x W1). The backward rebuilds each norm's output
+# (xhat * gain), the projections, the merged heads, SiLU and the gated
+# hidden with the forward's own calls, so its bytes are those of a tape
+# that kept them all. Popping frees each layer's arrays as soon as its
+# backward is done, so a forward's tape serves one backward.
 # Inference passes no tape, so every array is freed as soon as it is used.
 # The forward keeps the arithmetic of the graph reference in
 # tests/oracles.py (a mean is sum * (1/n), pooling a matmul with a 1/L row,
@@ -168,51 +175,60 @@ def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float, tape: list | None) ->
 def _rms_norm_backward(dy, w, name, tape, grads):
     xhat, r = tape.pop()
     grads[name] += _rows(dy * xhat).sum(axis=0)
-    dxhat = dy * w[name]
-    return (dxhat - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / r
+    dx = dy * w[name]
+    dx -= xhat * (dx * xhat).mean(axis=-1, keepdims=True)
+    dx /= r
+    return dx
+
+
+def _split(x: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """(n, rows, H*d_head) -> (n, H, rows, d_head), a view."""
+    return x.reshape(*x.shape[:-1], cfg.n_heads, cfg.d_head).swapaxes(-3, -2)
+
+
+def _merge(x: np.ndarray, cfg: ModelConfig) -> np.ndarray:
+    """(n, H, rows, d_head) -> (n, rows, H*d_head), the inverse of _split."""
+    x = x.swapaxes(-3, -2)
+    return x.reshape(*x.shape[:-2], cfg.n_heads * cfg.d_head)
+
+
+def _project(q_in, kv_in, w: Parameters, prefix: str, cfg: ModelConfig):
+    """Every head's queries, keys and values, each a _split view of one fused product."""
+    q = _split(q_in @ w[f"{prefix}.wq"], cfg)
+    k = _split(kv_in @ w[f"{prefix}.wk"], cfg)
+    v = _split(kv_in @ w[f"{prefix}.wv"], cfg)
+    return q, k, v
 
 
 def _attention(q_in, kv_in, w: Parameters, prefix: str, cfg: ModelConfig, tape: list | None) -> np.ndarray:
     """softmax(QK^T / sqrt(d_head)) V per head, heads merged, then W_O.
 
-    q_in is (n, Rq, d) and kv_in (n, Rk, d); each head is a (n, H, rows,
-    d_head) view of one fused projection.
+    q_in is (n, Rq, d) and kv_in (n, Rk, d). The tape keeps the softmax
+    alone: the backward is handed the inputs again and rebuilds q, k, v and
+    the merged heads from them with these same calls.
     """
-    n_heads, d_head = cfg.n_heads, cfg.d_head
-
-    def split(x):  # (n, rows, H*dh) -> (n, H, rows, dh)
-        return x.reshape(*x.shape[:-1], n_heads, d_head).swapaxes(-3, -2)
-
-    q = split(q_in @ w[f"{prefix}.wq"])
-    k = split(kv_in @ w[f"{prefix}.wk"])
-    v = split(kv_in @ w[f"{prefix}.wv"])
-    logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_head))
+    q, k, v = _project(q_in, kv_in, w, prefix, cfg)
+    logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(cfg.d_head))
     p = np.exp(logits - logits.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
-    att = (p @ v).swapaxes(-3, -2)
-    merged = att.reshape(*att.shape[:-2], n_heads * d_head)
     if tape is not None:
-        tape.append((q_in, kv_in, q, k, v, p, merged))
-    return merged @ w[f"{prefix}.wo"]
+        tape.append(p)
+    return _merge(p @ v, cfg) @ w[f"{prefix}.wo"]
 
 
-def _attention_backward(dout, w, prefix, cfg, tape, grads):
-    """Gradients of the query and the key/value inputs of _attention."""
-    q_in, kv_in, q, k, v, p, merged = tape.pop()
-    n_heads, d_head = cfg.n_heads, cfg.d_head
-
-    def merge(x):  # (n, H, rows, dh) -> (n, rows, H*dh)
-        x = x.swapaxes(-3, -2)
-        return x.reshape(*x.shape[:-2], n_heads * d_head)
-
-    grads[f"{prefix}.wo"] += _rows(merged).T @ _rows(dout)
-    datt = dout @ w[f"{prefix}.wo"].T
-    datt = datt.reshape(*datt.shape[:-1], n_heads, d_head).swapaxes(-3, -2)
-    dp = datt @ v.swapaxes(-1, -2)
-    dv = merge(p.swapaxes(-1, -2) @ datt)
-    dlogits = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * (1.0 / math.sqrt(d_head))
-    dq = merge(dlogits @ k)
-    dk = merge(dlogits.swapaxes(-1, -2) @ q)
+def _attention_backward(dout, q_in, kv_in, w, prefix, cfg, tape, grads):
+    """Gradients of the query and the key/value inputs of _attention, given those inputs."""
+    p = tape.pop()
+    q, k, v = _project(q_in, kv_in, w, prefix, cfg)
+    grads[f"{prefix}.wo"] += _rows(_merge(p @ v, cfg)).T @ _rows(dout)
+    datt = _split(dout @ w[f"{prefix}.wo"].T, cfg)
+    dv = _merge(p.swapaxes(-1, -2) @ datt, cfg)
+    dlogits = datt @ v.swapaxes(-1, -2)  # d(p), turned into d(logits) in place
+    dlogits -= (dlogits * p).sum(axis=-1, keepdims=True)
+    dlogits *= p
+    dlogits *= 1.0 / math.sqrt(cfg.d_head)
+    dq = _merge(dlogits @ k, cfg)
+    dk = _merge(dlogits.swapaxes(-1, -2) @ q, cfg)
     grads[f"{prefix}.wq"] += _rows(q_in).T @ _rows(dq)
     grads[f"{prefix}.wk"] += _rows(kv_in).T @ _rows(dk)
     grads[f"{prefix}.wv"] += _rows(kv_in).T @ _rows(dv)
@@ -222,42 +238,73 @@ def _attention_backward(dout, w, prefix, cfg, tape, grads):
 
 
 def _ffn(x: np.ndarray, w: Parameters, prefix: str, tape: list | None) -> np.ndarray:
-    """Gated feedforward: (SiLU(x W1) * (x W3)) W2."""
+    """Gated feedforward: (SiLU(x W1) * (x W3)) W2.
+
+    The tape keeps gate = expit(x W1) alone: the backward is handed x again,
+    rebuilds u = x W1 and lin = x W3 with the same products, and SiLU as
+    u * gate without a second expit.
+    """
     u = x @ w[f"{prefix}.w1"]
     gate = expit(u)
-    silu = u * gate
     lin = x @ w[f"{prefix}.w3"]
-    hidden = silu * lin
     if tape is not None:
-        tape.append((x, u, gate, silu, lin, hidden))
-    return hidden @ w[f"{prefix}.w2"]
+        tape.append(gate)
+    return (u * gate * lin) @ w[f"{prefix}.w2"]
 
 
-def _ffn_backward(dout, w, prefix, tape, grads):
-    x, u, gate, silu, lin, hidden = tape.pop()
-    grads[f"{prefix}.w2"] += _rows(hidden).T @ _rows(dout)
+def _ffn_backward(dout, x, w, prefix, tape, grads):
+    """The gradient of _ffn's input x, given x. du is computed in lin's buffer, the SiLU slope in gate's."""
+    gate = tape.pop()
+    u = x @ w[f"{prefix}.w1"]
+    lin = x @ w[f"{prefix}.w3"]
+    silu = u * gate
+    grads[f"{prefix}.w2"] += _rows(silu * lin).T @ _rows(dout)
     dhidden = dout @ w[f"{prefix}.w2"].T
-    du = dhidden * lin * gate * (1.0 + u * (1.0 - gate))
-    dlin = dhidden * silu
+    du = lin  # dhidden * lin * gate * (1 + u * (1 - gate)), left to right
+    du *= dhidden
+    du *= gate
+    slope = np.subtract(1.0, gate, out=gate)
+    slope *= u
+    slope += 1.0
+    du *= slope
+    dlin = dhidden
+    dlin *= silu
     grads[f"{prefix}.w1"] += _rows(x).T @ _rows(du)
     grads[f"{prefix}.w3"] += _rows(x).T @ _rows(dlin)
     return du @ w[f"{prefix}.w1"].T + dlin @ w[f"{prefix}.w3"].T
 
 
+def _norm_output(entry, gain: np.ndarray) -> np.ndarray:
+    """A norm's output rebuilt from its (xhat, r) tape entry: the forward's own product."""
+    return entry[0] * gain
+
+
 def _block_frames(h_prev: np.ndarray, w: Parameters, block: int, cfg: ModelConfig, tape: list | None):
-    """Pre-norm residual frame update: self-attention then gated FFN."""
+    """Pre-norm residual frame update: self-attention then gated FFN.
+
+    Both norms push onto a list of their own, which goes on the tape after
+    the attention and the FFN so that the backward pops it first and hands
+    each layer the norm output it read.
+    """
     p = f"block{block}"
-    normed = _rms_norm(h_prev, w[f"{p}.attn_norm.gain"], cfg.eps, tape)
+    norms = None if tape is None else []
+    normed = _rms_norm(h_prev, w[f"{p}.attn_norm.gain"], cfg.eps, norms)
     h = h_prev + _attention(normed, normed, w, f"{p}.attn", cfg, tape)
-    return h + _ffn(_rms_norm(h, w[f"{p}.ffn_norm.gain"], cfg.eps, tape), w, f"{p}.ffn", tape)
+    h = h + _ffn(_rms_norm(h, w[f"{p}.ffn_norm.gain"], cfg.eps, norms), w, f"{p}.ffn", tape)
+    if tape is not None:
+        tape.append(norms)
+    return h
 
 
 def _block_frames_backward(dh_out, w, block, cfg, tape, grads):
     p = f"block{block}"
-    dnormed = _ffn_backward(dh_out, w, f"{p}.ffn", tape, grads)
-    dh = dh_out + _rms_norm_backward(dnormed, w, f"{p}.ffn_norm.gain", tape, grads)
-    dq_in, dkv_in = _attention_backward(dh, w, f"{p}.attn", cfg, tape, grads)
-    return dh + _rms_norm_backward(dq_in + dkv_in, w, f"{p}.attn_norm.gain", tape, grads)
+    attn_gain, ffn_gain = f"{p}.attn_norm.gain", f"{p}.ffn_norm.gain"
+    norms = tape.pop()
+    dnormed = _ffn_backward(dh_out, _norm_output(norms[1], w[ffn_gain]), w, f"{p}.ffn", tape, grads)
+    dh = dh_out + _rms_norm_backward(dnormed, w, ffn_gain, norms, grads)
+    normed = _norm_output(norms[0], w[attn_gain])
+    dq_in, dkv_in = _attention_backward(dh, normed, normed, w, f"{p}.attn", cfg, tape, grads)
+    return dh + _rms_norm_backward(dq_in + dkv_in, w, attn_gain, norms, grads)
 
 
 def _seg_init(h1: np.ndarray, w: Parameters, cfg: ModelConfig, tape: list | None) -> np.ndarray:
@@ -284,19 +331,30 @@ def _seg_init_backward(ds, w, cfg, tape, grads):
 
 
 def _cross_block(s_prev, frames, w: Parameters, block: int, cfg: ModelConfig, tape: list | None):
-    """Segment embeddings attend to frames; a single residual addition."""
+    """Segment embeddings attend to frames; a single residual addition.
+
+    The two norms keep their tape entries on a list of their own, as in
+    _block_frames.
+    """
     p = f"block{block}"
-    q = _rms_norm(s_prev, w[f"{p}.cross_qnorm.gain"], cfg.eps, tape)
-    kv = _rms_norm(frames, w[f"{p}.cross_kvnorm.gain"], cfg.eps, tape)
-    return s_prev + _attention(q, kv, w, f"{p}.cross", cfg, tape)
+    norms = None if tape is None else []
+    q = _rms_norm(s_prev, w[f"{p}.cross_qnorm.gain"], cfg.eps, norms)
+    kv = _rms_norm(frames, w[f"{p}.cross_kvnorm.gain"], cfg.eps, norms)
+    s = s_prev + _attention(q, kv, w, f"{p}.cross", cfg, tape)
+    if tape is not None:
+        tape.append(norms)
+    return s
 
 
 def _cross_block_backward(ds_out, w, block, cfg, tape, grads):
     """Gradients of the segment embeddings and of the frames."""
     p = f"block{block}"
-    dq, dkv = _attention_backward(ds_out, w, f"{p}.cross", cfg, tape, grads)
-    dframes = _rms_norm_backward(dkv, w, f"{p}.cross_kvnorm.gain", tape, grads)
-    return ds_out + _rms_norm_backward(dq, w, f"{p}.cross_qnorm.gain", tape, grads), dframes
+    q_gain, kv_gain = f"{p}.cross_qnorm.gain", f"{p}.cross_kvnorm.gain"
+    norms = tape.pop()
+    q, kv = _norm_output(norms[0], w[q_gain]), _norm_output(norms[1], w[kv_gain])
+    dq, dkv = _attention_backward(ds_out, q, kv, w, f"{p}.cross", cfg, tape, grads)
+    dframes = _rms_norm_backward(dkv, w, kv_gain, norms, grads)
+    return ds_out + _rms_norm_backward(dq, w, q_gain, norms, grads), dframes
 
 
 def _forward_stack(x: np.ndarray, w: Parameters, cfg: ModelConfig, tape: list | None = None) -> np.ndarray:
@@ -374,16 +432,24 @@ def fingerprint_batch_forward(batch: PackedBatch, params: Parameters, cfg: Model
 
     z is the (n_segments, d) fingerprints in batch order. backward(dz), given
     dz = d(objective)/dz, runs _backward_stack over every stack and returns
-    the gradient of every parameter under its per-head name.
+    the gradient of every parameter under its per-head name. It consumes the
+    forward's tapes, so it runs once; a second call is a RuntimeError.
     """
     w = _fuse_heads(params, cfg)
-    tapes: list = []
+    tapes: list | None = []
     z = _forward_batch(batch, w, cfg, tapes)
 
     def backward(dz: np.ndarray) -> Parameters:
+        nonlocal tapes
+        if tapes is None:
+            raise RuntimeError(
+                "backward already ran for this forward: it frees the forward's tape as it goes, "
+                "so a second backward needs a second forward"
+            )
+        stacks, tapes = tapes, None
         grads = {name: np.zeros_like(v) for name, v in w.items()}
-        for chunk, tape in tapes:  # pop from a copy: backward may run more than once
-            _backward_stack(dz[chunk], w, cfg, list(tape), grads)
+        for chunk, tape in stacks:  # each layer's backward pops, and so frees, its part of the tape
+            _backward_stack(dz[chunk], w, cfg, tape, grads)
         return _split_heads(grads, cfg)
 
     return z, backward

@@ -9,7 +9,15 @@ from scipy.special import expit
 from vlafp.audio import Waveform
 from vlafp.autodiff import Tensor, concat
 from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, HANN, mel_spectrogram, stft
-from vlafp.model import MAX_ATTENTION_CELLS, ModelConfig, PackedBatch, Parameters
+from vlafp.model import (
+    MAX_ATTENTION_CELLS,
+    ModelConfig,
+    PackedBatch,
+    Parameters,
+    _fuse_heads,
+    _rows,
+    _split_heads,
+)
 from vlafp.segmentation import MIN_STD
 
 
@@ -524,6 +532,249 @@ def fingerprint_forward(mel: Tensor, tp: dict[str, Tensor], cfg: ModelConfig) ->
             s = init_segment_embeddings(h, tp, cfg)
         s = cross_attention_block(s, h, tp, block, cfg)
     return l2_normalize(s.mean(axis=0))
+
+
+# -- the store-everything training tape ------------------------------------
+#
+# vlafp.model's forward and backward as they were when every layer kept each
+# array its backward reads (q, k, v and the merged heads of an attention,
+# SiLU and the gated hidden of an FFN) and the backward popped from copies of
+# the tapes, so it could run more than once. Kept verbatim as the byte
+# reference for the tape that keeps only what cannot be rebuilt; only the
+# entry point is renamed, from fingerprint_batch_forward.
+
+
+def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float, tape: list | None) -> np.ndarray:
+    """x / sqrt(mean(x^2) + eps) over the last axis, scaled by gain."""
+    r = np.sqrt((x * x).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1]) + eps)
+    xhat = x / r
+    if tape is not None:
+        tape.append((xhat, r))
+    return xhat * gain
+
+
+def _rms_norm_backward(dy, w, name, tape, grads):
+    xhat, r = tape.pop()
+    grads[name] += _rows(dy * xhat).sum(axis=0)
+    dxhat = dy * w[name]
+    return (dxhat - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / r
+
+
+def _attention(q_in, kv_in, w: Parameters, prefix: str, cfg: ModelConfig, tape: list | None) -> np.ndarray:
+    """softmax(QK^T / sqrt(d_head)) V per head, heads merged, then W_O.
+
+    q_in is (n, Rq, d) and kv_in (n, Rk, d); each head is a (n, H, rows,
+    d_head) view of one fused projection.
+    """
+    n_heads, d_head = cfg.n_heads, cfg.d_head
+
+    def split(x):  # (n, rows, H*dh) -> (n, H, rows, dh)
+        return x.reshape(*x.shape[:-1], n_heads, d_head).swapaxes(-3, -2)
+
+    q = split(q_in @ w[f"{prefix}.wq"])
+    k = split(kv_in @ w[f"{prefix}.wk"])
+    v = split(kv_in @ w[f"{prefix}.wv"])
+    logits = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_head))
+    p = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    att = (p @ v).swapaxes(-3, -2)
+    merged = att.reshape(*att.shape[:-2], n_heads * d_head)
+    if tape is not None:
+        tape.append((q_in, kv_in, q, k, v, p, merged))
+    return merged @ w[f"{prefix}.wo"]
+
+
+def _attention_backward(dout, w, prefix, cfg, tape, grads):
+    """Gradients of the query and the key/value inputs of _attention."""
+    q_in, kv_in, q, k, v, p, merged = tape.pop()
+    n_heads, d_head = cfg.n_heads, cfg.d_head
+
+    def merge(x):  # (n, H, rows, dh) -> (n, rows, H*dh)
+        x = x.swapaxes(-3, -2)
+        return x.reshape(*x.shape[:-2], n_heads * d_head)
+
+    grads[f"{prefix}.wo"] += _rows(merged).T @ _rows(dout)
+    datt = dout @ w[f"{prefix}.wo"].T
+    datt = datt.reshape(*datt.shape[:-1], n_heads, d_head).swapaxes(-3, -2)
+    dp = datt @ v.swapaxes(-1, -2)
+    dv = merge(p.swapaxes(-1, -2) @ datt)
+    dlogits = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * (1.0 / math.sqrt(d_head))
+    dq = merge(dlogits @ k)
+    dk = merge(dlogits.swapaxes(-1, -2) @ q)
+    grads[f"{prefix}.wq"] += _rows(q_in).T @ _rows(dq)
+    grads[f"{prefix}.wk"] += _rows(kv_in).T @ _rows(dk)
+    grads[f"{prefix}.wv"] += _rows(kv_in).T @ _rows(dv)
+    dq_in = dq @ w[f"{prefix}.wq"].T
+    dkv_in = dk @ w[f"{prefix}.wk"].T + dv @ w[f"{prefix}.wv"].T
+    return dq_in, dkv_in
+
+
+def _ffn(x: np.ndarray, w: Parameters, prefix: str, tape: list | None) -> np.ndarray:
+    """Gated feedforward: (SiLU(x W1) * (x W3)) W2."""
+    u = x @ w[f"{prefix}.w1"]
+    gate = expit(u)
+    silu = u * gate
+    lin = x @ w[f"{prefix}.w3"]
+    hidden = silu * lin
+    if tape is not None:
+        tape.append((x, u, gate, silu, lin, hidden))
+    return hidden @ w[f"{prefix}.w2"]
+
+
+def _ffn_backward(dout, w, prefix, tape, grads):
+    x, u, gate, silu, lin, hidden = tape.pop()
+    grads[f"{prefix}.w2"] += _rows(hidden).T @ _rows(dout)
+    dhidden = dout @ w[f"{prefix}.w2"].T
+    du = dhidden * lin * gate * (1.0 + u * (1.0 - gate))
+    dlin = dhidden * silu
+    grads[f"{prefix}.w1"] += _rows(x).T @ _rows(du)
+    grads[f"{prefix}.w3"] += _rows(x).T @ _rows(dlin)
+    return du @ w[f"{prefix}.w1"].T + dlin @ w[f"{prefix}.w3"].T
+
+
+def _block_frames(h_prev: np.ndarray, w: Parameters, block: int, cfg: ModelConfig, tape: list | None):
+    """Pre-norm residual frame update: self-attention then gated FFN."""
+    p = f"block{block}"
+    normed = _rms_norm(h_prev, w[f"{p}.attn_norm.gain"], cfg.eps, tape)
+    h = h_prev + _attention(normed, normed, w, f"{p}.attn", cfg, tape)
+    return h + _ffn(_rms_norm(h, w[f"{p}.ffn_norm.gain"], cfg.eps, tape), w, f"{p}.ffn", tape)
+
+
+def _block_frames_backward(dh_out, w, block, cfg, tape, grads):
+    p = f"block{block}"
+    dnormed = _ffn_backward(dh_out, w, f"{p}.ffn", tape, grads)
+    dh = dh_out + _rms_norm_backward(dnormed, w, f"{p}.ffn_norm.gain", tape, grads)
+    dq_in, dkv_in = _attention_backward(dh, w, f"{p}.attn", cfg, tape, grads)
+    return dh + _rms_norm_backward(dq_in + dkv_in, w, f"{p}.attn_norm.gain", tape, grads)
+
+
+def _seg_init(h1: np.ndarray, w: Parameters, cfg: ModelConfig, tape: list | None) -> np.ndarray:
+    """Mean-pool each segment of an (n, L, d) stack, project once per head: (n, H, d).
+
+    The mean is a matmul with a 1/L pooling row, not a sum and a divide:
+    retraining bench/desk.vlfp reproduces it bit for bit only with this
+    rounding (`bench/make_checkpoint.py --check`).
+    """
+    n, length, _ = h1.shape
+    pooled = np.full((n, 1, length), 1.0 / length) @ h1  # (n, 1, d)
+    if tape is not None:
+        tape.append((pooled, length))
+    return np.concatenate([pooled @ w[f"seg_init.ws.{h}"] for h in range(cfg.n_heads)], axis=1)
+
+
+def _seg_init_backward(ds, w, cfg, tape, grads):
+    pooled, length = tape.pop()
+    dpooled = 0.0
+    for h in range(cfg.n_heads):
+        grads[f"seg_init.ws.{h}"] += pooled[:, 0].T @ ds[:, h]
+        dpooled = dpooled + ds[:, h : h + 1] @ w[f"seg_init.ws.{h}"].T
+    return np.broadcast_to(dpooled * (1.0 / length), (ds.shape[0], length, ds.shape[2]))
+
+
+def _cross_block(s_prev, frames, w: Parameters, block: int, cfg: ModelConfig, tape: list | None):
+    """Segment embeddings attend to frames; a single residual addition."""
+    p = f"block{block}"
+    q = _rms_norm(s_prev, w[f"{p}.cross_qnorm.gain"], cfg.eps, tape)
+    kv = _rms_norm(frames, w[f"{p}.cross_kvnorm.gain"], cfg.eps, tape)
+    return s_prev + _attention(q, kv, w, f"{p}.cross", cfg, tape)
+
+
+def _cross_block_backward(ds_out, w, block, cfg, tape, grads):
+    """Gradients of the segment embeddings and of the frames."""
+    p = f"block{block}"
+    dq, dkv = _attention_backward(ds_out, w, f"{p}.cross", cfg, tape, grads)
+    dframes = _rms_norm_backward(dkv, w, f"{p}.cross_kvnorm.gain", tape, grads)
+    return ds_out + _rms_norm_backward(dq, w, f"{p}.cross_qnorm.gain", tape, grads), dframes
+
+
+def _forward_stack(x: np.ndarray, w: Parameters, cfg: ModelConfig, tape: list | None = None) -> np.ndarray:
+    """Forward n equal-length segments stacked as (n, L, F): (n, d) unit fingerprints.
+
+    w holds head-fused weights (_fuse_heads). Given a tape, the forward
+    pushes onto it what _backward_stack pops.
+    """
+    if tape is not None:
+        tape.append(x)
+    h = x @ w["w0"] + w["b0"]
+    for block in range(cfg.n_blocks):
+        h = _block_frames(h, w, block, cfg, tape)
+        if block == 0:
+            s = _seg_init(h, w, cfg, tape)
+        s = _cross_block(s, h, w, block, cfg, tape)
+    mean = s.sum(axis=1) * (1.0 / s.shape[1])
+    norm = np.sqrt((mean * mean).sum(axis=-1, keepdims=True) + 1e-24)
+    z = mean / norm
+    if tape is not None:
+        tape.append((z, norm))
+    return z
+
+
+def _backward_stack(dz: np.ndarray, w: Parameters, cfg: ModelConfig, tape: list, grads: Parameters) -> None:
+    """Add one stack's weight gradients into grads, given dz = d(objective)/d(fingerprints)."""
+    z, norm = tape.pop()
+    dmean = (dz - z * (dz * z).sum(axis=-1, keepdims=True)) / norm
+    ds = np.broadcast_to((dmean * (1.0 / cfg.n_heads))[:, None], (dz.shape[0], cfg.n_heads, cfg.d))
+    dh = 0.0
+    for block in reversed(range(cfg.n_blocks)):
+        ds, dframes = _cross_block_backward(ds, w, block, cfg, tape, grads)
+        dh = dh + dframes
+        if block == 0:
+            dh = dh + _seg_init_backward(ds, w, cfg, tape, grads)
+        dh = _block_frames_backward(dh, w, block, cfg, tape, grads)
+    x = tape.pop()
+    grads["w0"] += _rows(x).T @ _rows(dh)
+    grads["b0"] += _rows(dh).sum(axis=0)
+
+
+def _stacks(batch: PackedBatch):
+    """(segment indices, (n, L, F) stack) for each group of equal-length mels.
+
+    A group whose self-attention would exceed MAX_ATTENTION_CELLS comes in
+    chunks, so no attention crosses a segment boundary and nothing needs a
+    mask.
+    """
+    groups: dict[int, list[int]] = {}  # length -> segment indices
+    for i, mel in enumerate(batch.mels):
+        groups.setdefault(mel.shape[0], []).append(i)
+    for length, members in groups.items():
+        per_chunk = max(1, MAX_ATTENTION_CELLS // (length * length))
+        for start in range(0, len(members), per_chunk):
+            chunk = members[start : start + per_chunk]
+            yield chunk, np.stack([batch.mels[i] for i in chunk])
+
+
+def _forward_batch(batch: PackedBatch, w: Parameters, cfg: ModelConfig, tapes: list | None = None) -> np.ndarray:
+    """(n_segments, d) unit fingerprints in batch order, forwarded stack by stack.
+
+    Given tapes, appends one (segment indices, tape) pair per stack.
+    """
+    z = np.empty((batch.n_segments, cfg.d))
+    for chunk, x in _stacks(batch):
+        tape = None if tapes is None else []
+        z[chunk] = _forward_stack(x, w, cfg, tape)
+        if tapes is not None:
+            tapes.append((chunk, tape))
+    return z
+
+
+def store_everything_forward(batch: PackedBatch, params: Parameters, cfg: ModelConfig):
+    """Training forward of a packed batch: (z, backward).
+
+    z is the (n_segments, d) fingerprints in batch order. backward(dz), given
+    dz = d(objective)/dz, runs _backward_stack over every stack and returns
+    the gradient of every parameter under its per-head name.
+    """
+    w = _fuse_heads(params, cfg)
+    tapes: list = []
+    z = _forward_batch(batch, w, cfg, tapes)
+
+    def backward(dz: np.ndarray) -> Parameters:
+        grads = {name: np.zeros_like(v) for name, v in w.items()}
+        for chunk, tape in tapes:  # pop from a copy: backward may run more than once
+            _backward_stack(dz[chunk], w, cfg, list(tape), grads)
+        return _split_heads(grads, cfg)
+
+    return z, backward
 
 
 def segment_waveform_span(w, seg):

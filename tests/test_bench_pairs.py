@@ -1,9 +1,13 @@
-"""scripts/bench_pairs.py's regression verdict on made-up pairs of runs.
+"""scripts/bench_pairs.py's regression verdict on made-up pairs of runs, and
+the page-fault and system-time delta it takes around each run.
 
 The script is read and executed here, never imported, so scripts/ gains no
 files when this test runs.
 """
 
+import resource
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -44,3 +48,18 @@ WIDE = [6.0, 8.0, 12.0, 14.0]  # interquartile range 50% of the median
 )
 def test_regression_verdict(bench_pairs, better, base, change, expected):
     assert verdict(bench_pairs, better, base, change) == expected
+
+
+def test_usage_delta_subtracts_faults_and_system_seconds(bench_pairs):
+    before = types.SimpleNamespace(ru_minflt=1200, ru_stime=0.75)
+    after = types.SimpleNamespace(ru_minflt=4500, ru_stime=1.25)
+    assert bench_pairs.usage_delta(before, after) == {"minor_faults": 3300, "sys_s": 0.5}
+
+
+def test_usage_delta_counts_a_child_that_touches_memory(bench_pairs):
+    # 40 MB written byte by byte is about 10 000 fresh pages.
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    subprocess.run([sys.executable, "-c", "b = bytearray(b'x' * 40_000_000)"], check=True)
+    delta = bench_pairs.usage_delta(before, resource.getrusage(resource.RUSAGE_CHILDREN))
+    assert delta["minor_faults"] >= 9_000
+    assert delta["sys_s"] >= 0.0
