@@ -20,15 +20,19 @@ by more than BASE's interquartile range), and the regression verdict:
 Metric directions, bounds and the default run length come from BASE's
 BENCHMARK.json.
 
-Beside each run's metrics it prints the minor page faults and system CPU
-seconds that its bench/run.py process took (the getrusage(RUSAGE_CHILDREN)
-delta around it). They are reported, never gated.
+Beside each run's metrics it prints the minor page faults, system and user
+CPU seconds and involuntary context switches that its bench/run.py process
+took (the getrusage(RUSAGE_CHILDREN) delta around it), and that process's
+CPU seconds (user plus system, set-up included) per attempted op, as its
+result line counts them (builds and final checks included). They are
+reported, never gated: an effect in CPU per op and not in wall time points
+to other load on the machine, one in both to the process.
 
 --json writes the same summary, per workload and metric, with the environment
 record of each workload's first run on each side (its git revision, source
 digest, library versions and BLAS threads), so a side without a git revision
-is still named by its source digest, and each side's per-run faults and
-system seconds in pair order.
+is still named by its source digest, and each side's per-run usage in pair
+order.
 
 Exits 1 if any run is not `correct` or has failed operations, and 2 if a
 checkout cannot run the benchmark at all.
@@ -45,11 +49,23 @@ import sys
 from pathlib import Path
 
 SIDES = ("base", "change")
+USAGE_KEYS = ("minor_faults", "sys_s", "user_s", "involuntary_switches", "cpu_s_per_op")
 
 
 def usage_delta(before, after) -> dict:
-    """Minor page faults and system CPU seconds between two getrusage() records."""
-    return {"minor_faults": after.ru_minflt - before.ru_minflt, "sys_s": after.ru_stime - before.ru_stime}
+    """Minor page faults, system and user CPU seconds and involuntary context switches between two
+    getrusage() records."""
+    return {
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+        "sys_s": after.ru_stime - before.ru_stime,
+        "user_s": after.ru_utime - before.ru_utime,
+        "involuntary_switches": after.ru_nivcsw - before.ru_nivcsw,
+    }
+
+
+def cpu_s_per_op(usage: dict, attempted: int) -> float:
+    """The run's user plus system CPU seconds per attempted op (NaN when it attempted none)."""
+    return (usage["user_s"] + usage["sys_s"]) / attempted if attempted else float("nan")
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -66,7 +82,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         print(proc.stderr, file=sys.stderr)
         raise SystemExit(2) from None
     result["returncode"] = proc.returncode
-    result["usage"] = usage
+    result["usage"] = {**usage, "cpu_s_per_op": cpu_s_per_op(usage, result["attempted"])}
     result["environment"] = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
     return result
 
@@ -139,7 +155,7 @@ def run_pairs(checkouts: dict, workload: str, args, seconds: float, metrics: dic
             ok = r["correct"] and r["failed"] == 0 and r["returncode"] == 0
             bad_runs += not ok
             shown = "  ".join(f"{n}={r['metrics'][n]['value']:.4g}" for n in metrics if n in r["metrics"])
-            shown += f"  minor_faults={r['usage']['minor_faults']}  sys_s={r['usage']['sys_s']:.3g}"
+            shown += "".join(f"  {key}={r['usage'][key]:.4g}" for key in USAGE_KEYS)
             print(f"pair {i} seed {seed} {side:<6} {'ok' if ok else 'FAILED'} "
                   f"({r['failed']}/{r['attempted']} failed)  {shown}", flush=True)
         for name in metrics:
@@ -151,9 +167,9 @@ def run_pairs(checkouts: dict, workload: str, args, seconds: float, metrics: dic
     summaries = {name: summarize(metrics[name], pairs) for name, pairs in values.items() if pairs}
     for name, summary in summaries.items():
         print(summary_line(name, summary), flush=True)
-    for key in ("minor_faults", "sys_s"):
+    for key in USAGE_KEYS:
         medians = {side: statistics.median(u[key] for u in usage[side]) for side in SIDES}
-        print(f"{key:<13} base {medians['base']:10.4g}  change {medians['change']:10.4g}  (median per run, not gated)")
+        print(f"{key:<20} base {medians['base']:10.4g}  change {medians['change']:10.4g}  (median per run, not gated)")
     return {
         "seeds": [args.seed, last],
         "bad_runs": bad_runs,

@@ -3,9 +3,9 @@
 __version__ = "0.1.0"
 
 from .audio import Waveform, load_audio, read_wav, write_wav
-from .dsp import MelConfig, MelSpectrogram, StftFrames, mel_spectrogram, spectral_entropy, stft
-from .model import Fingerprint, ModelConfig, PackedBatch, fingerprint, init_parameters
-from .segmentation import Segment, SegmenterConfig, segment, segment_fixed
+from .dsp import MelConfig, MelSpectrogram, StftFrames, stft
+from .model import ModelConfig, PackedBatch, fingerprint, init_parameters
+from .segmentation import Segment, SegmenterConfig, segment
 from .index import FingerprintIndex, IndexEntry
 from .training import TrainConfig, train
 from .synth import SynthSpec, generate
@@ -18,10 +18,7 @@ __all__ = [
     "MelConfig",
     "MelSpectrogram",
     "StftFrames",
-    "mel_spectrogram",
-    "spectral_entropy",
     "stft",
-    "Fingerprint",
     "ModelConfig",
     "PackedBatch",
     "fingerprint",
@@ -29,7 +26,6 @@ __all__ = [
     "Segment",
     "SegmenterConfig",
     "segment",
-    "segment_fixed",
     "FingerprintIndex",
     "IndexEntry",
     "TrainConfig",

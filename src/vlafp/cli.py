@@ -95,6 +95,13 @@ def load_model(path: str) -> tuple[Parameters, ModelConfig, MelConfig]:
     return params, model_cfg, MelConfig(n_mels=model_cfg.f_bins)
 
 
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # Thread-count variables the BLAS and OpenMP pools read when numpy loads.
 THREAD_VARS = (
     "OPENBLAS_NUM_THREADS",
@@ -142,8 +149,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    corpus, files = load_corpus(args.audio, args.sample_rate)
     cfg = seg_config_from_args(args)
+    corpus, files = load_corpus(args.audio, args.sample_rate)
     per_audio = [segment(w, cfg, aid) for aid, w in corpus]
     segments = [s for segs in per_audio for s in segs]
     write_manifest(args.out, segments, cfg)
@@ -156,10 +163,10 @@ def cmd_segment(args) -> int:
 
 def cmd_train(args) -> int:
     train_cfg = config_from_args(TrainConfig, args)
+    seg_cfg = seg_config_from_args(args)
     corpus, _ = load_corpus(args.corpus, args.sample_rate)
     model_cfg = config_from_args(ModelConfig, args)
     mel_cfg = MelConfig(n_mels=model_cfg.f_bins)
-    seg_cfg = seg_config_from_args(args)
     sources = training_sources(corpus, seg_cfg, mel_cfg)
     aug_cfg = make_aug_config(args)
     params, history = train(
@@ -172,20 +179,16 @@ def cmd_train(args) -> int:
     )
     save_checkpoint(args.out, params, model_cfg)
     hist_path = Path(args.out).with_suffix(".loss.csv")
-    with open(hist_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_loss"])
-        for epoch, loss in enumerate(history):
-            writer.writerow([epoch, f"{loss:.6f}"])
+    _write_csv(hist_path, ["epoch", "mean_loss"], ([epoch, f"{loss:.6f}"] for epoch, loss in enumerate(history)))
     write_run_manifest(args.out, args)
     print(f"checkpoint -> {args.out}; loss history -> {hist_path}")
     return 0
 
 
 def cmd_fingerprint(args) -> int:
+    seg_cfg = seg_config_from_args(args)
     corpus, _ = load_corpus(args.audio, args.sample_rate)
     params, model_cfg, mel_cfg = load_model(args.ckpt)
-    seg_cfg = seg_config_from_args(args)
     index = build_index(corpus, seg_cfg, mel_cfg, params, model_cfg)
     index.save(args.out)
     write_run_manifest(args.out, args)
@@ -226,9 +229,9 @@ def cmd_index_query(args) -> int:
 
 
 def cmd_eval_cbr(args) -> int:
+    seg_cfg = seg_config_from_args(args)
     corpus, _ = load_corpus(args.audio, args.sample_rate)
     params, model_cfg, mel_cfg = load_model(args.ckpt)
-    seg_cfg = seg_config_from_args(args)
     rng = np.random.default_rng(args.seed)
     aug_cfg = make_aug_config(args)
 
@@ -244,21 +247,20 @@ def cmd_eval_cbr(args) -> int:
     scored_segments = [(seg, e.vector) for seg, e in zip(broadcast_segs, entries)]
     report = cbr_evaluate(commercial_index, scored_segments, sim.span)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "tp", "fp", "fn", "precision", "recall", "f1", "best"])
-        for row in report.rows:
-            writer.writerow(
-                [f"{row.threshold:.6f}", row.tp, row.fp, row.fn,
-                 f"{row.precision:.6f}", f"{row.recall:.6f}", f"{row.f1:.6f}",
-                 int(row == report.best)]
-            )
-    dump_path = Path(args.out).with_suffix(".scores.csv")
-    with open(dump_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["start_time", "duration", "score", "label"])
-        for start, dur, score, label in report.scored:
-            writer.writerow([f"{start:.4f}", f"{dur:.4f}", f"{score:.6f}", int(label)])
+    _write_csv(
+        args.out,
+        ["threshold", "tp", "fp", "fn", "precision", "recall", "f1", "best"],
+        (
+            [f"{row.threshold:.6f}", row.tp, row.fp, row.fn,
+             f"{row.precision:.6f}", f"{row.recall:.6f}", f"{row.f1:.6f}", int(row == report.best)]
+            for row in report.rows
+        ),
+    )
+    _write_csv(
+        Path(args.out).with_suffix(".scores.csv"),
+        ["start_time", "duration", "score", "label"],
+        ([f"{start:.4f}", f"{dur:.4f}", f"{score:.6f}", int(label)] for start, dur, score, label in report.scored),
+    )
     write_run_manifest(args.out, args)
     print(
         f"CBR best F1 {report.best.f1:.4f} at threshold {report.best.threshold:.4f} "
@@ -268,6 +270,7 @@ def cmd_eval_cbr(args) -> int:
 
 
 def cmd_eval_dtr(args) -> int:
+    windows = replace(FIXED_WINDOWS, window_s=args.window_s, hop_s=args.hop_s)
     corpus, _ = load_corpus(args.audio, args.sample_rate)
     params, model_cfg, mel_cfg = load_model(args.ckpt)
     rng = np.random.default_rng(args.seed)
@@ -292,23 +295,18 @@ def cmd_eval_dtr(args) -> int:
     check_query_durations(durations, args.sample_rate)
     targets = corpus[:n_targets]
     database = corpus if args.dummies is None else corpus[: n_targets + args.dummies]
-    windows = replace(FIXED_WINDOWS, window_s=args.window_s, hop_s=args.hop_s)
     index = build_index(database, windows, mel_cfg, params, model_cfg)
     queries = make_dtr_queries(targets, durations, aug_cfg, rng, args.queries_per_target)
     embed = make_embedder(params, model_cfg, mel_cfg)
     report = dtr_evaluate(index, queries, embed, windows)
 
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["duration_s", "hit_rate"])
-        for dur in durations:
-            writer.writerow([dur, f"{report.hit_rates[dur]:.6f}"])
+    _write_csv(args.out, ["duration_s", "hit_rate"], ([dur, f"{report.hit_rates[dur]:.6f}"] for dur in durations))
     dump_path = Path(args.out).with_suffix(".results.csv")
-    with open(dump_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target_id", "duration_s", "retrieved_id", "hit", "n_lookups"])
-        for r in report.results:
-            writer.writerow([r.target_id, r.duration_s, r.retrieved_id, int(r.hit), r.n_lookups])
+    _write_csv(
+        dump_path,
+        ["target_id", "duration_s", "retrieved_id", "hit", "n_lookups"],
+        ([r.target_id, r.duration_s, r.retrieved_id, int(r.hit), r.n_lookups] for r in report.results),
+    )
     write_run_manifest(args.out, args)
     for dur in durations:
         print(f"DTR hit rate @ {dur:g}s: {report.hit_rates[dur]:.4f}")

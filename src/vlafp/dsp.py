@@ -37,10 +37,6 @@ class StftFrames:
     def n_frames(self) -> int:
         return self.frames.shape[0]
 
-    @property
-    def n_bins(self) -> int:
-        return self.frames.shape[1]
-
     def select(self, rows) -> "StftFrames":
         """The frames at the given row indices, in that order."""
         return replace(self, frames=self.frames[np.asarray(rows, dtype=np.intp)])
@@ -101,26 +97,8 @@ def stft(w: Waveform) -> StftFrames:
     return StftFrames(np.fft.rfft(frames, axis=1), w.sample_rate)
 
 
-def spectral_entropy(frame: np.ndarray) -> float:
-    """Shannon entropy (nats) of one frame's normalized power distribution.
-
-    Degenerate frames (total power below EPS) score 0, matching the
-    pure-tone limit. Invariant to uniform scaling of the frame.
-    """
-    frame = np.asarray(frame)
-    if frame.size == 0:
-        raise ValueError("empty frame")
-    p = np.abs(frame) ** 2
-    total = p.sum()
-    if total < EPS:
-        return 0.0
-    p = p / total
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
 def spectral_entropies(frames: StftFrames) -> np.ndarray:
-    """Per-frame spectral entropy, vectorized over all frames.
+    """Shannon entropy (nats) of each frame's normalized power distribution.
 
     Frames below EPS total power score 0, which sets segmentation's level
     floor: on the first 8 desk audios, gains of 1e-4 to 1e3 move no segment,
@@ -185,13 +163,6 @@ def mel_from_frames(frames: StftFrames, cfg: MelConfig) -> MelSpectrogram:
     return MelSpectrogram(db)
 
 
-def mel_spectrogram(w: Waveform, cfg: MelConfig = MelConfig()) -> MelSpectrogram:
-    """Log-mel spectrogram (T x F), dB, clamped to the top MEL_DYNAMIC_RANGE_DB."""
-    if len(w) < DEFAULT_HOP:
-        raise ValueError(f"waveform shorter than one hop ({DEFAULT_HOP} samples)")
-    return mel_from_frames(stft(w), cfg)
-
-
 def frame_rms_db(w: Waveform) -> np.ndarray:
     """Per-hop RMS in dB relative to the waveform's peak absolute sample.
 
@@ -219,25 +190,12 @@ def frame_rms_db(w: Waveform) -> np.ndarray:
     return out
 
 
-def waveform_entropy(chunk: np.ndarray) -> float:
-    """Shannon entropy (nats) of a chunk's absolute-amplitude histogram.
-
-    Equal-width bins span the chunk's own |x| range; constant-|x| chunks
-    (including silence) score 0.
-    """
-    a = np.abs(np.asarray(chunk, dtype=np.float64))
-    if a.size == 0:
-        raise ValueError("empty chunk")
-    lo, hi = a.min(), a.max()
-    if hi - lo < EPS:
-        return 0.0
-    counts, _ = np.histogram(a, bins=WAVEFORM_ENTROPY_BINS, range=(lo, hi))
-    p = counts[counts > 0] / a.size
-    return float(-(p * np.log(p)).sum())
-
-
 def waveform_entropies(chunks: np.ndarray) -> np.ndarray:
-    """waveform_entropy of every row of a (frames, samples) matrix, bit for bit.
+    """Shannon entropy (nats) of each row's absolute-amplitude histogram.
+
+    Equal-width bins span the row's own |x| range; constant-|x| rows
+    (including silence) score 0. Bit for bit the scalar waveform_entropy
+    in tests/oracles.py.
 
     Each row is binned by np.histogram's uniform-bin rule (index from the
     scaled offset, the right edge folded into the last bin, then one step of

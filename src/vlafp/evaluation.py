@@ -25,7 +25,6 @@ QUERY_ALIGN_S = 0.5
 class BroadcastSim:
     stream: Waveform
     span: tuple[float, float]  # ground-truth commercial span, post-distortion seconds
-    audio_order: tuple[int, ...]  # -1 marks the commercial's slot
     draws: ChainDraws
 
 
@@ -63,7 +62,7 @@ def simulate_broadcast(
     distorted, draws = augment_chain_with_draws(stream, aug_cfg, rng)
     if draws.ts_factor is not None:
         span = (span[0] / draws.ts_factor, span[1] / draws.ts_factor)
-    return BroadcastSim(distorted, span, tuple(aid for aid, _ in arranged), draws)
+    return BroadcastSim(distorted, span, draws)
 
 
 @dataclass(frozen=True)

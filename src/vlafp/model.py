@@ -45,13 +45,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class Fingerprint:
-    """Unit-L2 segment descriptor; provenance lives in index.IndexEntry."""
-
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class PackedBatch:
     """The mel matrices of variable-length segments, one (T, F) array each, in order."""
 
@@ -71,11 +64,6 @@ class PackedBatch:
         """(offset, length) of each mel with the mels laid end to end."""
         lengths = [mel.shape[0] for mel in self.mels]
         return tuple(zip(np.cumsum([0] + lengths[:-1]).tolist(), lengths))
-
-
-def pack_segments(mels: list[np.ndarray]) -> PackedBatch:
-    """One PackedBatch of per-segment mel matrices."""
-    return PackedBatch(tuple(mels))
 
 
 def _parameters(cfg: ModelConfig, w, zeros, ones) -> dict:
@@ -465,10 +453,10 @@ def fingerprint_batch(batch: PackedBatch, params: Parameters, cfg: ModelConfig) 
     return list(_forward_batch(batch, _fuse_heads(params, cfg), cfg))
 
 
-def fingerprint(mel: np.ndarray, params: Parameters, cfg: ModelConfig) -> Fingerprint:
-    """Fingerprint a single mel segment: a packed batch of one."""
-    (z,) = fingerprint_batch(pack_segments([np.asarray(mel, dtype=np.float64)]), params, cfg)
-    return Fingerprint(z)
+def fingerprint(mel: np.ndarray, params: Parameters, cfg: ModelConfig) -> np.ndarray:
+    """The unit fingerprint vector of a single mel segment: a packed batch of one."""
+    (z,) = fingerprint_batch(PackedBatch((np.asarray(mel, dtype=np.float64),)), params, cfg)
+    return z
 
 
 # -- checkpoint I/O --------------------------------------------------------

@@ -8,23 +8,6 @@ import numpy as np
 PRUNE_SLACK = 1e-9
 
 
-def l2_segment_cost(series: np.ndarray, a: int, b: int) -> float:
-    """Sum of squared deviations from the mean on series[a:b]."""
-    seg = series[a:b]
-    return float(np.sum((seg - seg.mean()) ** 2))
-
-
-def segmentation_cost(series: np.ndarray, breakpoints: list[int], penalty: float) -> float:
-    """Total penalized cost of a segmentation given as end indices (last = len)."""
-    x = np.asarray(series, dtype=np.float64)
-    total = 0.0
-    prev = 0
-    for b in breakpoints:
-        total += l2_segment_cost(x, prev, b) + penalty
-        prev = b
-    return total
-
-
 def default_penalty(series: np.ndarray) -> float:
     """BIC-style default: 2 * ln(n) * var(series).
 

@@ -7,7 +7,7 @@ import numpy as np
 from .audio import Waveform
 from .dsp import MelConfig, mel_from_frames, stft
 from .index import FingerprintIndex, IndexEntry
-from .model import ModelConfig, Parameters, fingerprint, fingerprint_batch, pack_segments
+from .model import ModelConfig, PackedBatch, Parameters, fingerprint, fingerprint_batch
 from .segmentation import FIXED_WINDOWS, Segment, SegmenterConfig, Source, segment
 from .segmentation import segment_fixed  # noqa: F401  bench/tracing.py patches pipeline.segment_fixed
 
@@ -33,7 +33,7 @@ def fingerprint_segments(
     """Fingerprint every segment of one audio into index entries, in one packed batch."""
     if not segments:
         return []
-    vectors = fingerprint_batch(pack_segments(segment_mels(w, segments, mel_cfg)), params, model_cfg)
+    vectors = fingerprint_batch(PackedBatch(tuple(segment_mels(w, segments, mel_cfg))), params, model_cfg)
     return [
         IndexEntry(v.astype(np.float32), seg.audio_id, ord_, seg.start_time, seg.duration)
         for ord_, (seg, v) in enumerate(zip(segments, vectors))
@@ -61,7 +61,7 @@ def make_embedder(params: Parameters, model_cfg: ModelConfig, mel_cfg: MelConfig
     """Source -> unit fingerprint vector of one query segment, with the index's mel and model."""
 
     def embed(source: Source) -> np.ndarray:
-        return fingerprint(source_mel(source, mel_cfg), params, model_cfg).vector
+        return fingerprint(source_mel(source, mel_cfg), params, model_cfg)
 
     return embed
 

@@ -51,7 +51,11 @@ def default_theta(method: str) -> float:
 
 @dataclass(frozen=True)
 class SegmenterConfig:
-    """A segmentation method and its settings; window_s and hop_s are read by "fixed" alone."""
+    """A segmentation method and its settings.
+
+    window_s and hop_s are read by "fixed" alone, but every method's config
+    checks them, so a bad pair is refused before any audio is read.
+    """
 
     t_min: float = 0.5
     t_max: float = 5.0
@@ -70,6 +74,8 @@ class SegmenterConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.pelt_penalty is not None and not (self.pelt_penalty > 0):
             raise ValueError(f"pelt_penalty must be > 0 (inf allowed), got {self.pelt_penalty}")
+        if not (math.inf > self.window_s >= self.hop_s > 0):
+            raise ValueError(f"need finite window >= hop > 0, got {self.window_s}, {self.hop_s}")
 
     def min_frames(self, sample_rate: int) -> int:
         return max(1, math.ceil(self.t_min * sample_rate / DEFAULT_HOP))
@@ -248,8 +254,6 @@ def segment_fixed(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[
     window must hold at least one STFT hop and the hop at least one sample.
     """
     window_s, hop_s = cfg.window_s, cfg.hop_s
-    if not (math.inf > window_s >= hop_s > 0):
-        raise ValueError(f"need finite window >= hop > 0, got {window_s}, {hop_s}")
     if len(w) == 0:
         raise ValueError("empty input")
     fs = w.sample_rate
@@ -287,15 +291,3 @@ def write_manifest(path: str | Path, segments: list[Segment], cfg: SegmenterConf
     with open(path, "w") as fh:
         for s in segments:
             fh.write(f"{s.audio_id},{s.start_time:.6f},{s.duration:.6f},{cfg.method},{cfg.theta}\n")
-
-
-def read_manifest(path: str | Path) -> list[tuple[int, float, float, str, float]]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            aid, start, dur, method, theta = line.split(",")
-            records.append((int(aid), float(start), float(dur), method, float(theta)))
-    return records

@@ -167,54 +167,3 @@ def generate(spec: SynthSpec) -> list[tuple[int, Waveform]]:
             x = x / peak
         out.append((i, Waveform(x, fs)))
     return out
-
-
-def max_pairwise_correlation(corpus: list[tuple[int, Waveform]]) -> float:
-    """Largest |zero-lag Pearson correlation| over all audio pairs (common prefix)."""
-    n = min(len(w.samples) for _, w in corpus)
-    mat = np.stack([w.samples[:n] for _, w in corpus])
-    corr = np.corrcoef(mat)
-    off = corr[~np.eye(len(corpus), dtype=bool)]
-    return float(np.max(np.abs(off))) if off.size else 0.0
-
-
-def make_tone_noise_alternation(
-    total_s: float, period_s: float, fs: int = DEFAULT_SAMPLE_RATE, seed: int = 0
-) -> tuple[Waveform, list[int]]:
-    """Tone/noise alternation plus the sample indices where the regime switches."""
-    rng = np.random.default_rng(seed)
-    parts = []
-    switches = []
-    t_elapsed = 0.0
-    use_tone = True
-    while t_elapsed < total_s - 1e-9:
-        dur = min(period_s, total_s - t_elapsed)
-        n = int(dur * fs)
-        if use_tone:
-            t = np.arange(n) / fs
-            parts.append(0.5 * np.sin(2 * np.pi * 1000.0 * t))
-        else:
-            parts.append(0.3 * rng.standard_normal(n))
-        t_elapsed += dur
-        use_tone = not use_tone
-        switches.append(int(round(t_elapsed * fs)))
-    x = np.concatenate(parts)
-    x = x + FLOOR_STD * rng.standard_normal(x.shape[0])
-    return Waveform(x, fs), switches[:-1]
-
-
-def make_tone_silence(
-    tone_s: float, silence_s: float, tone2_s: float, fs: int = DEFAULT_SAMPLE_RATE, seed: int = 0
-) -> Waveform:
-    """Tone, then true silence, then tone again (with dither floor)."""
-    rng = np.random.default_rng(seed)
-    t1 = np.arange(int(tone_s * fs)) / fs
-    t2 = np.arange(int(tone2_s * fs)) / fs
-    x = np.concatenate(
-        [
-            0.5 * np.sin(2 * np.pi * 700.0 * t1),
-            np.zeros(int(silence_s * fs)),
-            0.5 * np.sin(2 * np.pi * 1100.0 * t2),
-        ]
-    )
-    return Waveform(x + 1e-6 * rng.standard_normal(x.shape[0]), fs)

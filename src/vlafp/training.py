@@ -9,14 +9,7 @@ import numpy as np
 
 from .augment import AugmentConfig, augment_chain_with_draws
 from .dsp import MelConfig, frame_count
-from .model import (
-    ModelConfig,
-    PackedBatch,
-    Parameters,
-    fingerprint_batch_forward,
-    init_parameters,
-    pack_segments,
-)
+from .model import ModelConfig, PackedBatch, Parameters, fingerprint_batch_forward, init_parameters
 from .pipeline import source_mel
 from .segmentation import Source
 
@@ -137,7 +130,7 @@ def build_batch(
 
     size = 1 + train_cfg.n_pos  # group g is items g*size .. g*size + size - 1
     positive_sets = {i: [j for j in range(i - i % size, i - i % size + size) if j != i] for i in range(len(mels))}
-    return BuiltBatch(pack_segments(mels), positive_sets)
+    return BuiltBatch(PackedBatch(tuple(mels)), positive_sets)
 
 
 class Adam:
@@ -183,7 +176,6 @@ def train(
     train_cfg: TrainConfig,
     aug_cfg: AugmentConfig,
     mel_cfg: MelConfig,
-    params: Parameters | None = None,
     log=None,
 ) -> tuple[Parameters, list[float]]:
     """Adam over shuffled anchor groups; returns parameters and per-epoch mean loss.
@@ -193,8 +185,7 @@ def train(
     if not sources:
         raise ValueError("empty corpus")
     rng = np.random.default_rng(train_cfg.seed)
-    if params is None:
-        params = init_parameters(model_cfg, seed=train_cfg.seed)
+    params = init_parameters(model_cfg, seed=train_cfg.seed)
     optimizer = Adam(params, train_cfg)
     history: list[float] = []
     per_batch = train_cfg.groups_per_batch

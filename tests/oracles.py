@@ -1,6 +1,7 @@
 """Independent reference implementations shared by the test modules."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve, lfilter
@@ -8,7 +9,17 @@ from scipy.special import expit
 
 from vlafp.audio import Waveform
 from vlafp.autodiff import Tensor, concat
-from vlafp.dsp import DEFAULT_HOP, DEFAULT_WINDOW, HANN, mel_spectrogram, stft
+from vlafp.dsp import (
+    DEFAULT_HOP,
+    DEFAULT_WINDOW,
+    EPS,
+    HANN,
+    WAVEFORM_ENTROPY_BINS,
+    MelConfig,
+    MelSpectrogram,
+    mel_from_frames,
+    stft,
+)
 from vlafp.model import (
     MAX_ATTENTION_CELLS,
     ModelConfig,
@@ -83,6 +94,23 @@ def pelt_list_reference(series, penalty, min_size=1, jump=1, prune_slack=1e-9):
     while bps[-1] != 0:
         bps.append(prev_bp[bps[-1]])
     return list(reversed(bps))[1:]
+
+
+def l2_segment_cost(series: np.ndarray, a: int, b: int) -> float:
+    """Sum of squared deviations from the mean on series[a:b]."""
+    seg = series[a:b]
+    return float(np.sum((seg - seg.mean()) ** 2))
+
+
+def segmentation_cost(series: np.ndarray, breakpoints: list[int], penalty: float) -> float:
+    """Total penalized cost of a segmentation given as end indices (last = len)."""
+    x = np.asarray(series, dtype=np.float64)
+    total = 0.0
+    prev = 0
+    for b in breakpoints:
+        total += l2_segment_cost(x, prev, b) + penalty
+        prev = b
+    return total
 
 
 # The z-score scan with a statistics object per segment: the reference for
@@ -189,6 +217,48 @@ def stft_gather(samples, window_size, hop):
     return np.fft.rfft(x[idx] * window[None, :], axis=1)
 
 
+def spectral_entropy(frame: np.ndarray) -> float:
+    """Shannon entropy (nats) of one frame's normalized power distribution.
+
+    Degenerate frames (total power below EPS) score 0, matching the
+    pure-tone limit. Invariant to uniform scaling of the frame.
+    """
+    frame = np.asarray(frame)
+    if frame.size == 0:
+        raise ValueError("empty frame")
+    p = np.abs(frame) ** 2
+    total = p.sum()
+    if total < EPS:
+        return 0.0
+    p = p / total
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def mel_spectrogram(w: Waveform, cfg: MelConfig = MelConfig()) -> MelSpectrogram:
+    """Log-mel spectrogram (T x F), dB, clamped to the top MEL_DYNAMIC_RANGE_DB."""
+    if len(w) < DEFAULT_HOP:
+        raise ValueError(f"waveform shorter than one hop ({DEFAULT_HOP} samples)")
+    return mel_from_frames(stft(w), cfg)
+
+
+def waveform_entropy(chunk: np.ndarray) -> float:
+    """Shannon entropy (nats) of a chunk's absolute-amplitude histogram.
+
+    Equal-width bins span the chunk's own |x| range; constant-|x| chunks
+    (including silence) score 0.
+    """
+    a = np.abs(np.asarray(chunk, dtype=np.float64))
+    if a.size == 0:
+        raise ValueError("empty chunk")
+    lo, hi = a.min(), a.max()
+    if hi - lo < EPS:
+        return 0.0
+    counts, _ = np.histogram(a, bins=WAVEFORM_ENTROPY_BINS, range=(lo, hi))
+    p = counts[counts > 0] / a.size
+    return float(-(p * np.log(p)).sum())
+
+
 def naive_convolve(x, h):
     """Direct O(n*m) linear convolution truncated to len(x)."""
     out = np.zeros(len(x))
@@ -280,6 +350,27 @@ def make_noise_pool(n: int, duration_s: float, sample_rate: int, seed: int) -> t
         shaped /= max(np.max(np.abs(shaped)), 1e-12)
         pool.append(Waveform(0.5 * shaped, sample_rate))
     return tuple(pool)
+
+
+def read_manifest(path: str | Path) -> list[tuple[int, float, float, str, float]]:
+    records = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            aid, start, dur, method, theta = line.split(",")
+            records.append((int(aid), float(start), float(dur), method, float(theta)))
+    return records
+
+
+def max_pairwise_correlation(corpus: list[tuple[int, Waveform]]) -> float:
+    """Largest |zero-lag Pearson correlation| over all audio pairs (common prefix)."""
+    n = min(len(w.samples) for _, w in corpus)
+    mat = np.stack([w.samples[:n] for _, w in corpus])
+    corr = np.corrcoef(mat)
+    off = corr[~np.eye(len(corpus), dtype=bool)]
+    return float(np.max(np.abs(off))) if off.size else 0.0
 
 
 def exhaustive_best_f1(scores, labels):

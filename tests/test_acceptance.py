@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from oracles import dp_oracle, exhaustive_best_f1, naive_convolve
+from oracles import dp_oracle, exhaustive_best_f1, naive_convolve, segmentation_cost
 
 from vlafp.audio import Waveform
 from vlafp.augment import (
@@ -33,13 +33,13 @@ from vlafp.evaluation import (
 from vlafp.index import FingerprintIndex, IndexEntry, expected_file_size
 from vlafp.model import (
     ModelConfig,
+    PackedBatch,
     fingerprint,
     fingerprint_batch,
     fingerprint_batch_forward,
     init_parameters,
-    pack_segments,
 )
-from vlafp.pelt import pelt_changepoints, segmentation_cost
+from vlafp.pelt import pelt_changepoints
 from vlafp.pipeline import (
     build_index,
     fingerprint_segments,
@@ -136,7 +136,7 @@ def test_04_gradient_suite():
         params = init_parameters(DESK_MODEL, seed=4)
         mel = rng.standard_normal((6, DESK_MODEL.f_bins))
         probe = rng.standard_normal(DESK_MODEL.d)
-        batch = pack_segments([mel])  # the one forward, as a batch of one
+        batch = PackedBatch((mel,))  # the one forward, as a batch of one
 
         def objective(p) -> float:
             (z,), _ = fingerprint_batch_forward(batch, p, DESK_MODEL)
@@ -183,18 +183,18 @@ def test_05_architectural_invariants():
         params = init_parameters(DESK_MODEL, seed=5)
         for _ in range(1000):
             t = int(rng.integers(1, 158))
-            z = fingerprint(rng.standard_normal((t, DESK_MODEL.f_bins)), params, DESK_MODEL).vector
+            z = fingerprint(rng.standard_normal((t, DESK_MODEL.f_bins)), params, DESK_MODEL)
             assert abs(np.linalg.norm(z) - 1.0) < 1e-5
         for _ in range(10):
             t = int(rng.integers(2, 120))
             mel = rng.standard_normal((t, DESK_MODEL.f_bins))
-            a = fingerprint(mel, params, DESK_MODEL).vector
-            b = fingerprint(mel[rng.permutation(t)], params, DESK_MODEL).vector
+            a = fingerprint(mel, params, DESK_MODEL)
+            b = fingerprint(mel[rng.permutation(t)], params, DESK_MODEL)
             assert np.abs(a - b).max() < 1e-6
         mels = [rng.standard_normal((t, DESK_MODEL.f_bins)) for t in (16, 40, 96, 1, 157)]
-        packed = fingerprint_batch(pack_segments(mels), params, DESK_MODEL)
+        packed = fingerprint_batch(PackedBatch(tuple(mels)), params, DESK_MODEL)
         for z, mel in zip(packed, mels):
-            assert np.abs(z - fingerprint(mel, params, DESK_MODEL).vector).max() < 1e-6
+            assert np.abs(z - fingerprint(mel, params, DESK_MODEL)).max() < 1e-6
 
 
 def test_06_supcon_closed_forms():

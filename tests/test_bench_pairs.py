@@ -1,10 +1,11 @@
 """scripts/bench_pairs.py's regression verdict on made-up pairs of runs, and
-the page-fault and system-time delta it takes around each run.
+the resource-usage delta it takes around each run.
 
 The script is read and executed here, never imported, so scripts/ gains no
 files when this test runs.
 """
 
+import math
 import resource
 import subprocess
 import sys
@@ -51,9 +52,12 @@ def test_regression_verdict(bench_pairs, better, base, change, expected):
 
 
 def test_usage_delta_subtracts_faults_and_system_seconds(bench_pairs):
-    before = types.SimpleNamespace(ru_minflt=1200, ru_stime=0.75)
-    after = types.SimpleNamespace(ru_minflt=4500, ru_stime=1.25)
-    assert bench_pairs.usage_delta(before, after) == {"minor_faults": 3300, "sys_s": 0.5}
+    before = types.SimpleNamespace(ru_minflt=1200, ru_stime=0.75, ru_utime=2.0, ru_nivcsw=40)
+    after = types.SimpleNamespace(ru_minflt=4500, ru_stime=1.25, ru_utime=7.5, ru_nivcsw=65)
+    usage = bench_pairs.usage_delta(before, after)
+    assert usage == {"minor_faults": 3300, "sys_s": 0.5, "user_s": 5.5, "involuntary_switches": 25}
+    assert bench_pairs.cpu_s_per_op(usage, 20) == 0.3
+    assert math.isnan(bench_pairs.cpu_s_per_op(usage, 0))
 
 
 def test_usage_delta_counts_a_child_that_touches_memory(bench_pairs):
@@ -63,3 +67,5 @@ def test_usage_delta_counts_a_child_that_touches_memory(bench_pairs):
     delta = bench_pairs.usage_delta(before, resource.getrusage(resource.RUSAGE_CHILDREN))
     assert delta["minor_faults"] >= 9_000
     assert delta["sys_s"] >= 0.0
+    assert delta["user_s"] > 0.0  # writing 40 MB byte by byte takes CPU
+    assert delta["involuntary_switches"] >= 0

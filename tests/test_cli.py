@@ -15,12 +15,14 @@ import pytest
 import scipy
 from scipy.io import wavfile
 
+from oracles import read_manifest
+
 import vlafp
 from vlafp.audio import load_audio
 from vlafp.cli import THREAD_VARS, main
 from vlafp.index import FingerprintIndex, IndexEntry
 from vlafp.model import load_checkpoint, save_checkpoint
-from vlafp.segmentation import METHODS, read_manifest
+from vlafp.segmentation import METHODS
 from vlafp.synth import SynthSpec, generate
 
 
@@ -499,6 +501,22 @@ class TestHostileInput:
         rc = main(command.split() + flags + ["--window", window, "--hop", hop, "--out", str(out)])
         assert rc == 1
         _one_error_line(capsys, needle)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["segment", "train", "fingerprint", "eval dtr", "eval cbr"])
+    def test_bad_window_refused_before_any_input_is_read(self, tmp_path, capsys, command):
+        # Under the default method, not only "fixed", and with no audio or checkpoint to read.
+        missing = str(tmp_path / "missing")
+        flags = {
+            "segment": ["--audio", missing],
+            "train": ["--corpus", missing],
+            "fingerprint": ["--audio", missing, "--ckpt", missing],
+            "eval dtr": ["--audio", missing, "--ckpt", missing],
+            "eval cbr": ["--audio", missing, "--ckpt", missing],
+        }[command]
+        out = tmp_path / "out"
+        assert main(command.split() + flags + ["--window", "inf", "--out", str(out)]) == 1
+        _one_error_line(capsys, "need finite window >= hop > 0, got inf, 0.5")
         assert not out.exists()
 
     @pytest.mark.parametrize("durations", [["--tmax", "inf"], ["--tmin", "inf", "--tmax", "inf"]], ids=["tmax", "both"])

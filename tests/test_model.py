@@ -32,7 +32,6 @@ from vlafp.model import (
     fingerprint_batch_forward,
     init_parameters,
     load_checkpoint,
-    pack_segments,
     save_checkpoint,
 )
 from vlafp import training
@@ -320,20 +319,20 @@ class TestFingerprint:
     def test_unit_norm(self, rng):
         params = init_parameters(DESK, seed=0)
         for t in (1, 5, 60, 157):
-            z = fingerprint(rng.standard_normal((t, DESK.f_bins)), params, DESK).vector
+            z = fingerprint(rng.standard_normal((t, DESK.f_bins)), params, DESK)
             assert abs(np.linalg.norm(z) - 1.0) < 1e-5
 
     def test_frame_permutation_invariance(self, rng):
         params = init_parameters(DESK, seed=0)
         mel = rng.standard_normal((30, DESK.f_bins))
-        a = fingerprint(mel, params, DESK).vector
-        b = fingerprint(mel[rng.permutation(30)], params, DESK).vector
+        a = fingerprint(mel, params, DESK)
+        b = fingerprint(mel[rng.permutation(30)], params, DESK)
         assert np.abs(a - b).max() < 1e-6
 
     def test_distinct_inputs_distinct_outputs(self, rng):
         params = init_parameters(DESK, seed=0)
-        a = fingerprint(rng.standard_normal((20, DESK.f_bins)), params, DESK).vector
-        b = fingerprint(rng.standard_normal((20, DESK.f_bins)), params, DESK).vector
+        a = fingerprint(rng.standard_normal((20, DESK.f_bins)), params, DESK)
+        b = fingerprint(rng.standard_normal((20, DESK.f_bins)), params, DESK)
         assert float(a @ b) < 1.0 - 1e-6
 
     def test_non_finite_rejected(self):
@@ -351,7 +350,7 @@ class TestFingerprint:
         params = init_parameters(DESK, seed=0)
         for t in (1, 2, 31, 157):
             mel = rng.standard_normal((t, DESK.f_bins))
-            got = fingerprint(mel, params, DESK).vector
+            got = fingerprint(mel, params, DESK)
             np.testing.assert_allclose(got, oracle_vector(mel, params, DESK), rtol=0, atol=1e-12)
 
 
@@ -361,28 +360,28 @@ class TestPackedBatch:
             PackedBatch((rng.standard_normal((3, 4)), np.zeros((0, 4))))
 
     def test_spans_are_the_mels_laid_end_to_end(self, rng):
-        batch = pack_segments([rng.standard_normal((t, 4)) for t in (3, 1, 7, 2)])
+        batch = PackedBatch(tuple(rng.standard_normal((t, 4)) for t in (3, 1, 7, 2)))
         assert batch.spans == ((0, 3), (3, 1), (4, 7), (11, 2))
-        assert pack_segments([]).spans == ()
+        assert PackedBatch(()).spans == ()
 
     def test_single_span_matches_fingerprint(self, rng):
         params = init_parameters(DESK, seed=4)
         mel = rng.standard_normal((25, DESK.f_bins))
-        packed = fingerprint_batch(pack_segments([mel]), params, DESK)[0]
-        assert np.array_equal(packed, fingerprint(mel, params, DESK).vector)
+        packed = fingerprint_batch(PackedBatch((mel,)), params, DESK)[0]
+        assert np.array_equal(packed, fingerprint(mel, params, DESK))
         assert np.abs(packed - oracle_vector(mel, params, DESK)).max() < 1e-12
 
     def test_packed_equals_per_segment(self, rng):
         params = init_parameters(DESK, seed=4)
         mels = [rng.standard_normal((t, DESK.f_bins)) for t in (16, 40, 96)]
-        packed = fingerprint_batch(pack_segments(mels), params, DESK)
+        packed = fingerprint_batch(PackedBatch(tuple(mels)), params, DESK)
         for z, mel in zip(packed, mels):
             assert np.abs(z - oracle_vector(mel, params, DESK)).max() < 1e-12
 
     def test_mixed_lengths_share_rows(self, rng):
         params = init_parameters(DESK, seed=4)
         mels = [rng.standard_normal((t, DESK.f_bins)) for t in (8, 40, 8, 8)]
-        packed = fingerprint_batch(pack_segments(mels), params, DESK)
+        packed = fingerprint_batch(PackedBatch(tuple(mels)), params, DESK)
         for z, mel in zip(packed, mels):
             assert np.abs(z - oracle_vector(mel, params, DESK)).max() < 1e-12
 
@@ -390,13 +389,13 @@ class TestPackedBatch:
         params = init_parameters(DESK, seed=0)
         mel = rng.standard_normal((6, DESK.f_bins))
         mel[3, 5] = np.nan
-        batch = pack_segments([rng.standard_normal((4, DESK.f_bins)), mel])
+        batch = PackedBatch((rng.standard_normal((4, DESK.f_bins)), mel))
         with pytest.raises(ValueError, match="non-finite"):
             fingerprint_batch(batch, params, DESK)
 
     def test_wrong_frame_width_rejected(self, rng):
         params = init_parameters(DESK, seed=0)
-        batch = pack_segments([rng.standard_normal((4, DESK.f_bins - 1))])
+        batch = PackedBatch((rng.standard_normal((4, DESK.f_bins - 1)),))
         with pytest.raises(ValueError, match=f"expected \\(T, {DESK.f_bins}\\)"):
             fingerprint_batch(batch, params, DESK)
 
@@ -405,7 +404,7 @@ class TestPackedBatch:
         mels = [rng.standard_normal((4, DESK.f_bins)), rng.standard_normal((4, DESK.f_bins + 1))]
         message = f"expected \\(T, {DESK.f_bins}\\) mel frames, got shape \\(4, {DESK.f_bins + 1}\\)"
         with pytest.raises(ValueError, match=message):
-            fingerprint_batch(pack_segments(mels), params, DESK)
+            fingerprint_batch(PackedBatch(tuple(mels)), params, DESK)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_mel_of_its_own_length_rejected(self, rng, bad):
@@ -413,7 +412,7 @@ class TestPackedBatch:
         mels = [rng.standard_normal((t, DESK.f_bins)) for t in (4, 4, 9)]
         mels[2][8, 0] = bad
         with pytest.raises(ValueError, match="non-finite values in mel input"):
-            fingerprint_batch(pack_segments(mels), params, DESK)
+            fingerprint_batch(PackedBatch(tuple(mels)), params, DESK)
 
     def test_stacks_stay_within_attention_cap(self, rng, monkeypatch):
         seen = []
@@ -426,7 +425,7 @@ class TestPackedBatch:
         monkeypatch.setattr(model, "_forward_stack", record)
         lengths = [100] * 7 + [3, 260, 260]
         mels = [rng.standard_normal((t, SMALL.f_bins)) for t in lengths]
-        fingerprint_batch(pack_segments(mels), init_parameters(SMALL, seed=5), SMALL)
+        fingerprint_batch(PackedBatch(tuple(mels)), init_parameters(SMALL, seed=5), SMALL)
         # 65 536 // 100^2 = 6 segments of 100 frames fit one stack; 260^2 > 65 536
         assert sorted(seen) == [(1, 3), (1, 100), (1, 260), (1, 260), (6, 100)]
 
@@ -446,7 +445,7 @@ class TestPackedBatch:
         rng = np.random.default_rng(seed)
         params = init_parameters(SMALL, seed=5)
         mels = [rng.standard_normal((t, SMALL.f_bins)) for t in lengths]
-        batch = pack_segments(mels)
+        batch = PackedBatch(tuple(mels))
         packed = fingerprint_batch(batch, params, SMALL)
         assert len(packed) == len(mels)
         reference = batch_forward(batch, as_tensors(params), SMALL)
@@ -460,7 +459,7 @@ class TestPackedBatch:
 
         monkeypatch.setattr(Tensor, "__init__", refuse)
         mels = [rng.standard_normal((t, DESK.f_bins)) for t in (3, 28, 28)]
-        assert len(fingerprint_batch(pack_segments(mels), init_parameters(DESK, seed=0), DESK)) == 3
+        assert len(fingerprint_batch(PackedBatch(tuple(mels)), init_parameters(DESK, seed=0), DESK)) == 3
 
 
 class TestBackward:
@@ -471,7 +470,7 @@ class TestBackward:
         params = init_parameters(DESK, seed=8)
         # 15 groups of 4, lengths mixed within and across groups, 1 frame included
         lengths = rng.choice([1, 16, 28, 28, 28, 40, 93], size=60)
-        batch = pack_segments([rng.standard_normal((t, DESK.f_bins)) for t in lengths])
+        batch = PackedBatch(tuple(rng.standard_normal((t, DESK.f_bins)) for t in lengths))
         pos = {i: [j for j in range(60) if j // 4 == i // 4 and j != i] for i in range(60)}
         z, backward = fingerprint_batch_forward(batch, params, DESK)
         got = backward(training.supcon_loss(z, pos, 0.05)[1])
@@ -489,14 +488,14 @@ class TestBackward:
 
     def test_forward_values_are_the_inference_bytes(self, rng):
         params = init_parameters(SMALL, seed=2)
-        batch = pack_segments([rng.standard_normal((t, SMALL.f_bins)) for t in (4, 9, 4, 1)])
+        batch = PackedBatch(tuple(rng.standard_normal((t, SMALL.f_bins)) for t in (4, 9, 4, 1)))
         z, _ = fingerprint_batch_forward(batch, params, SMALL)
         inference = fingerprint_batch(batch, params, SMALL)
         assert z.tobytes() == np.stack(inference).tobytes()
 
     def test_a_second_backward_is_refused(self, rng):
         params = init_parameters(SMALL, seed=2)
-        batch = pack_segments([rng.standard_normal((t, SMALL.f_bins)) for t in (4, 9, 4)])
+        batch = PackedBatch(tuple(rng.standard_normal((t, SMALL.f_bins)) for t in (4, 9, 4)))
         z, backward = fingerprint_batch_forward(batch, params, SMALL)
         dz = rng.standard_normal(z.shape)
         backward(dz)
@@ -518,7 +517,7 @@ class TestTape:
     def test_fingerprints_and_gradients_are_the_store_everything_bytes(self, cfg, lengths, seed):
         rng = np.random.default_rng(seed)
         params = init_parameters(cfg, seed=seed % 1000)
-        batch = pack_segments([rng.standard_normal((t, cfg.f_bins)) for t in lengths])
+        batch = PackedBatch(tuple(rng.standard_normal((t, cfg.f_bins)) for t in lengths))
         dz = rng.standard_normal((len(lengths), cfg.d))
         z, backward = fingerprint_batch_forward(batch, params, cfg)
         z_ref, backward_ref = store_everything_forward(batch, params, cfg)
@@ -534,7 +533,7 @@ class TestTape:
         # one at about 16 MB.
         rng = np.random.default_rng(4)
         params = init_parameters(DESK, seed=4)
-        batch = pack_segments([rng.standard_normal((28, DESK.f_bins)) for _ in range(60)])
+        batch = PackedBatch(tuple(rng.standard_normal((28, DESK.f_bins)) for _ in range(60)))
         dz = rng.standard_normal((60, DESK.d))
         tracemalloc.start()
         try:

@@ -4,13 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import dp_oracle, pelt_list_reference
+from oracles import dp_oracle, pelt_list_reference, segmentation_cost
 
 from vlafp.audio import Waveform
 from vlafp.augment import AugmentConfig, make_ir_pool, make_noise_pool
 from vlafp.dsp import spectral_entropies, stft
 from vlafp.evaluation import simulate_broadcast
-from vlafp.pelt import default_penalty, pelt_changepoints, segmentation_cost
+from vlafp.pelt import default_penalty, pelt_changepoints
 from vlafp.segmentation import SegmenterConfig, segment_pelt
 from vlafp.synth import SynthSpec, generate
 

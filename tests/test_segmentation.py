@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import oracles
-from oracles import EntropyStats, segment_waveform_span
+from oracles import EntropyStats, read_manifest, segment_waveform_span
 
 from vlafp import dsp, segmentation
 from vlafp.audio import Waveform
@@ -29,7 +29,6 @@ from vlafp.segmentation import (
     SegmenterConfig,
     _zscore_partition,
     default_theta,
-    read_manifest,
     segment,
     segment_fixed,
     segment_main,
@@ -38,7 +37,7 @@ from vlafp.segmentation import (
     spectral_entropy_series,
     write_manifest,
 )
-from vlafp.synth import SynthSpec, generate, make_tone_noise_alternation, make_tone_silence
+from vlafp.synth import SynthSpec, generate
 
 FS = 8000
 VARIABLE_METHODS = tuple(m for m in METHODS if m != "fixed")
@@ -136,7 +135,8 @@ class TestMainLimits:
         assert a == b
 
     def test_boundary_frames_terminate_segments(self):
-        w, switches = make_tone_noise_alternation(10.0, 1.0, FS, seed=4)
+        ((_, w),) = generate(SynthSpec(n_audios=1, duration_range=(10.0, 10.0), recipe="tone_noise", seed=4))
+        switches = range(FS, len(w), FS)  # the recipe switches between tone and noise every second
         cfg = SegmenterConfig(theta=1.0)
         hop = DEFAULT_HOP
         switch_frames = {s // hop for s in switches}
@@ -195,11 +195,11 @@ class TestNoSilence:
         assert [s.frame_indices for s in main] == [s.frame_indices for s in nosil]
 
     def test_tone_silence_tone_covers_tones_only(self):
-        w = make_tone_silence(1.0, 2.0, 1.0, FS)
+        # One second of tone, one of silence, one of tone, one of silence.
+        ((_, w),) = generate(SynthSpec(n_audios=1, duration_range=(4.0, 4.0), recipe="tone_silence", seed=0))
         cfg = SegmenterConfig(theta=0.0, method="nosilence")
         segs = segment_no_silence(w, cfg)
         hop = DEFAULT_HOP
-        # hand-trace: silent hop-chunks live strictly inside (8000, 24000)
         for s in segs:
             for f in s.frame_indices:
                 chunk = w.samples[f * hop : (f + 1) * hop]
@@ -406,6 +406,9 @@ class TestFixed:
         for window, hop in [(math.inf, 0.5), (math.inf, math.inf), (math.nan, 0.5), (1.0, math.nan)]:
             with pytest.raises(ValueError, match="need finite window >= hop > 0"):
                 segment_fixed(Waveform(np.ones(FS), FS), windows(window, hop))
+        for method in METHODS:  # every method's config checks the windows, not only "fixed"
+            with pytest.raises(ValueError, match="need finite window >= hop > 0, got 0.5, 1.0"):
+                SegmenterConfig(method=method, window_s=0.5, hop_s=1.0)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty input"):

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from vlafp.synth import (
-    SynthSpec,
-    generate,
-    make_tone_noise_alternation,
-    make_tone_silence,
-    max_pairwise_correlation,
-)
+from oracles import max_pairwise_correlation
+
+from vlafp.dsp import spectral_entropies, stft
+from vlafp.synth import FLOOR_STD, SynthSpec, generate
 
 
 class TestGenerate:
@@ -59,16 +56,24 @@ class TestGenerate:
             generate(SynthSpec(recipe="nope"))
 
 
+def one_audio(recipe: str, seconds: float, seed: int):
+    ((_, w),) = generate(SynthSpec(n_audios=1, duration_range=(seconds, seconds), recipe=recipe, seed=seed))
+    return w
+
+
 class TestHelpers:
+    """The alternation recipes: tone, then noise or silence, switching every second."""
+
     def test_alternation_switch_points(self):
-        w, switches = make_tone_noise_alternation(4.0, 1.0, seed=0)
+        w = one_audio("tone_noise", 4.0, seed=0)
         assert len(w) == 4 * 8000
-        assert switches == [8000, 16000, 24000]
+        # Every frame of a tone second is sparser than every frame of a noise second.
+        seconds = [spectral_entropies(stft(w.slice_samples(k * 8000, 8000))) for k in range(4)]
+        assert max(seconds[0].max(), seconds[2].max()) < min(seconds[1].min(), seconds[3].min())
 
     def test_tone_silence_structure(self):
-        w = make_tone_silence(1.0, 2.0, 1.0)
+        w = one_audio("tone_silence", 4.0, seed=0)
         assert len(w) == 4 * 8000
-        silent = w.samples[10000:22000]
-        assert np.sqrt(np.mean(silent**2)) < 1e-4
-        loud = w.samples[:8000]
-        assert np.sqrt(np.mean(loud**2)) > 0.1
+        rms = [np.sqrt(np.mean(w.samples[k * 8000 : (k + 1) * 8000] ** 2)) for k in range(4)]
+        assert rms[1] < 2 * FLOOR_STD and rms[3] < 2 * FLOOR_STD
+        assert rms[0] > 0.1 and rms[2] > 0.1

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from vlafp.augment import AugmentConfig, make_ir_pool, make_noise_pool
 from vlafp.autodiff import Tensor
 from vlafp.dsp import MelConfig
-from vlafp.model import ModelConfig, fingerprint_batch_forward, init_parameters, pack_segments
+from vlafp.model import ModelConfig, PackedBatch, fingerprint_batch_forward, init_parameters
 from vlafp.synth import SynthSpec, generate
 from vlafp.training import (
     ADAM_BETA1,
@@ -212,7 +212,7 @@ class TestEndToEndGradient:
         params = init_parameters(cfg, seed=11)
         rng = np.random.default_rng(11)
         mels = [rng.standard_normal((t, 5)) for t in (4, 6, 3, 5)]
-        batch = pack_segments(mels)
+        batch = PackedBatch(tuple(mels))
         pos = {0: [1], 1: [0], 2: [3], 3: [2]}
 
         def loss_of(p) -> float:
@@ -258,7 +258,7 @@ class TestTrainStep:
         lengths = rng.choice([1, 9, 28, 28, 28, 40, 93], size=60)
         mels = [rng.standard_normal((t, ModelConfig().f_bins)) for t in lengths]
         pos = {i: [j for j in range(60) if j // 4 == i // 4 and j != i] for i in range(60)}
-        return BuiltBatch(pack_segments(mels), pos)
+        return BuiltBatch(PackedBatch(tuple(mels)), pos)
 
     def test_step_bytes_equal_the_tensor_graph_step(self, mixed_batch):
         model_cfg, train_cfg = ModelConfig(), TrainConfig(lr=1e-3)
