@@ -10,6 +10,11 @@ in a fresh temporary directory (nothing is written into either checkout):
 - `segment` and `fingerprint` of the corpus under all five segmentation
   methods, so each segmenter's manifest is compared as well as its mels;
 - `index query --k 10` of each method's fingerprints against the `fixed` index;
+- `index query --k 1` and `--k 10` of each method's fingerprints against an
+  index of 8362 entries: the `fixed` fingerprints (0.1 s hop) of a second
+  corpus, 14 audios of 60 s (seed 6), merged by `index build` with the
+  `fixed` index. It is large enough for the search's grouped pre-selection,
+  which indexes under `vlafp.index.GROUPED_MIN_ROWS` entries never take;
 - `eval dtr`, and `eval dtr --aug none` (undistorted queries);
 - `eval cbr` under all five methods (a time-stretched broadcast), and
   `eval cbr --aug ir` under `main` (an IR-only chain);
@@ -62,6 +67,15 @@ def commands() -> list[tuple[str, list[str]]]:
     for m in METHODS:
         steps.append((f"query-{m}", ["index", "query", "--idx", "fp-fixed.vlix", "--fingerprints", f"fp-{m}.vlix",
                                      "--k", "10"]))
+    steps.append(("synth-big", ["synth", "--n", "14", "--dur", "60", "--seed", "6", "--out", "corpus-big"]))
+    steps.append(("fingerprint-big", ["fingerprint", "--audio", "corpus-big", "--ckpt", CKPT, "--method", "fixed",
+                                      "--hop", "0.1", "--out", "fp-big.vlix"]))
+    steps.append(("index-build-big", ["index", "build", "--fingerprints", "fp-big.vlix", "fp-fixed.vlix",
+                                      "--out", "big.vlix"]))
+    for k in ("1", "10"):
+        for m in METHODS:
+            steps.append((f"query-big-k{k}-{m}", ["index", "query", "--idx", "big.vlix", "--fingerprints",
+                                                  f"fp-{m}.vlix", "--k", k]))
     steps.append(("eval-dtr", ["eval", "dtr", "--audio", "corpus", "--ckpt", CKPT, "--durations", "1,3,6",
                                "--out", "dtr.csv"]))
     steps.append(("eval-dtr-no-aug", ["eval", "dtr", "--audio", "corpus", "--ckpt", CKPT, "--durations", "1,3,6",

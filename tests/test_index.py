@@ -1,10 +1,13 @@
 import struct
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vlafp import index as index_module
 from vlafp.dsp import MelConfig
 from vlafp.index import FingerprintIndex, IndexEntry, expected_file_size
 from vlafp.model import ModelConfig, init_parameters
@@ -32,10 +35,12 @@ def make_index(n, d, seed=0):
 
 
 def linear_scan(vecs, meta, q, k):
-    """Independent oracle: full scan, sort by (-score, audio_id, segment_ord)."""
-    scores = vecs @ q
+    """Independent oracle: full scan, sort by (-score, audio_id, segment_ord); NaN scores rank last."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = vecs @ q
+    nan = np.isnan(scores)
     rows = sorted(
-        range(len(vecs)), key=lambda i: (-scores[i], meta[i][0], meta[i][1])
+        range(len(vecs)), key=lambda i: (bool(nan[i]), 0.0 if nan[i] else -scores[i], meta[i][0], meta[i][1])
     )
     return [(i, float(scores[i])) for i in rows[:k]]
 
@@ -104,11 +109,22 @@ def tied_index(vecs, meta):
 
 
 def assert_same_as_scan(index, vecs, meta, q, k):
-    """Rows, order and scores (bit for bit, sign of zero included) equal the linear scan's."""
-    got = index.search_top_k(q, k)
-    want = linear_scan(vecs, meta, q, k)
+    """Rows, order and scores (bit for bit, sign of zero included) equal the linear scan's.
+
+    The scan scores the index's own matrix: BLAS may round a row of a contiguous
+    copy differently by its position, so two equal rows of `vecs` can score apart.
+    """
+    assert index.records["vector"].tobytes() == vecs.astype(np.float32).tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = index.search_top_k(q, k)
+    want = linear_scan(index.records["vector"], meta, q, k)
     assert [int(e.start_time) for e, _ in got] == [i for i, _ in want]
     assert np.array([s for _, s in got]).tobytes() == np.array([s for _, s in want]).tobytes()
+
+
+def overflow_query(d, seed):
+    """A finite query whose products with unit rows overflow: some scores are NaN."""
+    return np.where(unit_rows(1, d, seed)[0] > 0, 3.4e38, -3.4e38).astype(np.float32)
 
 
 class TestTiedSearch:
@@ -164,7 +180,7 @@ class TestTiedSearch:
         d, n = 16, 200
         vecs = unit_rows(n, d, 13)
         meta = [(i % 7, i) for i in range(n)]
-        q = np.where(unit_rows(1, d, 14)[0] > 0, 3.4e38, -3.4e38).astype(np.float32)
+        q = overflow_query(d, 14)
         with np.errstate(over="ignore", invalid="ignore"):
             scores = vecs @ q
             nan = np.isnan(scores)
@@ -175,6 +191,123 @@ class TestTiedSearch:
                 got = index.search_top_k(q, k)
                 assert [int(e.start_time) for e, _ in got] == want[:k]
                 assert np.array_equal([s for _, s in got], scores[want[:k]], equal_nan=True)
+
+
+@contextmanager
+def groups_of(rows):
+    """Search with `rows` rows per group and no minimum index size, so small indexes take the grouped path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(index_module, "GROUP_ROWS", rows)
+        mp.setattr(index_module, "GROUPED_MIN_ROWS", 0)
+        yield
+
+
+class TestGroupedSearch:
+    """The grouped pre-selection keeps every row the full sort would return, in the same order."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=3000),
+        group_rows=st.integers(min_value=1, max_value=70),
+        d=st.integers(min_value=4, max_value=16),
+        pool=st.sampled_from([1, 3, 50, None]),  # None: distinct vectors
+        seed=st.integers(min_value=0, max_value=10_000),
+        query_from_index=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_linear_scan(self, n, group_rows, d, pool, seed, query_from_index, data):
+        rng = np.random.default_rng(seed)
+        vecs = unit_rows(n, d, seed) if pool is None else unit_rows(pool, d, seed)[rng.integers(0, pool, n)]
+        meta = [(int(a), int(o)) for a, o in rng.integers(0, 5, (n, 2))]  # repeated keys too
+        q = vecs[int(rng.integers(n))] if query_from_index else unit_rows(1, d, seed + 1)[0]
+        groups = n // group_rows
+        k = data.draw(
+            st.one_of(st.integers(1, max(1, min(groups + 1, n + 2))), st.integers(1, n + 2)), label="k"
+        )
+        with groups_of(group_rows):
+            assert_same_as_scan(tied_index(vecs, meta), vecs, meta, q, k)
+
+    @pytest.mark.parametrize("group_rows", [1, 7, 64])
+    @pytest.mark.parametrize("k", [1, 2, 9, 10, 11, 150])
+    def test_duplicates_in_other_groups_straddle_the_cut(self, group_rows, k):
+        """Ten copies of the query's vector, spread over the groups: the cut at k <= 10 lies inside them."""
+        n, d = 1000, 16
+        vecs = unit_rows(n, d, 21)
+        copies = np.arange(3, n, n // 10)  # rows 3, 103, ..., 903: ten groups, or three at 64 rows a group
+        vecs[copies] = vecs[500]
+        meta = [(i % 3, (7 * i) % 11) for i in range(n)]
+        with groups_of(group_rows):
+            assert_same_as_scan(tied_index(vecs, meta), vecs, meta, vecs[500], k)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 1000, 1031])
+    @pytest.mark.parametrize("k", [1, 15, 16, 17, 2000])
+    def test_every_score_tied(self, n, k):
+        """All N scores are zero, so every group is kept and the result is the full sort."""
+        d = 8
+        vecs = unit_rows(n, d, 31)
+        vecs[:, 0] = 0.0
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        meta = [(int(a), int(o)) for a, o in np.random.default_rng(32).integers(0, 9, (n, 2))]
+        q = np.zeros(d, np.float32)
+        q[0] = 1.0
+        with groups_of(4):  # 15 or 16 groups at n = 63..65
+            assert_same_as_scan(tied_index(vecs, meta), vecs, meta, q, k)
+
+    @pytest.mark.parametrize("k", [1, 5, 40, 100, 121])
+    def test_zero_products_of_both_signs(self, k):
+        """+0.0 and -0.0 scores tie, and the sign each hit reports is the scan's."""
+        n, d = 121, 12
+        vecs = np.zeros((n, d), np.float32)
+        vecs[np.arange(n), np.arange(n) % 3] = np.where(np.arange(n) % 2, 1.0, -1.0)
+        vecs[::10, 5] = 1.0  # a few rows score +1 and fill some groups' best
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        meta = [((13 * i) % 17, i % 2) for i in range(n)]
+        q = np.zeros(d, np.float32)
+        q[:3] = -0.0
+        q[5] = 1.0
+        with groups_of(5):
+            assert_same_as_scan(tied_index(vecs, meta), vecs, meta, q, k)
+
+    def test_nan_scores_rank_last_below_and_above_the_groups_holding_numbers(self):
+        """Only m groups hold a non-NaN score: k < m prunes, k >= m falls back; NaN ranks last in both."""
+        d, group_rows, groups, m = 16, 4, 30, 5
+        q = overflow_query(d, 14)
+        pool = unit_rows(16_000, d, 13)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nan = np.isnan(pool @ q)
+        finite, nans = pool[~nan], pool[nan]
+        assert len(finite) > 100 and len(nans) > 150
+        n = group_rows * groups + 3
+        vecs = nans[:n].copy()
+        body = vecs[: group_rows * groups].reshape(group_rows, groups, d)
+        body[:, :m] = finite[: group_rows * m].reshape(group_rows, m, d)  # groups 0..m-1 all finite
+        body[1, m + 2] = finite[-1]  # ... and one finite row in group m + 2
+        vecs[-1] = finite[-2]  # and one in the tail
+        meta = [(i % 7, i) for i in range(n)]
+        index = tied_index(vecs, meta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = index.records["vector"] @ q
+        holding = np.flatnonzero((~np.isnan(scores[: group_rows * groups])).reshape(group_rows, groups).any(axis=0))
+        assert holding.tolist() == [*range(m), m + 2]
+        with groups_of(group_rows):
+            for k in (1, m, m + 1, m + 2, 4 * m + 2, n - 1, n):
+                assert_same_as_scan(index, vecs, meta, q, k)
+
+    def test_catalogue_scale_prunes_and_equals_linear_scan(self):
+        """At the module's own group size a large index takes the grouped path."""
+        n, d = index_module.GROUPED_MIN_ROWS + 37, 16  # not a multiple of GROUP_ROWS
+        rng = np.random.default_rng(41)
+        vecs = unit_rows(n, d, 41)
+        vecs[rng.choice(n, 50, replace=False)] = vecs[7]  # duplicates of one query
+        meta = [(int(a), int(o)) for a, o in rng.integers(0, 1000, (n, 2))]
+        index = tied_index(vecs, meta)
+        groups = n // index_module.GROUP_ROWS
+        fresh = unit_rows(1, d, 42)[0]
+        rows, _ = index_module._candidates(index.records["vector"] @ fresh, 10)
+        assert len(rows) == 10 * index_module.GROUP_ROWS + 37  # ten groups and the tail
+        for q in (vecs[7], fresh):
+            for k in (1, 10, 51, groups - 1, groups, n + 1):
+                assert_same_as_scan(index, vecs, meta, q, k)
 
 
 class TestInsert:
@@ -341,6 +474,37 @@ class TestPersistence:
         path.write_bytes(b"VLIX" + struct.pack("<IIQ", 99, 4, 0))
         with pytest.raises(ValueError, match="version"):
             FingerprintIndex.load(path)
+
+
+class TestMemory:
+    def test_build_and_load_hold_no_second_copy_of_the_vectors(self, tmp_path):
+        # A whole-index float32 copy of the vectors (in `_append`, or the squares
+        # behind the norm check) is 0.86 x the records at d = 32: it took build
+        # and load to about 2 x.
+        vecs = unit_rows(40_000, 32, 51)
+        entries = [IndexEntry(v, i, 0, 0.0, 1.0) for i, v in enumerate(vecs)]
+        path = tmp_path / "big.vlix"
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            FingerprintIndex.build(entries).save(path)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded = FingerprintIndex.load(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = loaded.records.nbytes
+        assert loaded.records["vector"].tobytes() == vecs.tobytes()
+        assert build_peak <= 1.4 * size  # the entry fields' lists are 0.2 x
+        assert load_peak <= 1.2 * size
+
+    def test_bad_norm_names_its_entry_beyond_the_first_block(self):
+        vecs = unit_rows(index_module.BLOCK_ROWS + 10, 4, 52)
+        vecs[index_module.BLOCK_ROWS + 3] *= 2.0
+        entries = [IndexEntry(v, 0, i, 0.0, 1.0) for i, v in enumerate(vecs)]
+        with pytest.raises(ValueError, match=f"entry {index_module.BLOCK_ROWS + 3}: vector norm 2.000000"):
+            FingerprintIndex.build(entries)
 
 
 class TestProperties:
