@@ -102,20 +102,12 @@ def sweep_thresholds(
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise ValueError("no ground-truth positives: recall undefined")
-    # One stable descending sort: the predicted positives at a threshold are a
-    # prefix, so tp and fp are cumulative counts at the end of each run of
-    # equal scores. A run's threshold is its first score (of +0.0 and -0.0,
-    # the one met first).
-    desc = np.argsort(-scores, kind="stable")
-    ranked = scores[desc]
-    new_run = ranked[1:] != ranked[:-1]
-    starts = np.flatnonzero(np.concatenate([[True], new_run]))
-    ends = np.flatnonzero(np.concatenate([new_run, [True]]))
-    predicted = np.concatenate([[np.count_nonzero(scores >= np.inf)], ends + 1])
-    tps = np.concatenate([[0], np.cumsum(labels[desc])])[predicted]
     rows = []
-    for th, n, tp in zip([np.inf] + ranked[starts].tolist(), predicted.tolist(), tps.tolist()):
-        fp, fn = n - tp, n_pos - tp
+    for th in [np.inf] + sorted(set(float(s) for s in scores), reverse=True):
+        pred = scores >= th
+        tp = int(np.sum(pred & labels))
+        fp = int(np.sum(pred & ~labels))
+        fn = int(np.sum(~pred & labels))
         rows.append(ThresholdRow(th, tp, fp, fn, *_prf(tp, fp, fn)))
     best = max(rows, key=lambda r: (r.f1, r.threshold))
     return tuple(rows), best

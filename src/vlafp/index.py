@@ -25,7 +25,6 @@ HEADER_BYTES = _HEADER.size
 # costs more than it saves.
 GROUP_ROWS = 64
 GROUPED_MIN_ROWS = 8192
-BLOCK_ROWS = 4096  # rows per block when vectors are copied in or their norms checked
 
 
 def record_dtype(dim: int) -> np.dtype:
@@ -44,16 +43,12 @@ class IndexEntry:
 
 
 def _check_vectors(vectors: np.ndarray) -> None:
-    """Every row must be unit L2 within UNIT_NORM_TOL; a NaN or inf norm fails too.
-
-    The norms are taken BLOCK_ROWS rows at a time, so no temporary is index-sized.
-    """
-    for start in range(0, len(vectors), BLOCK_ROWS):
-        norms = np.linalg.norm(vectors[start : start + BLOCK_ROWS], axis=1)
-        bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"entry {start + i}: vector norm {norms[i]:.6f} not unit within {UNIT_NORM_TOL}")
+    """Every row must be unit L2 within UNIT_NORM_TOL; a NaN or inf norm fails too."""
+    norms = np.linalg.norm(vectors, axis=1)
+    bad = ~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"entry {i}: vector norm {norms[i]:.6f} not unit within {UNIT_NORM_TOL}")
 
 
 def _candidates(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,23 +115,21 @@ class FingerprintIndex:
 
     def _append(self, entries: list[IndexEntry]) -> None:
         """Validate a non-empty batch of entries, then add it in bulk."""
-        rows = np.empty(len(entries), self.records.dtype)
-        vectors = rows["vector"]
-        for start in range(0, len(entries), BLOCK_ROWS):
-            block = np.asarray([e.vector for e in entries[start : start + BLOCK_ROWS]], dtype=np.float32)
-            if block.shape[1:] != (self.dim,):
-                raise ValueError(f"vector dim {block.shape[1:]} != index dim ({self.dim},)")
-            vectors[start : start + BLOCK_ROWS] = block
+        vectors = np.asarray([e.vector for e in entries], dtype=np.float32)
+        if vectors.shape[1:] != (self.dim,):
+            raise ValueError(f"vector dim {vectors.shape[1:]} != index dim ({self.dim},)")
         _check_vectors(vectors)
         audio_ids = [e.audio_id for e in entries]
         segment_ords = [e.segment_ord for e in entries]
         for name, values, bits in (("audio_id", audio_ids, 64), ("segment_ord", segment_ords, 32)):
             if min(values) < 0 or max(values) >= 1 << bits:
                 raise ValueError(f"{name} outside the u{bits} range in {min(values)}..{max(values)}")
+        rows = np.empty(len(entries), self.records.dtype)
         rows["audio_id"] = audio_ids
         rows["segment_ord"] = segment_ords
         rows["start_time"] = [e.start_time for e in entries]
         rows["duration"] = [e.duration for e in entries]
+        rows["vector"] = vectors
         self.records = np.concatenate([self.records, rows]) if len(self) else rows
 
     def entry(self, i: int) -> IndexEntry:

@@ -13,16 +13,9 @@ from .segmentation import segment_fixed  # noqa: F401  bench/tracing.py patches 
 
 
 def source_mel(source: Source, mel_cfg: MelConfig) -> np.ndarray:
-    """A segment's mel from its (span, rows) pair: mel_from_frames of its rows of the span's STFT.
-
-    Rows that are every frame in order skip the selection's copy; the mel's
-    product sees the same rows, so the bytes are the same.
-    """
+    """A segment's mel from its (span, rows) pair: mel_from_frames of its rows of the span's STFT."""
     span, rows = source
-    frames = stft(span)
-    if not np.array_equal(rows, np.arange(frames.n_frames)):
-        frames = frames.select(rows)
-    return mel_from_frames(frames, mel_cfg).data
+    return mel_from_frames(stft(span).select(rows), mel_cfg).data
 
 
 def segment_mels(w: Waveform, segments: list[Segment], mel_cfg: MelConfig) -> list[np.ndarray]:

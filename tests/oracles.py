@@ -388,25 +388,6 @@ def exhaustive_best_f1(scores, labels):
     return best
 
 
-def sweep_thresholds_loop(scores: np.ndarray, labels: np.ndarray) -> tuple[list[tuple], tuple]:
-    """evaluation.sweep_thresholds as one pass over all scores per threshold:
-    (threshold, tp, fp, fn, precision, recall, f1) rows and the best row."""
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        raise ValueError("no ground-truth positives: recall undefined")
-    rows = []
-    for th in [np.inf] + sorted(set(float(s) for s in scores), reverse=True):
-        pred = scores >= th
-        tp = int(np.sum(pred & labels))
-        fp = int(np.sum(pred & ~labels))
-        fn = int(np.sum(~pred & labels))
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        rows.append((th, tp, fp, fn, precision, recall, f1))
-    return rows, max(rows, key=lambda r: (r[6], r[0]))
-
-
 # -- the model on the Tensor graph -----------------------------------------
 #
 # The layers and the contrastive loss as Tensor operations, each op a graph
