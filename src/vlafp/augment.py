@@ -15,10 +15,6 @@ from .dsp import ANALYSIS_BLOCK_FRAMES, DEFAULT_HOP, DEFAULT_WINDOW, HANN, frame
 # default durations are one block each.
 CONVOLVE_BLOCK = 2**17
 
-# one_pole's chunk of samples run side by side, also the warm-up from which each
-# chunk but the first starts: 0.95**1024 is below 2**-75.
-ONE_POLE_CHUNK = 1024
-
 
 @dataclass(frozen=True)
 class AugmentConfig:
@@ -151,75 +147,39 @@ def convolve_ir(w: Waveform, ir: Waveform) -> Waveform:
     return result
 
 
-@dataclass(frozen=True)
-class ChainDraws:
-    """Parameters drawn for one pass through the chain (None = stage not run)."""
-
-    ts_factor: float | None = None
-    bg_index: int | None = None
-    snr_db: float | None = None
-    ir_index: int | None = None
-
-
-def augment_chain_with_draws(
-    w: Waveform, cfg: AugmentConfig, rng: np.random.Generator
-) -> tuple[Waveform, ChainDraws]:
+def augment_chain(w: Waveform, cfg: AugmentConfig, rng: np.random.Generator) -> tuple[Waveform, float]:
     """Apply TS if enabled, then BG and IR if their pool is non-empty, drawing from
-    rng in that order; a stage that does not run draws nothing."""
-    out = w
-    factor = bg_index = snr = ir_index = None
+    rng in that order; a stage that does not run draws nothing.
+
+    Returns the distorted waveform and its stretch factor, 1.0 when TS is off.
+    """
+    out, factor = w, 1.0
     if cfg.enable_ts:
         factor = float(rng.uniform(*cfg.ts_range))
         out = time_stretch(out, factor)
     if cfg.bg_pool:
-        bg_index = int(rng.integers(0, len(cfg.bg_pool)))
-        snr = float(rng.uniform(*cfg.snr_range_db))
-        out = mix_background(out, cfg.bg_pool[bg_index], snr, rng)
+        noise = cfg.bg_pool[int(rng.integers(0, len(cfg.bg_pool)))]
+        out = mix_background(out, noise, float(rng.uniform(*cfg.snr_range_db)), rng)
     if cfg.ir_pool:
-        ir_index = int(rng.integers(0, len(cfg.ir_pool)))
-        out = convolve_ir(out, cfg.ir_pool[ir_index])
-    return out, ChainDraws(factor, bg_index, snr, ir_index)
+        out = convolve_ir(out, cfg.ir_pool[int(rng.integers(0, len(cfg.ir_pool)))])
+    return out, factor
 
 
 def one_pole(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Each row of x through y[n] = alpha*y[n-1] + (1 - alpha)*x[n] from y[-1] = 0, alpha per row.
 
-    Every step rounds as scipy.signal.lfilter([1 - alpha], [1, -alpha], row)
-    does, y[n] = fl(fl(alpha*y[n-1]) + fl((1 - alpha)*x[n])), so the bytes are
-    lfilter's. The rows are cut into chunks of ONE_POLE_CHUNK samples that
-    run side by side, one numpy step per sample of a chunk. Each chunk but
-    the first starts from state zero one chunk early; with |alpha| < 1 the
-    recurrence forgets that start. A chunk whose state after that warm-up is
-    not the previous chunk's exact last value, bit for bit, is rerun from
-    that value one sample at a time, so every chunk is exact.
+    The rows run side by side, one numpy step per sample, in a (samples,
+    rows) buffer that first holds fl((1 - alpha)*x); the result is its
+    transposed view. Every step rounds as scipy.signal.lfilter([1 - alpha],
+    [1, -alpha], row) does, y[n] = fl(fl(alpha*y[n-1]) + fl((1 - alpha)*x[n])),
+    so the bytes are lfilter's.
     """
-    chunk = ONE_POLE_CHUNK
-    rows, n = x.shape
-    a = np.asarray(alpha, dtype=np.float64)[:, None]
-    b = 1.0 - a
-    chunks = -(-n // chunk)
-    # Block 0 is zeros, block k + 1 holds chunk k: first fl((1 - alpha)*x), then y.
-    p = np.zeros((rows, chunks + 1, chunk))
-    flat = p.reshape(rows, -1)
-    np.multiply(b, x, out=flat[:, chunk : chunk + n])
-    state = np.zeros((rows, chunks))
-    for t in range(chunk):
-        state *= a
-        state += p[:, :-1, t]
-    warm = state.copy()
-    for t in range(chunk):
-        state *= a
-        state += p[:, 1:, t]
-        p[:, 1:, t] = state
-    for k in range(1, chunks):
-        last = p[:, k, -1]
-        bad = np.flatnonzero(warm[:, k].view(np.int64) != last.view(np.int64))
-        if bad.size:
-            y, ab, bb = last[bad], a[bad, 0], b[bad, 0]
-            for t in range(min(chunk, n - k * chunk)):
-                y = y * ab + bb * x[bad, k * chunk + t]
-                p[bad, k + 1, t] = y
-    return flat[:, chunk : chunk + n]
+    a = np.asarray(alpha, dtype=np.float64)
+    y = np.empty(x.shape[::-1])
+    np.multiply(x.T, 1.0 - a, out=y)
+    for prev, row in zip(y, y[1:]):
+        row += a * prev
+    return y.T
 
 
 def make_noise_pool(

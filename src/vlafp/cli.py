@@ -23,7 +23,7 @@ from .evaluation import check_query_durations, cbr_evaluate, dtr_evaluate, make_
 from .index import FingerprintIndex
 from .model import ModelConfig, Parameters, init_parameters, load_checkpoint, save_checkpoint
 from .pipeline import build_index, fingerprint_segments, make_embedder, training_sources
-from .segmentation import FIXED_WINDOWS, METHODS, SegmenterConfig, default_theta, segment, write_manifest
+from .segmentation import FIXED_WINDOWS, METHODS, SegmenterConfig, segment, write_manifest
 from .synth import SynthSpec, generate
 from .training import TrainConfig, train
 
@@ -82,11 +82,6 @@ def config_from_args(cls, args, **given):
     """A config built from the flags whose dest names one of its fields, then from `given`."""
     parsed = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
     return cls(**{**parsed, **given})
-
-
-def seg_config_from_args(args) -> SegmenterConfig:
-    theta = args.theta if args.theta is not None else default_theta(args.method)
-    return config_from_args(SegmenterConfig, args, theta=theta)
 
 
 def load_model(path: str) -> tuple[Parameters, ModelConfig, MelConfig]:
@@ -149,7 +144,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    cfg = seg_config_from_args(args)
+    cfg = config_from_args(SegmenterConfig, args)
     corpus, files = load_corpus(args.audio, args.sample_rate)
     per_audio = [segment(w, cfg, aid) for aid, w in corpus]
     segments = [s for segs in per_audio for s in segs]
@@ -163,7 +158,7 @@ def cmd_segment(args) -> int:
 
 def cmd_train(args) -> int:
     train_cfg = config_from_args(TrainConfig, args)
-    seg_cfg = seg_config_from_args(args)
+    seg_cfg = config_from_args(SegmenterConfig, args)
     corpus, _ = load_corpus(args.corpus, args.sample_rate)
     model_cfg = config_from_args(ModelConfig, args)
     mel_cfg = MelConfig(n_mels=model_cfg.f_bins)
@@ -186,7 +181,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
-    seg_cfg = seg_config_from_args(args)
+    seg_cfg = config_from_args(SegmenterConfig, args)
     corpus, _ = load_corpus(args.audio, args.sample_rate)
     params, model_cfg, mel_cfg = load_model(args.ckpt)
     index = build_index(corpus, seg_cfg, mel_cfg, params, model_cfg)
@@ -229,7 +224,7 @@ def cmd_index_query(args) -> int:
 
 
 def cmd_eval_cbr(args) -> int:
-    seg_cfg = seg_config_from_args(args)
+    seg_cfg = config_from_args(SegmenterConfig, args)
     corpus, _ = load_corpus(args.audio, args.sample_rate)
     params, model_cfg, mel_cfg = load_model(args.ckpt)
     rng = np.random.default_rng(args.seed)

@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from .audio import Waveform
-from .augment import AugmentConfig, ChainDraws, augment_chain_with_draws
+from .augment import AugmentConfig, augment_chain
 from .dsp import DEFAULT_HOP
 from .index import FingerprintIndex
 from .segmentation import FIXED_WINDOWS, Segment, SegmenterConfig, Source, segment
@@ -25,7 +25,6 @@ QUERY_ALIGN_S = 0.5
 class BroadcastSim:
     stream: Waveform
     span: tuple[float, float]  # ground-truth commercial span, post-distortion seconds
-    draws: ChainDraws
 
 
 def simulate_broadcast(
@@ -59,10 +58,8 @@ def simulate_broadcast(
     stream = Waveform(
         np.concatenate([w.samples for _, w in arranged]), commercial.sample_rate
     )
-    distorted, draws = augment_chain_with_draws(stream, aug_cfg, rng)
-    if draws.ts_factor is not None:
-        span = (span[0] / draws.ts_factor, span[1] / draws.ts_factor)
-    return BroadcastSim(distorted, span, draws)
+    distorted, factor = augment_chain(stream, aug_cfg, rng)
+    return BroadcastSim(distorted, (span[0] / factor, span[1] / factor))
 
 
 @dataclass(frozen=True)
@@ -249,6 +246,6 @@ def make_dtr_queries(
                 slot = int(rng.integers(0, max_slot + 1))
                 start = int(slot * QUERY_ALIGN_S * w.sample_rate)
                 chunk = w.slice_samples(start, n)
-                distorted, _ = augment_chain_with_draws(chunk, aug_cfg, rng)
+                distorted, _ = augment_chain(chunk, aug_cfg, rng)
                 queries.append(DtrQuery(aid, dur, distorted))
     return queries

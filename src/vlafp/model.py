@@ -17,6 +17,8 @@ INIT_STD = 0.02
 # Largest self-attention, in cells (n * L^2), that one stack of n equal-length
 # segments may hold; a longer group of equal lengths runs in chunks.
 MAX_ATTENTION_CELLS = 65_536
+# The RMS norm's epsilon, as every checkpoint's header records it.
+RMS_EPS = 1e-6
 
 Parameters = dict[str, np.ndarray]
 
@@ -29,15 +31,13 @@ class ModelConfig:
     n_heads: int = 4
     d_head: int = 8
     ffn_alpha: float = 1.0
-    eps: float = 1e-6
 
     def __post_init__(self):
         dims = (self.f_bins, self.d, self.n_blocks, self.n_heads, self.d_head)
         if any(v < 1 for v in dims):
             raise ValueError(f"all dimensions must be >= 1, got {dims}")
-        for name in ("ffn_alpha", "eps"):
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not (0 < self.ffn_alpha < math.inf):
+            raise ValueError(f"ffn_alpha must be finite and > 0, got {self.ffn_alpha}")
 
     @property
     def ffn_hidden(self) -> int:
@@ -151,9 +151,9 @@ def _rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1])
 
 
-def _rms_norm(x: np.ndarray, gain: np.ndarray, eps: float, tape: list | None) -> np.ndarray:
-    """x / sqrt(mean(x^2) + eps) over the last axis, scaled by gain."""
-    r = np.sqrt((x * x).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1]) + eps)
+def _rms_norm(x: np.ndarray, gain: np.ndarray, tape: list | None) -> np.ndarray:
+    """x / sqrt(mean(x^2) + RMS_EPS) over the last axis, scaled by gain."""
+    r = np.sqrt((x * x).sum(axis=-1, keepdims=True) * (1.0 / x.shape[-1]) + RMS_EPS)
     xhat = x / r
     if tape is not None:
         tape.append((xhat, r))
@@ -276,9 +276,9 @@ def _block_frames(h_prev: np.ndarray, w: Parameters, block: int, cfg: ModelConfi
     """
     p = f"block{block}"
     norms = None if tape is None else []
-    normed = _rms_norm(h_prev, w[f"{p}.attn_norm.gain"], cfg.eps, norms)
+    normed = _rms_norm(h_prev, w[f"{p}.attn_norm.gain"], norms)
     h = h_prev + _attention(normed, normed, w, f"{p}.attn", cfg, tape)
-    h = h + _ffn(_rms_norm(h, w[f"{p}.ffn_norm.gain"], cfg.eps, norms), w, f"{p}.ffn", tape)
+    h = h + _ffn(_rms_norm(h, w[f"{p}.ffn_norm.gain"], norms), w, f"{p}.ffn", tape)
     if tape is not None:
         tape.append(norms)
     return h
@@ -326,8 +326,8 @@ def _cross_block(s_prev, frames, w: Parameters, block: int, cfg: ModelConfig, ta
     """
     p = f"block{block}"
     norms = None if tape is None else []
-    q = _rms_norm(s_prev, w[f"{p}.cross_qnorm.gain"], cfg.eps, norms)
-    kv = _rms_norm(frames, w[f"{p}.cross_kvnorm.gain"], cfg.eps, norms)
+    q = _rms_norm(s_prev, w[f"{p}.cross_qnorm.gain"], norms)
+    kv = _rms_norm(frames, w[f"{p}.cross_kvnorm.gain"], norms)
     s = s_prev + _attention(q, kv, w, f"{p}.cross", cfg, tape)
     if tape is not None:
         tape.append(norms)
@@ -469,7 +469,7 @@ def save_checkpoint(path: str | Path, params: Parameters, cfg: ModelConfig) -> N
     """Binary checkpoint: magic, version, config, then named float32 tensors.
 
     The header keeps three width slots (frame, attention and segment
-    width); all three hold cfg.d.
+    width), all three holding cfg.d, and an eps slot holding RMS_EPS.
     """
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
@@ -485,7 +485,7 @@ def save_checkpoint(path: str | Path, params: Parameters, cfg: ModelConfig) -> N
                 cfg.n_heads,
                 cfg.d_head,
                 cfg.ffn_alpha,
-                cfg.eps,
+                RMS_EPS,
             )
         )
         fh.write(struct.pack("<I", len(params)))
@@ -537,9 +537,10 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, ModelConfig]:
                 raise ValueError(f"unsupported checkpoint version {version}")
             if not d1 == d2 == d:
                 raise ValueError(f"header widths must be equal, got {d1}, {d2}, {d}")
+            if eps != RMS_EPS:
+                raise ValueError(f"header eps must be {RMS_EPS}, got {eps}")
             cfg = ModelConfig(
-                f_bins=f_bins, d=d, n_blocks=n_blocks, n_heads=n_heads, d_head=d_head,
-                ffn_alpha=ffn_alpha, eps=eps,
+                f_bins=f_bins, d=d, n_blocks=n_blocks, n_heads=n_heads, d_head=d_head, ffn_alpha=ffn_alpha
             )
             (count,) = struct.unpack("<I", read(4))
             params: Parameters = {}

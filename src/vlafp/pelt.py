@@ -21,15 +21,13 @@ def default_penalty(series: np.ndarray) -> float:
     return float(2.0 * np.log(n) * np.var(x))
 
 
-def pelt_changepoints(
-    series: np.ndarray, penalty: float, min_size: int = 1, jump: int = 1
-) -> list[int]:
+def pelt_changepoints(series: np.ndarray, penalty: float, min_size: int = 1) -> list[int]:
     """Optimal segmentation of a 1-D series under SSE cost + per-segment penalty.
 
     Returns segment end indices in increasing order, final entry = len(series).
-    Admissible boundaries lie on the jump grid (the final index always
-    qualifies); every segment spans at least min_size points. Candidate
-    pruning never discards the optimum for this cost class.
+    Every index is an admissible boundary; every segment spans at least
+    min_size points. Candidate pruning never discards the optimum for this
+    cost class.
 
     Each end t is one vectorized pass over the surviving candidates, kept
     as a sorted int array: the admissible ones (at least min_size before t)
@@ -39,8 +37,8 @@ def pelt_changepoints(
     """
     if not (penalty > 0):
         raise ValueError(f"penalty must be positive, got {penalty}")
-    if min_size < 1 or jump < 1:
-        raise ValueError("min_size and jump must be >= 1")
+    if min_size < 1:
+        raise ValueError("min_size must be >= 1")
     x = np.asarray(series, dtype=np.float64)
     n = x.shape[0]
     if n < 2 * min_size or penalty == np.inf:  # an infinite penalty admits one segment
@@ -49,7 +47,6 @@ def pelt_changepoints(
     s1 = np.concatenate([[0.0], np.cumsum(x)])
     s2 = np.concatenate([[0.0], np.cumsum(x * x)])
 
-    ends = sorted({t for t in range(jump, n + 1, jump)} | {n})
     best_cost = np.empty(n + 1)
     best_cost[0] = -penalty
     prev_bp = np.full(n + 1, -1)
@@ -57,7 +54,7 @@ def pelt_changepoints(
     # The surviving candidates, in increasing order, are cand[:m].
     cand = np.zeros(n + 1, dtype=np.intp)
     m = 1
-    for t in ends:
+    for t in range(1, n + 1):
         n_adm = int(cand[:m].searchsorted(t - min_size, side="right"))
         if n_adm == 0:
             continue

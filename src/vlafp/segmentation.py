@@ -53,19 +53,22 @@ def default_theta(method: str) -> float:
 class SegmenterConfig:
     """A segmentation method and its settings.
 
-    window_s and hop_s are read by "fixed" alone, but every method's config
-    checks them, so a bad pair is refused before any audio is read.
+    theta left None is the method's default_theta. window_s and hop_s are
+    read by "fixed" alone, but every method's config checks them, so a bad
+    pair is refused before any audio is read.
     """
 
     t_min: float = 0.5
     t_max: float = 5.0
-    theta: float = 1.0
+    theta: float | None = None
     method: str = "main"
     pelt_penalty: float | None = None
     window_s: float = 1.0
     hop_s: float = 0.5
 
     def __post_init__(self):
+        if self.theta is None:
+            object.__setattr__(self, "theta", default_theta(self.method))
         if not (0 < self.t_min <= self.t_max < math.inf):
             raise ValueError(f"need 0 < t_min <= t_max < inf, got {self.t_min}, {self.t_max}")
         if not (self.theta >= 0):
@@ -283,7 +286,7 @@ def segment(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segmen
 
 
 # 1 s windows every 0.5 s: the fixed-length baseline the variable methods replace.
-FIXED_WINDOWS = SegmenterConfig(method="fixed", theta=default_theta("fixed"))
+FIXED_WINDOWS = SegmenterConfig(method="fixed")
 
 
 def write_manifest(path: str | Path, segments: list[Segment], cfg: SegmenterConfig) -> None:

@@ -29,19 +29,7 @@ class SynthSpec:
             raise ValueError(f"need 0 < duration low <= high < inf, got {self.duration_range}")
 
 
-@dataclass(frozen=True)
-class _Signature:
-    """Per-audio spectral identity: a base register plus partial ratios.
-
-    Coarse spectral position survives heavy added noise, so anchoring each
-    audio's events to its own frequency set keeps the corpus identifiable
-    at one-second granularity even at low SNR.
-    """
-
-    freqs: tuple[float, ...]
-
-
-def _tone(dur_s: float, fs: int, rng: np.random.Generator, sig: _Signature) -> np.ndarray:
+def _tone(dur_s: float, fs: int, rng: np.random.Generator, freqs: tuple[float, ...]) -> np.ndarray:
     # The full signature chord sounds in every tonal event, so even short
     # excerpts carry the audio's identity.
     n = int(dur_s * fs)
@@ -49,7 +37,7 @@ def _tone(dur_s: float, fs: int, rng: np.random.Generator, sig: _Signature) -> n
     out = np.zeros(n)
     amp = rng.uniform(0.25, 0.5)
     vib_rate = rng.uniform(3.0, 7.0)
-    for j, f in enumerate(sig.freqs):
+    for j, f in enumerate(freqs):
         f0 = f * rng.uniform(0.995, 1.005)
         vib_depth = rng.uniform(0.002, 0.006) * f0
         inst_freq = f0 + vib_depth * np.sin(2 * np.pi * vib_rate * t + rng.uniform(0, 2 * np.pi))
@@ -59,31 +47,31 @@ def _tone(dur_s: float, fs: int, rng: np.random.Generator, sig: _Signature) -> n
     return out * am
 
 
-def _chirp(dur_s: float, fs: int, rng: np.random.Generator, sig: _Signature) -> np.ndarray:
+def _chirp(dur_s: float, fs: int, rng: np.random.Generator, freqs: tuple[float, ...]) -> np.ndarray:
     # Sweep between two signature frequencies with a base-drone underneath.
     n = int(dur_s * fs)
     t = np.arange(n) / fs
-    f0 = float(rng.choice(sig.freqs)) * rng.uniform(0.98, 1.02)
-    f1 = float(rng.choice(sig.freqs)) * rng.uniform(0.9, 1.1)
+    f0 = float(rng.choice(freqs)) * rng.uniform(0.98, 1.02)
+    f1 = float(rng.choice(freqs)) * rng.uniform(0.9, 1.1)
     phase = 2 * np.pi * (f0 * t + 0.5 * (f1 - f0) * t**2 / max(dur_s, 1e-9))
-    drone = 0.4 * np.sin(2 * np.pi * sig.freqs[0] * t + rng.uniform(0, 2 * np.pi))
+    drone = 0.4 * np.sin(2 * np.pi * freqs[0] * t + rng.uniform(0, 2 * np.pi))
     return rng.uniform(0.25, 0.45) * (np.sin(phase) + drone)
 
 
-def _noise_burst(dur_s: float, fs: int, rng: np.random.Generator, sig: _Signature) -> np.ndarray:
+def _noise_burst(dur_s: float, fs: int, rng: np.random.Generator, freqs: tuple[float, ...]) -> np.ndarray:
     # Band-limited around a signature frequency: identifiable even as noise.
     n = int(dur_s * fs)
-    center = float(rng.choice(sig.freqs))
+    center = float(rng.choice(freqs))
     half_bw = rng.uniform(80.0, 200.0)
     spec = np.fft.rfft(rng.standard_normal(n))
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    spec[(freqs < center - half_bw) | (freqs > center + half_bw)] = 0.0
+    bins = np.fft.rfftfreq(n, d=1.0 / fs)
+    spec[(bins < center - half_bw) | (bins > center + half_bw)] = 0.0
     shaped = np.fft.irfft(spec, n=n)
     shaped /= max(np.max(np.abs(shaped)), 1e-12)
     return rng.uniform(0.2, 0.45) * shaped
 
 
-def _gap(dur_s: float, fs: int, rng: np.random.Generator, sig: _Signature) -> np.ndarray:
+def _gap(dur_s: float, fs: int, rng: np.random.Generator, freqs: tuple[float, ...]) -> np.ndarray:
     return np.zeros(int(dur_s * fs))
 
 
@@ -91,7 +79,13 @@ _EVENTS = (_tone, _chirp, _noise_burst, _gap)
 _EVENT_PROBS = (0.45, 0.25, 0.15, 0.15)
 
 
-def _make_signature(index: int, n_audios: int, rng: np.random.Generator) -> _Signature:
+def _make_signature(index: int, n_audios: int, rng: np.random.Generator) -> tuple[float, ...]:
+    """Per-audio spectral identity: a base register times partial ratios.
+
+    Coarse spectral position survives heavy added noise, so anchoring each
+    audio's events to its own frequency set keeps the corpus identifiable
+    at one-second granularity even at low SNR.
+    """
     lo, hi = 240.0, 2400.0
     if n_audios == 1:
         base = np.sqrt(lo * hi)
@@ -99,12 +93,11 @@ def _make_signature(index: int, n_audios: int, rng: np.random.Generator) -> _Sig
         base = lo * (hi / lo) ** (index / (n_audios - 1))
     base *= rng.uniform(0.99, 1.01)
     ratios = [1.0, rng.uniform(1.25, 1.6), rng.uniform(1.9, 2.8)]
-    freqs = tuple(min(base * r, 3600.0) for r in ratios)
-    return _Signature(freqs)
+    return tuple(min(base * r, 3600.0) for r in ratios)
 
 
 def _mixture_audio(
-    dur_s: float, fs: int, rng: np.random.Generator, sig: _Signature
+    dur_s: float, fs: int, rng: np.random.Generator, freqs: tuple[float, ...]
 ) -> np.ndarray:
     parts = []
     remaining = dur_s
@@ -114,7 +107,7 @@ def _mixture_audio(
         hi = 0.35 if _EVENTS[kind] is _gap else 1.2
         lo = 0.15 if _EVENTS[kind] is _gap else 0.5
         event_dur = min(float(rng.uniform(lo, hi)), remaining)
-        parts.append(_EVENTS[kind](event_dur, fs, rng, sig))
+        parts.append(_EVENTS[kind](event_dur, fs, rng, freqs))
         remaining -= event_dur
     return np.concatenate(parts) if parts else np.zeros(0)
 
@@ -153,8 +146,8 @@ def generate(spec: SynthSpec) -> list[tuple[int, Waveform]]:
         dur = float(rng.uniform(*spec.duration_range))
         fs = spec.sample_rate
         if spec.recipe == "mixture":
-            sig = _make_signature(int(order[i]), spec.n_audios, rng)
-            x = _mixture_audio(dur, fs, rng, sig)
+            freqs = _make_signature(int(order[i]), spec.n_audios, rng)
+            x = _mixture_audio(dur, fs, rng, freqs)
         elif spec.recipe == "tone_noise":
             x = _alternation_audio(dur, fs, rng, "noise")
         elif spec.recipe == "tone_silence":

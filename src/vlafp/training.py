@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import AugmentConfig, augment_chain_with_draws
+from .augment import AugmentConfig, augment_chain
 from .dsp import MelConfig, frame_count
 from .model import ModelConfig, PackedBatch, Parameters, fingerprint_batch_forward, init_parameters
 from .pipeline import source_mel
@@ -122,8 +122,7 @@ def build_batch(
         is_row[list(rows)] = True
         mels.append(source_mel((span, rows), mel_cfg))
         for _ in range(train_cfg.n_pos):
-            distorted, draws = augment_chain_with_draws(span, aug_cfg, rng)
-            factor = 1.0 if draws.ts_factor is None else draws.ts_factor
+            distorted, factor = augment_chain(span, aug_cfg, rng)
             source = np.rint(np.arange(frame_count(len(distorted))) * factor).astype(np.intp)
             keep = np.flatnonzero(is_row[np.minimum(source, n_frames - 1)])
             mels.append(source_mel((distorted, keep), mel_cfg))

@@ -22,6 +22,7 @@ from vlafp.dsp import (
 )
 from vlafp.model import (
     MAX_ATTENTION_CELLS,
+    RMS_EPS,
     ModelConfig,
     PackedBatch,
     Parameters,
@@ -32,18 +33,17 @@ from vlafp.model import (
 from vlafp.segmentation import MIN_STD
 
 
-def dp_oracle(series, penalty, min_size=1, jump=1):
-    """Unpruned O(n^2) dynamic program over the admissible boundary set."""
+def dp_oracle(series, penalty, min_size=1):
+    """Unpruned O(n^2) dynamic program over every boundary."""
     x = np.asarray(series, dtype=np.float64)
     n = len(x)
     if n < 2 * min_size:
         return [n]
-    ends = sorted({t for t in range(jump, n + 1, jump)} | {n})
     best = {0: -penalty}
     prev = {}
-    for t in ends:
+    for t in range(1, n + 1):
         options = []
-        for s in [0] + [e for e in ends if e < t]:
+        for s in range(t):
             if s in best and t - s >= min_size:
                 seg = x[s:t]
                 options.append((best[s] + np.sum((seg - seg.mean()) ** 2) + penalty, s))
@@ -55,7 +55,7 @@ def dp_oracle(series, penalty, min_size=1, jump=1):
     return list(reversed(bps))[1:]
 
 
-def pelt_list_reference(series, penalty, min_size=1, jump=1, prune_slack=1e-9):
+def pelt_list_reference(series, penalty, min_size=1, prune_slack=1e-9):
     """PELT with Python lists and dicts, one scalar cost per candidate.
 
     The same recursion, pruning and first-minimum tie rule as
@@ -73,11 +73,10 @@ def pelt_list_reference(series, penalty, min_size=1, jump=1, prune_slack=1e-9):
         seg_sum = s1[b] - s1[a]
         return (s2[b] - s2[a]) - seg_sum * seg_sum / m
 
-    ends = sorted({t for t in range(jump, n + 1, jump)} | {n})
     best_cost = {0: -penalty}
     prev_bp = {0: 0}
     candidates = [0]
-    for t in ends:
+    for t in range(1, n + 1):
         admissible = [s for s in candidates if t - s >= min_size]
         if not admissible:
             continue
@@ -338,8 +337,8 @@ def time_stretch(w: Waveform, factor: float) -> Waveform:
 
 def make_noise_pool(n: int, duration_s: float, sample_rate: int, seed: int) -> tuple[Waveform, ...]:
     """The colored-noise pool with scipy.signal.lfilter, one row at a time: the
-    reference for augment.make_noise_pool, whose augment.one_pole runs the rows'
-    chunks side by side and equals lfilter byte for byte."""
+    reference for augment.make_noise_pool, whose augment.one_pole runs the rows
+    side by side, one step per sample, and equals lfilter byte for byte."""
     rng = np.random.default_rng(seed)
     pool = []
     length = int(duration_s * sample_rate)
@@ -521,12 +520,12 @@ def block_frames(
     cfg: ModelConfig,
 ) -> Tensor:
     """Pre-norm residual frame update: self-attention then gated FFN."""
-    normed = rms_norm(h_prev, tp[f"block{block}.attn_norm.gain"], cfg.eps)
+    normed = rms_norm(h_prev, tp[f"block{block}.attn_norm.gain"], RMS_EPS)
     h = h_prev + multi_head_attention(
         normed, normed, tp, f"block{block}.attn", cfg.n_heads, cfg.d_head
     )
     h_t = h + ffn(
-        rms_norm(h, tp[f"block{block}.ffn_norm.gain"], cfg.eps),
+        rms_norm(h, tp[f"block{block}.ffn_norm.gain"], RMS_EPS),
         tp[f"block{block}.ffn.w1"],
         tp[f"block{block}.ffn.w2"],
         tp[f"block{block}.ffn.w3"],
@@ -554,8 +553,8 @@ def cross_attention_block(
     cfg: ModelConfig,
 ) -> Tensor:
     """Segment embeddings attend to frames; a single residual addition."""
-    q = rms_norm(s_prev, tp[f"block{block}.cross_qnorm.gain"], cfg.eps)
-    kv = rms_norm(frames, tp[f"block{block}.cross_kvnorm.gain"], cfg.eps)
+    q = rms_norm(s_prev, tp[f"block{block}.cross_qnorm.gain"], RMS_EPS)
+    kv = rms_norm(frames, tp[f"block{block}.cross_kvnorm.gain"], RMS_EPS)
     return s_prev + multi_head_attention(q, kv, tp, f"block{block}.cross", cfg.n_heads, cfg.d_head)
 
 
@@ -726,9 +725,9 @@ def _ffn_backward(dout, w, prefix, tape, grads):
 def _block_frames(h_prev: np.ndarray, w: Parameters, block: int, cfg: ModelConfig, tape: list | None):
     """Pre-norm residual frame update: self-attention then gated FFN."""
     p = f"block{block}"
-    normed = _rms_norm(h_prev, w[f"{p}.attn_norm.gain"], cfg.eps, tape)
+    normed = _rms_norm(h_prev, w[f"{p}.attn_norm.gain"], RMS_EPS, tape)
     h = h_prev + _attention(normed, normed, w, f"{p}.attn", cfg, tape)
-    return h + _ffn(_rms_norm(h, w[f"{p}.ffn_norm.gain"], cfg.eps, tape), w, f"{p}.ffn", tape)
+    return h + _ffn(_rms_norm(h, w[f"{p}.ffn_norm.gain"], RMS_EPS, tape), w, f"{p}.ffn", tape)
 
 
 def _block_frames_backward(dh_out, w, block, cfg, tape, grads):
@@ -765,8 +764,8 @@ def _seg_init_backward(ds, w, cfg, tape, grads):
 def _cross_block(s_prev, frames, w: Parameters, block: int, cfg: ModelConfig, tape: list | None):
     """Segment embeddings attend to frames; a single residual addition."""
     p = f"block{block}"
-    q = _rms_norm(s_prev, w[f"{p}.cross_qnorm.gain"], cfg.eps, tape)
-    kv = _rms_norm(frames, w[f"{p}.cross_kvnorm.gain"], cfg.eps, tape)
+    q = _rms_norm(s_prev, w[f"{p}.cross_qnorm.gain"], RMS_EPS, tape)
+    kv = _rms_norm(frames, w[f"{p}.cross_kvnorm.gain"], RMS_EPS, tape)
     return s_prev + _attention(q, kv, w, f"{p}.cross", cfg, tape)
 
 

@@ -115,9 +115,8 @@ def test_03_pelt_oracle():
                 continue
             penalty = float(rng.uniform(0.2, 5.0))
             min_size = int(rng.integers(1, 4))
-            jump = int(rng.integers(1, 3))
-            got = pelt_changepoints(series, penalty, min_size, jump)
-            want = dp_oracle(series, penalty, min_size, jump)
+            got = pelt_changepoints(series, penalty, min_size)
+            want = dp_oracle(series, penalty, min_size)
             assert segmentation_cost(series, got, penalty) == segmentation_cost(
                 series, want, penalty
             )

@@ -430,7 +430,7 @@ class TestHostileInput:
         assert main(["inspect", str(path)]) == 1
         _one_error_line(capsys, str(path), "widths must be equal")
 
-    @pytest.mark.parametrize("eps", [math.nan, -1.0], ids=["nan", "negative"])
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, 1e-5], ids=["nan", "negative", "not-the-default"])
     @pytest.mark.parametrize("command", ["fingerprint", "inspect"])
     def test_checkpoint_eps_not_finite_and_positive(self, corpus_dir, ckpt, tmp_path, capsys, command, eps):
         data = bytearray(Path(ckpt).read_bytes())
@@ -443,7 +443,7 @@ class TestHostileInput:
         else:
             argv = ["fingerprint", "--audio", str(corpus_dir), "--ckpt", str(path), "--out", str(out)]
         assert main(argv) == 1
-        _one_error_line(capsys, str(path), "eps must be finite and > 0")
+        _one_error_line(capsys, str(path), "header eps must be 1e-06, got")
         assert not out.exists()
 
     def test_inspect_unknown_binary_names_the_file(self, tmp_path, capsys):

@@ -10,14 +10,32 @@ tests/oracles.py.
 
 vlafp.autodiff is exempt while bench/tracing.py patches its
 Tensor.backward.
+
+The settable values, the fields of the five config classes, are pinned
+here, so a new setting is a visible edit of SETTINGS.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from vlafp.augment import AugmentConfig
+from vlafp.dsp import MelConfig
+from vlafp.model import ModelConfig
+from vlafp.segmentation import SegmenterConfig
+from vlafp.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vlafp"
 EXEMPT = ("__init__.py", "autodiff.py")
+
+SETTINGS = {
+    SegmenterConfig: ("t_min", "t_max", "theta", "method", "pelt_penalty", "window_s", "hop_s"),
+    MelConfig: ("n_mels",),
+    ModelConfig: ("f_bins", "d", "n_blocks", "n_heads", "d_head", "ffn_alpha"),
+    TrainConfig: ("tau", "batch_items", "n_pos", "lr", "epochs", "seed"),
+    AugmentConfig: ("enable_ts", "ts_range", "snr_range_db", "bg_pool", "ir_pool"),
+}
 
 
 def readers() -> list[Path]:
@@ -61,3 +79,7 @@ def unread_definitions() -> list[str]:
 
 def test_every_definition_has_a_reader_outside_tests():
     assert unread_definitions() == []
+
+
+def test_settable_values_are_pinned():
+    assert {cls: tuple(f.name for f in fields(cls)) for cls in SETTINGS} == SETTINGS

@@ -40,9 +40,8 @@ class TestPeltOracle:
         )[:n]
         penalty = float(rng.uniform(0.2, 4.0))
         min_size = int(rng.integers(1, 4))
-        jump = int(rng.integers(1, 3))
-        got = pelt_changepoints(series, penalty, min_size, jump)
-        want = dp_oracle(series, penalty, min_size, jump)
+        got = pelt_changepoints(series, penalty, min_size)
+        want = dp_oracle(series, penalty, min_size)
         assert segmentation_cost(series, got, penalty) == pytest.approx(
             segmentation_cost(series, want, penalty), rel=1e-12, abs=1e-12
         )
@@ -83,15 +82,14 @@ def long_entropy_series():
 class TestPeltAtScale:
     """Long series, where pruning drops most candidates: identical breakpoints."""
 
-    @pytest.mark.parametrize("jump", [1, 3])
     @pytest.mark.parametrize("source", ["corpus", "broadcast"])
-    def test_matches_list_reference(self, long_entropy_series, source, jump):
+    def test_matches_list_reference(self, long_entropy_series, source):
         series = long_entropy_series[source]
         assert series.shape[0] >= 2000
         penalty = default_penalty(series)
-        got = pelt_changepoints(series, penalty, min_size=16, jump=jump)
+        got = pelt_changepoints(series, penalty, min_size=16)
         assert len(got) > 2
-        assert got == pelt_list_reference(series, penalty, min_size=16, jump=jump)
+        assert got == pelt_list_reference(series, penalty, min_size=16)
 
 
 class TestSegmentPelt:

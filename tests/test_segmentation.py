@@ -465,6 +465,12 @@ class TestTracerSites:
 
 
 class TestDispatchAndManifest:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_omitted_theta_is_the_method_default(self, method):
+        assert SegmenterConfig(method=method).theta == default_theta(method)
+        assert SegmenterConfig(method=method, theta=2.5).theta == 2.5
+        assert SegmenterConfig(method=method, theta=0.0).theta == 0.0
+
     def test_dispatch_by_method(self, small_corpus):
         aid, w = small_corpus[0]
         for method in METHODS:
