@@ -21,7 +21,10 @@ in a fresh temporary directory (nothing is written into either checkout):
 - a 1-epoch `train` under `fixed`, `main` and `nosilence` (BG+IR positives);
 - a 1-epoch `train --aug ts,bg,ir` under `fixed` and `nosilence`, so that
   time-stretched positives and their kept rows are compared too;
-- a 1-epoch `train --aug bg` under `fixed` (a BG-only chain).
+- a 1-epoch `train --aug bg` under `fixed` (a BG-only chain);
+- `init` of a random checkpoint, then `inspect` of the copied desk
+  checkpoint, of that `init` checkpoint and of the `fixed` index, so the
+  checkpoint writer and reader and inspect's magic check are compared too.
 
 The one-stage and no-stage chains check that a BG or IR stage runs exactly
 when `--aug` asks for it, and draws what it drew before.
@@ -93,6 +96,9 @@ def commands() -> list[tuple[str, list[str]]]:
                                         "--lr", "1e-3", "--aug", "ts,bg,ir", "--out", f"model-ts-{m}.vlfp"]))
     steps.append(("train-bg", ["train", "--corpus", "corpus", "--method", "fixed", "--epochs", "1",
                                "--lr", "1e-3", "--aug", "bg", "--out", "model-bg.vlfp"]))
+    steps.append(("init", ["init", "--seed", "3", "--out", "init.vlfp"]))
+    for path in (CKPT, "init.vlfp", "fp-fixed.vlix"):
+        steps.append((f"inspect-{path}", ["inspect", path]))
     return steps
 
 

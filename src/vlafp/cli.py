@@ -20,8 +20,8 @@ from .audio import DEFAULT_SAMPLE_RATE, Waveform, load_audio, write_wav
 from .augment import AugmentConfig, make_ir_pool, make_noise_pool
 from .dsp import MelConfig
 from .evaluation import check_query_durations, cbr_evaluate, dtr_evaluate, make_dtr_queries, simulate_broadcast
-from .index import FingerprintIndex
-from .model import ModelConfig, Parameters, init_parameters, load_checkpoint, save_checkpoint
+from .index import INDEX_MAGIC, FingerprintIndex
+from .model import CKPT_MAGIC, ModelConfig, Parameters, init_parameters, load_checkpoint, save_checkpoint
 from .pipeline import build_index, fingerprint_segments, make_embedder, training_sources
 from .segmentation import FIXED_WINDOWS, METHODS, SegmenterConfig, segment, write_manifest
 from .synth import SynthSpec, generate
@@ -324,11 +324,11 @@ def cmd_inspect(args) -> int:
         raise FileNotFoundError(f"no such file: {path}")
     with path.open("rb") as fh:
         magic = fh.read(4)
-    if magic == b"VLIX":
+    if magic == INDEX_MAGIC:
         index = FingerprintIndex.load(path)
         print(f"fingerprint index: dim={index.dim} entries={len(index)} bytes={path.stat().st_size}")
         print(f"distinct audio ids: {len(np.unique(index.records['audio_id']))}")
-    elif magic == b"VLFP":
+    elif magic == CKPT_MAGIC:
         params, cfg = load_checkpoint(path)
         n_values = sum(v.size for v in params.values())
         print(f"model checkpoint: {cfg}")
@@ -371,7 +371,6 @@ def _add_segmentation(p):
     p.add_argument("--tmin", dest="t_min", type=float, default=SegmenterConfig.t_min)
     p.add_argument("--tmax", dest="t_max", type=float, default=SegmenterConfig.t_max)
     _add_windows(p)
-    p.add_argument("--pelt-penalty", type=float, default=SegmenterConfig.pelt_penalty)
 
 
 def _add_model(p):

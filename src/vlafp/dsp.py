@@ -124,28 +124,25 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    n_mels: int, n_fft: int, sample_rate: int, fmin: float, fmax: float
-) -> np.ndarray:
-    """HTK-style triangular filterbank, area-unnormalized, (n_mels, n_fft//2+1).
+@functools.lru_cache(maxsize=16)
+def mel_filterbank(n_mels: int, sample_rate: int) -> np.ndarray:
+    """The grid's HTK-style triangular filterbank, area-unnormalized, (n_mels, DEFAULT_WINDOW//2+1).
 
-    Every filter's support lies strictly within [fmin, fmax]; centers are
-    strictly increasing on the mel scale.
+    Every filter's support lies strictly within [MEL_FMIN, MEL_FMAX];
+    centers are strictly increasing on the mel scale. Built once per shape
+    and read-only.
     """
-    if not (0 <= fmin < fmax <= sample_rate / 2):
-        raise ValueError(f"need 0 <= fmin < fmax <= nyquist, got {fmin}, {fmax}")
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
-    bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
+    if MEL_FMAX > sample_rate / 2:
+        raise ValueError(
+            f"sample rate {sample_rate} Hz is too low: the mel bands reach {MEL_FMAX:g} Hz,"
+            f" above its Nyquist frequency {sample_rate / 2:g} Hz"
+        )
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(MEL_FMIN), hz_to_mel(MEL_FMAX), n_mels + 2))
+    bin_freqs = np.arange(DEFAULT_WINDOW // 2 + 1) * sample_rate / DEFAULT_WINDOW
     lo, ctr, hi = edges_hz[:-2], edges_hz[1:-1], edges_hz[2:]
     up = (bin_freqs[None, :] - lo[:, None]) / np.maximum(ctr - lo, EPS)[:, None]
     down = (hi[:, None] - bin_freqs[None, :]) / np.maximum(hi - ctr, EPS)[:, None]
-    return np.maximum(0.0, np.minimum(up, down))
-
-
-@functools.lru_cache(maxsize=16)
-def _shared_mel_filterbank(n_mels: int, sample_rate: int) -> np.ndarray:
-    """The MEL_FMIN..MEL_FMAX filterbank on the grid's bins, built once per shape and read-only."""
-    fb = mel_filterbank(n_mels, DEFAULT_WINDOW, sample_rate, MEL_FMIN, MEL_FMAX)
+    fb = np.maximum(0.0, np.minimum(up, down))
     fb.flags.writeable = False
     return fb
 
@@ -156,7 +153,7 @@ def mel_from_frames(frames: StftFrames, cfg: MelConfig) -> MelSpectrogram:
     The dB range is clamped against these frames' own maximum, so a
     segment's mel is this function of its selected rows alone.
     """
-    fb = _shared_mel_filterbank(cfg.n_mels, frames.sample_rate)
+    fb = mel_filterbank(cfg.n_mels, frames.sample_rate)
     mel_power = frames.power() @ fb.T
     db = 10.0 * np.log10(mel_power + EPS)
     db = np.maximum(db, db.max() - MEL_DYNAMIC_RANGE_DB)

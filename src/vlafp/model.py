@@ -463,32 +463,21 @@ def fingerprint(mel: np.ndarray, params: Parameters, cfg: ModelConfig) -> np.nda
 
 CKPT_MAGIC = b"VLFP"
 CKPT_VERSION = 1
+# The header record after the magic: version, f_bins, the three width slots,
+# n_blocks, n_heads, d_head, ffn_alpha, eps and the tensor count.
+CKPT_HEADER = struct.Struct("<8I2dI")
 
 
 def save_checkpoint(path: str | Path, params: Parameters, cfg: ModelConfig) -> None:
-    """Binary checkpoint: magic, version, config, then named float32 tensors.
+    """Binary checkpoint: magic, the CKPT_HEADER record, then named float32 tensors.
 
     The header keeps three width slots (frame, attention and segment
     width), all three holding cfg.d, and an eps slot holding RMS_EPS.
     """
     with open(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
-        fh.write(
-            struct.pack(
-                "<8I2d",
-                CKPT_VERSION,
-                cfg.f_bins,
-                cfg.d,
-                cfg.d,
-                cfg.d,
-                cfg.n_blocks,
-                cfg.n_heads,
-                cfg.d_head,
-                cfg.ffn_alpha,
-                RMS_EPS,
-            )
-        )
-        fh.write(struct.pack("<I", len(params)))
+        dims = (cfg.f_bins, cfg.d, cfg.d, cfg.d, cfg.n_blocks, cfg.n_heads, cfg.d_head)
+        fh.write(CKPT_HEADER.pack(CKPT_VERSION, *dims, cfg.ffn_alpha, RMS_EPS, len(params)))
         for name in sorted(params):
             arr = np.asarray(params[name], dtype="<f4")
             encoded = name.encode("utf-8")
@@ -499,27 +488,10 @@ def save_checkpoint(path: str | Path, params: Parameters, cfg: ModelConfig) -> N
             fh.write(arr.tobytes())
 
 
-def _check_tensors(params: Parameters, cfg: ModelConfig) -> None:
-    """Exactly the tensors init_parameters(cfg) makes, in its shapes, every value finite."""
-
-    def shape(*dims):
-        return dims
-
-    want = _parameters(cfg, shape, shape, shape)
-    for name in sorted(want.keys() | params.keys()):
-        if name not in params:
-            raise ValueError(f"missing tensor {name!r}")
-        if name not in want:
-            raise ValueError(f"unexpected tensor {name!r}")
-        if params[name].shape != want[name]:
-            raise ValueError(f"tensor {name!r} has shape {params[name].shape}, expected {want[name]}")
-        if not np.all(np.isfinite(params[name])):
-            raise ValueError(f"tensor {name!r} has non-finite values")
-
-
 def load_checkpoint(path: str | Path) -> tuple[Parameters, ModelConfig]:
-    """Read a `.vlfp` file; a short or malformed one, or tensors that do not match
-    the header's model, is a ValueError naming the path."""
+    """Read a `.vlfp` file; a short or malformed one, or tensors other than
+    exactly those init_parameters makes for the header's model (in its
+    shapes, every value finite), is a ValueError naming the path."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -531,8 +503,8 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, ModelConfig]:
         try:
             if fh.read(4) != CKPT_MAGIC:
                 raise ValueError("bad checkpoint magic")
-            header = struct.unpack("<8I2d", read(8 * 4 + 2 * 8))
-            version, f_bins, d1, d2, d, n_blocks, n_heads, d_head, ffn_alpha, eps = header
+            header = CKPT_HEADER.unpack(read(CKPT_HEADER.size))
+            version, f_bins, d1, d2, d, n_blocks, n_heads, d_head, ffn_alpha, eps, count = header
             if version != CKPT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}")
             if not d1 == d2 == d:
@@ -542,7 +514,6 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, ModelConfig]:
             cfg = ModelConfig(
                 f_bins=f_bins, d=d, n_blocks=n_blocks, n_heads=n_heads, d_head=d_head, ffn_alpha=ffn_alpha
             )
-            (count,) = struct.unpack("<I", read(4))
             params: Parameters = {}
             for _ in range(count):
                 (name_len,) = struct.unpack("<I", read(4))
@@ -553,7 +524,17 @@ def load_checkpoint(path: str | Path) -> tuple[Parameters, ModelConfig]:
                 if name in params:
                     raise ValueError(f"duplicate tensor {name!r}")
                 params[name] = data.reshape(shape).astype(np.float64)
-            _check_tensors(params, cfg)
+            # init_parameters' names for cfg, each with its shape in place of its values.
+            want = _parameters(cfg, *[lambda *shape: shape] * 3)
+            for name in sorted(want.keys() | params.keys()):
+                if name not in params:
+                    raise ValueError(f"missing tensor {name!r}")
+                if name not in want:
+                    raise ValueError(f"unexpected tensor {name!r}")
+                if params[name].shape != want[name]:
+                    raise ValueError(f"tensor {name!r} has shape {params[name].shape}, expected {want[name]}")
+                if not np.all(np.isfinite(params[name])):
+                    raise ValueError(f"tensor {name!r} has non-finite values")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return params, cfg

@@ -6,17 +6,22 @@ import numpy as np
 
 # Pruning slack guards against float rounding breaking the exact-min guarantee.
 PRUNE_SLACK = 1e-9
+# A population std below this counts as zero: the series is constant here, and
+# the segmentation's z-score scan scores the next frame z = 0.
+MIN_STD = 1e-9
 
 
 def default_penalty(series: np.ndarray) -> float:
     """BIC-style default: 2 * ln(n) * var(series).
 
-    A constant series (silent audio, say) has no change point, and any
-    positive penalty keeps it whole; it gets 1, as does a single point.
+    A series whose population std is below MIN_STD counts as constant
+    (silent audio, or a stationary tone whose entropies differ only by
+    rounding): it has no change point, and any positive penalty keeps it
+    whole; it gets 1, as does a single point.
     """
     x = np.asarray(series, dtype=np.float64)
     n = x.shape[0]
-    if n < 2 or np.ptp(x) == 0.0:
+    if n < 2 or np.std(x) < MIN_STD:
         return 1.0
     return float(2.0 * np.log(n) * np.var(x))
 

@@ -19,7 +19,7 @@ from .dsp import (
     stft,
     waveform_entropies,
 )
-from .pelt import default_penalty, pelt_changepoints
+from .pelt import MIN_STD, default_penalty, pelt_changepoints
 
 # Each --method (the frame-grid methods, then fixed sample windows) and the name of
 # its segmenter. segment() looks the name up at each call, so a patch of the module
@@ -33,9 +33,6 @@ _SEGMENTERS = {
 }
 METHODS = tuple(_SEGMENTERS)
 SILENCE_THRESHOLD_DB = -60.0
-# Below this the window entropy is effectively constant; the next frame is
-# treated as in-regime (z = 0) rather than dividing by ~0.
-MIN_STD = 1e-9
 
 
 # A segment as Segment.span gives it: its span of samples and its rows within
@@ -62,7 +59,6 @@ class SegmenterConfig:
     t_max: float = 5.0
     theta: float | None = None
     method: str = "main"
-    pelt_penalty: float | None = None
     window_s: float = 1.0
     hop_s: float = 0.5
 
@@ -75,8 +71,6 @@ class SegmenterConfig:
             raise ValueError(f"theta must be >= 0 (inf allowed), got {self.theta}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.pelt_penalty is not None and not (self.pelt_penalty > 0):
-            raise ValueError(f"pelt_penalty must be > 0 (inf allowed), got {self.pelt_penalty}")
         if not (math.inf > self.window_s >= self.hop_s > 0):
             raise ValueError(f"need finite window >= hop > 0, got {self.window_s}, {self.hop_s}")
 
@@ -136,7 +130,7 @@ def _zscore_partition(
     minimum is reached; extension absorbs while the frame's z-score
     |x - mean| / std against the members so far stays at or below theta. The
     mean and population std are Welford's running count, mean and M2; a std
-    below MIN_STD gives z = 0. A rejected frame starts the next segment.
+    below pelt.MIN_STD gives z = 0. A rejected frame starts the next segment.
     """
     x = values.tolist()
     skipped = skip.tolist() if skip is not None else [False] * len(x)
@@ -232,14 +226,13 @@ def segment_waveform(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> li
 def segment_pelt(w: Waveform, cfg: SegmenterConfig, audio_id: int = 0) -> list[Segment]:
     """Change-point segmentation of the spectral-entropy series.
 
-    cfg.pelt_penalty None means the series' default penalty. A segment
-    longer than t_max is split into the fewest near-equal parts that fit,
-    the first ones a frame longer. Not causal: the penalty and the optimum
-    are the whole stream's.
+    The penalty is the series' default_penalty. A segment longer than
+    t_max is split into the fewest near-equal parts that fit, the first
+    ones a frame longer. Not causal: the penalty and the optimum are the
+    whole stream's.
     """
     entropies = spectral_entropy_series(w)
-    pen = cfg.pelt_penalty if cfg.pelt_penalty is not None else default_penalty(entropies)
-    bps = pelt_changepoints(entropies, penalty=pen, min_size=cfg.min_frames(w.sample_rate))
+    bps = pelt_changepoints(entropies, penalty=default_penalty(entropies), min_size=cfg.min_frames(w.sample_rate))
     max_frames = cfg.max_frames(w.sample_rate)
     groups = [
         part.tolist()

@@ -90,20 +90,15 @@ def supcon_loss(
     return float(loss), dm @ z + (z.T @ dm).T
 
 
-@dataclass
-class BuiltBatch:
-    packed: PackedBatch
-    positive_sets: dict[int, list[int]]
-
-
 def build_batch(
     sources: list[Source],
     train_cfg: TrainConfig,
     aug_cfg: AugmentConfig,
     mel_cfg: MelConfig,
     rng: np.random.Generator,
-) -> BuiltBatch:
-    """One anchor group per source, in order: the clean segment plus n_pos augmented copies.
+) -> tuple[PackedBatch, dict[int, list[int]]]:
+    """The packed batch and each item's positive set: one anchor group per
+    source, in order, the clean segment plus n_pos augmented copies.
 
     Every mel is source_mel's, as at index time: the anchor's of its rows,
     and a positive stretched by f keeps its frame j iff source frame
@@ -129,7 +124,7 @@ def build_batch(
 
     size = 1 + train_cfg.n_pos  # group g is items g*size .. g*size + size - 1
     positive_sets = {i: [j for j in range(i - i % size, i - i % size + size) if j != i] for i in range(len(mels))}
-    return BuiltBatch(PackedBatch(tuple(mels)), positive_sets)
+    return PackedBatch(tuple(mels)), positive_sets
 
 
 class Adam:
@@ -158,13 +153,14 @@ class Adam:
 def train_step(
     params: Parameters,
     optimizer: Adam,
-    batch: BuiltBatch,
+    batch: PackedBatch,
+    positive_sets: dict[int, list[int]],
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
 ) -> float:
-    """One forward/backward/update pass; returns the batch loss."""
-    z, backward = fingerprint_batch_forward(batch.packed, params, model_cfg)
-    loss, dz = supcon_loss(z, batch.positive_sets, train_cfg.tau)
+    """One forward/backward/update pass over build_batch's pair; returns the batch loss."""
+    z, backward = fingerprint_batch_forward(batch, params, model_cfg)
+    loss, dz = supcon_loss(z, positive_sets, train_cfg.tau)
     optimizer.step(backward(dz))
     return loss
 
@@ -193,8 +189,8 @@ def train(
         losses = []
         for start in range(0, len(order), per_batch):
             chunk = [sources[i] for i in order[start : start + per_batch]]
-            batch = build_batch(chunk, train_cfg, aug_cfg, mel_cfg, rng)
-            loss = train_step(params, optimizer, batch, model_cfg, train_cfg)
+            batch, positive_sets = build_batch(chunk, train_cfg, aug_cfg, mel_cfg, rng)
+            loss = train_step(params, optimizer, batch, positive_sets, model_cfg, train_cfg)
             if not np.isfinite(loss):
                 norms = {k: float(np.linalg.norm(v)) for k, v in params.items()}
                 worst = max(norms.items(), key=lambda kv: kv[1])

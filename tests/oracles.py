@@ -30,7 +30,7 @@ from vlafp.model import (
     _rows,
     _split_heads,
 )
-from vlafp.segmentation import MIN_STD
+from vlafp.pelt import MIN_STD
 
 
 def dp_oracle(series, penalty, min_size=1):

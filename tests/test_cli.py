@@ -182,13 +182,6 @@ class TestSegment:
         assert main(["segment", "--audio", str(path), "--method", "pelt", "--out", str(out)]) == 0
         assert len(read_manifest(out)) == 2  # one span, split only by t_max
 
-    def test_nan_pelt_penalty_exit_1(self, corpus_dir, tmp_path, capsys):
-        out = tmp_path / "m.txt"
-        argv = ["segment", "--audio", str(corpus_dir), "--method", "pelt", "--pelt-penalty", "nan", "--out", str(out)]
-        assert main(argv) == 1
-        _one_error_line(capsys, "pelt_penalty must be > 0 (inf allowed), got nan")
-        assert not out.exists()
-
     def test_unknown_flag_exit_2(self, corpus_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["segment", "--audio", str(corpus_dir), "--bogus", "1", "--out", str(tmp_path / "m")])
@@ -517,6 +510,25 @@ class TestHostileInput:
         out = tmp_path / "out"
         assert main(command.split() + flags + ["--window", "inf", "--out", str(out)]) == 1
         _one_error_line(capsys, "need finite window >= hop > 0, got inf, 0.5")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "fingerprint", "eval cbr", "eval dtr"])
+    def test_rate_below_8k_exit_1(self, tmp_path, capsys, command):
+        # The mel bands reach MEL_FMAX = 4000 Hz, which a 4 kHz rate cannot hold.
+        corpus, ckpt, out = tmp_path / "corpus", tmp_path / "init.vlfp", tmp_path / "out"
+        assert main(["synth", "--n", "2", "--dur", "3", "--rate", "4000", "--out", str(corpus)]) == 0
+        assert main(["init", "--out", str(ckpt)]) == 0
+        capsys.readouterr()
+        flags = {
+            "train": ["--corpus", str(corpus), "--epochs", "1"],
+            "fingerprint": ["--audio", str(corpus), "--ckpt", str(ckpt)],
+            "eval cbr": ["--audio", str(corpus), "--ckpt", str(ckpt), "--others", "1"],
+            "eval dtr": ["--audio", str(corpus), "--ckpt", str(ckpt), "--durations", "1"],
+        }[command]
+        assert main(command.split() + flags + ["--rate", "4000", "--out", str(out)]) == 1
+        _one_error_line(
+            capsys, "sample rate 4000 Hz is too low: the mel bands reach 4000 Hz, above its Nyquist frequency 2000 Hz"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("durations", [["--tmax", "inf"], ["--tmin", "inf", "--tmax", "inf"]], ids=["tmax", "both"])

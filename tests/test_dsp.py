@@ -12,7 +12,6 @@ from vlafp.dsp import (
     DEFAULT_HOP,
     DEFAULT_WINDOW,
     EPS,
-    _shared_mel_filterbank,
     MEL_DYNAMIC_RANGE_DB,
     MEL_FMAX,
     MEL_FMIN,
@@ -174,28 +173,34 @@ class TestMel:
             mel_spectrogram(Waveform(np.ones(100), FS))
 
     def test_filter_support_within_band(self):
-        fb = mel_filterbank(64, 1024, FS, MEL_FMIN, MEL_FMAX)
+        fb = mel_filterbank(64, FS)
         freqs = np.arange(513) * FS / 1024
         active = fb.sum(axis=0) > 0
         assert freqs[active].min() >= MEL_FMIN
         assert freqs[active].max() <= MEL_FMAX
 
     def test_filter_centers_increasing(self):
-        fb = mel_filterbank(32, 1024, FS, 300.0, 4000.0)
+        fb = mel_filterbank(32, FS)
         centers = fb.argmax(axis=1)
         assert np.all(np.diff(centers) >= 0)
 
     def test_shared_filterbank_is_read_only_and_exact(self, noise_wave):
         frames = stft(noise_wave)
-        fb = mel_filterbank(64, DEFAULT_WINDOW, FS, MEL_FMIN, MEL_FMAX)
-        db = 10.0 * np.log10(frames.power() @ fb.T + EPS)
+        shared = mel_filterbank(64, FS)
+        assert shared is mel_filterbank(64, FS)
+        assert np.array_equal(shared, mel_filterbank.__wrapped__(64, FS))  # a fresh, uncached build
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 1.0
+        db = 10.0 * np.log10(frames.power() @ shared.T + EPS)
         want = np.maximum(db, db.max() - MEL_DYNAMIC_RANGE_DB)
         for _ in range(2):
             assert np.array_equal(mel_from_frames(frames, MelConfig(n_mels=64)).data, want)
-        shared = _shared_mel_filterbank(64, FS)
-        assert shared is _shared_mel_filterbank(64, FS)
-        with pytest.raises(ValueError, match="read-only"):
-            shared[0, 0] = 1.0
+
+    @pytest.mark.parametrize("rate", [4000, 7999])
+    def test_rate_below_twice_the_top_band_edge_is_refused(self, rate):
+        with pytest.raises(ValueError, match=f"sample rate {rate} Hz is too low") as exc:
+            mel_filterbank(64, rate)
+        assert f"{MEL_FMAX:g} Hz" in str(exc.value)
 
     def test_selected_rows_clamp_against_their_own_maximum(self, noise_wave):
         frames = stft(noise_wave)
@@ -204,7 +209,7 @@ class TestMel:
         assert np.array_equal(picked.frames, frames.frames[rows])
         assert picked.sample_rate == FS
         got = mel_from_frames(picked, MelConfig(n_mels=64)).data
-        db = 10.0 * np.log10(frames.power()[rows] @ _shared_mel_filterbank(64, FS).T + EPS)
+        db = 10.0 * np.log10(frames.power()[rows] @ mel_filterbank(64, FS).T + EPS)
         assert np.array_equal(got, np.maximum(db, db.max() - MEL_DYNAMIC_RANGE_DB))
 
     def test_row_count_superadditive(self, noise_wave):

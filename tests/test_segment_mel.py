@@ -34,7 +34,7 @@ def contiguous(seg):
 def batch_mels(sources, aug):
     """Anchor and positive mels of one n_pos=1 batch over every source, in item order."""
     cfg = TrainConfig(n_pos=1)
-    mels = build_batch(sources, cfg, aug, MEL_CFG, np.random.default_rng(0)).packed.mels
+    mels = build_batch(sources, cfg, aug, MEL_CFG, np.random.default_rng(0))[0].mels
     return mels[::2], mels[1::2]
 
 

@@ -14,7 +14,6 @@ from vlafp.training import (
     ADAM_BETA2,
     ADAM_EPS,
     Adam,
-    BuiltBatch,
     TrainConfig,
     build_batch,
     supcon_loss,
@@ -146,27 +145,27 @@ class TestBuildBatch:
     def test_group_sizes(self, tiny_setup):
         sources, mel_cfg, aug, _ = tiny_setup
         cfg = TrainConfig(batch_items=16, n_pos=3, seed=0)
-        batch = build_batch(sources[:4], cfg, aug, mel_cfg, np.random.default_rng(0))
-        assert batch.packed.n_segments == 16
+        batch, positive_sets = build_batch(sources[:4], cfg, aug, mel_cfg, np.random.default_rng(0))
+        assert batch.n_segments == 16
         for i in range(16):
-            assert len(batch.positive_sets[i]) == 3
+            assert len(positive_sets[i]) == 3
 
     @pytest.mark.parametrize("n_pos", [1, 2, 3, 4, 5])
     def test_n_pos_sweep(self, tiny_setup, n_pos):
         sources, mel_cfg, aug, _ = tiny_setup
         cfg = TrainConfig(batch_items=2 * (1 + n_pos), n_pos=n_pos, seed=0)
-        batch = build_batch(sources[:2], cfg, aug, mel_cfg, np.random.default_rng(0))
-        assert batch.packed.n_segments == 2 * (1 + n_pos)
+        batch, _ = build_batch(sources[:2], cfg, aug, mel_cfg, np.random.default_rng(0))
+        assert batch.n_segments == 2 * (1 + n_pos)
 
     def test_same_seed_same_batch(self, tiny_setup):
         sources, mel_cfg, aug, _ = tiny_setup
         cfg = TrainConfig(batch_items=8, n_pos=1, seed=0)
-        a = build_batch(sources[:4], cfg, aug, mel_cfg, np.random.default_rng(3))
-        b = build_batch(sources[:4], cfg, aug, mel_cfg, np.random.default_rng(3))
-        assert len(a.packed.mels) == len(b.packed.mels) == 8
-        for x, y in zip(a.packed.mels, b.packed.mels):
+        a, a_sets = build_batch(sources[:4], cfg, aug, mel_cfg, np.random.default_rng(3))
+        b, b_sets = build_batch(sources[:4], cfg, aug, mel_cfg, np.random.default_rng(3))
+        assert len(a.mels) == len(b.mels) == 8
+        for x, y in zip(a.mels, b.mels):
             assert np.array_equal(x, y)
-        assert a.positive_sets == b.positive_sets
+        assert a_sets == b_sets
 
     def test_empty_corpus_rejected(self, tiny_setup):
         _, mel_cfg, aug, _ = tiny_setup
@@ -183,8 +182,8 @@ class TestTrainLoop:
         before = {k: v.copy() for k, v in params.items()}
         optimizer = Adam(params, cfg)
         optimizer.lr = 0.0
-        batch = build_batch(sources[:4], cfg, aug, mel_cfg, np.random.default_rng(0))
-        train_step(params, optimizer, batch, model_cfg, cfg)
+        batch, positive_sets = build_batch(sources[:4], cfg, aug, mel_cfg, np.random.default_rng(0))
+        train_step(params, optimizer, batch, positive_sets, model_cfg, cfg)
         for k in before:
             assert np.array_equal(params[k], before[k])
 
@@ -235,16 +234,16 @@ class TestEndToEndGradient:
                 assert abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-6) < 1e-4
 
 
-def graph_train_step(params, optimizer, batch, model_cfg, train_cfg) -> float:
+def graph_train_step(params, optimizer, batch, positive_sets, model_cfg, train_cfg) -> float:
     """train_step with the loss on the Tensor graph and the model as one graph node."""
     tp = oracles.as_tensors(params, requires_grad=True)
-    z, backward = fingerprint_batch_forward(batch.packed, params, model_cfg)
+    z, backward = fingerprint_batch_forward(batch, params, model_cfg)
 
     def node_backward(g):
         for name, grad in backward(g).items():
             tp[name]._accum(grad)
 
-    loss = oracles.supcon_loss(Tensor._result(z, tuple(tp.values()), node_backward), batch.positive_sets, train_cfg.tau)
+    loss = oracles.supcon_loss(Tensor._result(z, tuple(tp.values()), node_backward), positive_sets, train_cfg.tau)
     loss.backward()
     optimizer.step({k: t.grad for k, t in tp.items()})
     return loss.item()
@@ -253,19 +252,19 @@ def graph_train_step(params, optimizer, batch, model_cfg, train_cfg) -> float:
 class TestTrainStep:
     @pytest.fixture
     def mixed_batch(self):
-        """60 items in 15 groups of 4, lengths mixed within and across groups, 1 frame included."""
+        """(batch, positive sets): 60 items in 15 groups of 4, lengths mixed within and across groups, 1 frame included."""
         rng = np.random.default_rng(21)
         lengths = rng.choice([1, 9, 28, 28, 28, 40, 93], size=60)
         mels = [rng.standard_normal((t, ModelConfig().f_bins)) for t in lengths]
         pos = {i: [j for j in range(60) if j // 4 == i // 4 and j != i] for i in range(60)}
-        return BuiltBatch(PackedBatch(tuple(mels)), pos)
+        return PackedBatch(tuple(mels)), pos
 
     def test_step_bytes_equal_the_tensor_graph_step(self, mixed_batch):
         model_cfg, train_cfg = ModelConfig(), TrainConfig(lr=1e-3)
         params = init_parameters(model_cfg, seed=21)
         graph_params = {k: v.copy() for k, v in params.items()}
-        loss = train_step(params, Adam(params, train_cfg), mixed_batch, model_cfg, train_cfg)
-        graph_loss = graph_train_step(graph_params, Adam(graph_params, train_cfg), mixed_batch, model_cfg, train_cfg)
+        loss = train_step(params, Adam(params, train_cfg), *mixed_batch, model_cfg, train_cfg)
+        graph_loss = graph_train_step(graph_params, Adam(graph_params, train_cfg), *mixed_batch, model_cfg, train_cfg)
         assert np.float64(loss).tobytes() == np.float64(graph_loss).tobytes()
         for name in params:
             assert not np.array_equal(params[name], init_parameters(model_cfg, seed=21)[name]), name
@@ -278,7 +277,7 @@ class TestTrainStep:
         monkeypatch.setattr(Tensor, "__init__", refuse)
         model_cfg, train_cfg = ModelConfig(), TrainConfig(lr=1e-3)
         params = init_parameters(model_cfg, seed=21)
-        assert np.isfinite(train_step(params, Adam(params, train_cfg), mixed_batch, model_cfg, train_cfg))
+        assert np.isfinite(train_step(params, Adam(params, train_cfg), *mixed_batch, model_cfg, train_cfg))
 
 
 class TestAdam:
