@@ -121,4 +121,3 @@ class TestSegmentPelt:
             assert default_penalty(entropies) == 1.0
             segs = segment_pelt(w, cfg)
             assert [s.n_frames for s in segs] == [124, 123]  # 247 frames, max_frames 157
-            assert max(s.n_frames for s in segs) <= cfg.max_frames(FS)

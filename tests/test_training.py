@@ -252,7 +252,7 @@ def graph_train_step(params, optimizer, batch, positive_sets, model_cfg, train_c
 class TestTrainStep:
     @pytest.fixture
     def mixed_batch(self):
-        """(batch, positive sets): 60 items in 15 groups of 4, lengths mixed within and across groups, 1 frame included."""
+        """(batch, positive sets) of 60 items in 15 groups of 4; lengths mix within and across groups, 1 included."""
         rng = np.random.default_rng(21)
         lengths = rng.choice([1, 9, 28, 28, 28, 40, 93], size=60)
         mels = [rng.standard_normal((t, ModelConfig().f_bins)) for t in lengths]
